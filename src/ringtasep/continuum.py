@@ -147,9 +147,10 @@ def _mc_word_chunk(args):
     return counts
 
 
-def permutation_distribution_mc(n: int, samples: int, seed: int, jobs: int = 1) -> dict:
-    """Sampled bottom-permutation frequencies for sizes beyond the exact
-    cap, with naive binomial standard errors."""
+def _mc_counts(chunk, n: int, samples: int, seed: int, jobs: int) -> dict:
+    """Counts merged over `jobs` chunks of the samples.  Chunk w runs as
+    chunk((n, its samples, "{seed}:{w}")), in a process pool when there
+    is more than one chunk."""
     if samples < 1:
         raise ValueError("need samples >= 1")
     jobs = max(1, jobs)
@@ -158,21 +159,33 @@ def permutation_distribution_mc(n: int, samples: int, seed: int, jobs: int = 1) 
         split[w] += 1
     tasks = [(n, s, f"{seed}:{w}") for w, s in enumerate(split) if s > 0]
     if len(tasks) == 1:
-        results = [_mc_word_chunk(tasks[0])]
+        results = [chunk(tasks[0])]
     else:
         import multiprocessing
 
         with multiprocessing.Pool(len(tasks)) as pool:
-            results = pool.map(_mc_word_chunk, tasks)
-    counts: dict[Perm, int] = {}
+            results = pool.map(chunk, tasks)
+    counts: dict = {}
     for c in results:
-        for w, v in c.items():
-            counts[w] = counts.get(w, 0) + v
+        for key, v in c.items():
+            counts[key] = counts.get(key, 0) + v
+    return counts
+
+
+def _estimates(counts: dict, samples: int, name: str) -> dict:
+    """Frequencies under `name`, with naive binomial standard errors."""
     out = {}
-    for w in sorted(counts):
-        p = counts[w] / samples
-        out[w] = {"freq": p, "stderr": (p * (1 - p) / samples) ** 0.5, "count": counts[w]}
-    return {"n": n, "samples": samples, "words": out}
+    for key in sorted(counts):
+        p = counts[key] / samples
+        out[key] = {name: p, "stderr": (p * (1 - p) / samples) ** 0.5, "count": counts[key]}
+    return out
+
+
+def permutation_distribution_mc(n: int, samples: int, seed: int, jobs: int = 1) -> dict:
+    """Sampled bottom-permutation frequencies for sizes beyond the exact
+    cap, with naive binomial standard errors."""
+    counts = _mc_counts(_mc_word_chunk, n, samples, seed, jobs)
+    return {"n": n, "samples": samples, "words": _estimates(counts, samples, "freq")}
 
 
 def reverse_probability_formula(n: int) -> Fraction:
@@ -297,33 +310,8 @@ def adjacency_mc(n: int, samples: int, seed: int, jobs: int = 1) -> dict:
     for the row-normalized table and rows sum to 1 exactly.  Reproducible
     for fixed (seed, jobs): worker w uses the stream seeded (seed, w).
     """
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    jobs = max(1, jobs)
-    split = [samples // jobs] * jobs
-    for w in range(samples % jobs):
-        split[w] += 1
-    tasks = [(n, s, f"{seed}:{w}") for w, s in enumerate(split) if s > 0]
-    if len(tasks) == 1:
-        results = [_mc_adjacency_chunk(tasks[0])]
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(len(tasks)) as pool:
-            results = pool.map(_mc_adjacency_chunk, tasks)
-    counts: dict[tuple[int, int], int] = {}
-    for c in results:
-        for pair, v in c.items():
-            counts[pair] = counts.get(pair, 0) + v
-    out = {}
-    for pair in sorted(counts):
-        p = counts[pair] / samples
-        out[pair] = {
-            "estimate": p,
-            "stderr": (p * (1 - p) / samples) ** 0.5,
-            "count": counts[pair],
-        }
-    return {"n": n, "samples": samples, "entries": out}
+    counts = _mc_counts(_mc_adjacency_chunk, n, samples, seed, jobs)
+    return {"n": n, "samples": samples, "entries": _estimates(counts, samples, "estimate")}
 
 
 def syt_three_column_count(n: int, i: int) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .core import Perm, TypeVector, binomial, check_permutation
-from .markov import RationalMatrix
+from .linalg import det_fraction_free
 from .mlq import DiscreteMLQ, _claim_labels
 
 
@@ -223,60 +223,6 @@ def count_bottom_reverse_multi_swap(kvec, b, N: int) -> int:
             raise RuntimeError("non-integer count")
         total = int(total)
     return total
-
-
-def det_fraction_free(M) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Accepts a RationalMatrix or any square array of ints/Fractions;
-    rational input is cleared to integers row by row first.
-    """
-    if isinstance(M, RationalMatrix):
-        rows = [list(r) for r in M.rows]
-    else:
-        rows = [list(r) for r in M]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    m: list[list[int]] = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        scale *= lcm
-        m.append([int(x * lcm) for x in row])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        sel = -1
-        for r in range(col, n):
-            if m[r][col] != 0:
-                sel = r
-                break
-        if sel < 0:
-            return Fraction(0)
-        if sel != col:
-            m[col], m[sel] = m[sel], m[col]
-            sign = -sign
-        piv = m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            for c in range(col, n):
-                m[r][c] = (m[r][c] * piv - factor * m[col][c]) // prev
-        prev = piv
-    return Fraction(sign * m[n - 1][n - 1]) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # --- nonintersecting lattice paths ------------------------------------------

@@ -3,8 +3,8 @@
 States are ring words; a transition picks a particle uniformly at random
 and lets it try to jump left (into a vacancy, or swapping with a strictly
 larger label).  Everything here is exact: transition matrices hold
-Fractions, stationary distributions are computed by fraction-free
-elimination and verified against the defining equations.
+sparse Fraction rows, stationary distributions are computed by
+fraction-free elimination and verified against the defining equations.
 
 The ring dynamics commute with rotation, so stationary solves may be done
 on the rotation quotient and lifted; the lift is always re-verified on
@@ -18,42 +18,44 @@ from fractions import Fraction
 from math import comb
 
 from .core import VACANT, RingWord, TypeVector, cyclic_canonical
+from .linalg import kernel_vector
 from .mlq import _claim_labels
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    rows: tuple[tuple[Fraction, ...], ...]
+    """Square matrix with sparse rows: rows[i] maps a column to its
+    nonzero entry, so a chain costs its transitions, not n^2."""
+
+    rows: tuple[dict[int, Fraction], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in r) for r in self.rows)
+        rows = tuple({j: Fraction(x) for j, x in r.items() if x} for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(r) for r in self.rows)
-
     def is_row_stochastic(self) -> bool:
-        return all(s == 1 for s in self.row_sums()) and all(
-            x >= 0 for r in self.rows for x in r
+        n = self.n_rows
+        return all(
+            sum(r.values()) == 1 and all(x >= 0 and 0 <= j < n for j, x in r.items()) for r in self.rows
         )
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-            )
-        )
+
+def chain_matrix(states, column, step_targets) -> RationalMatrix:
+    """Sparse transition matrix with one row per state: the probabilities
+    of step_targets(state), (probability, target) pairs, summed by
+    column(target)."""
+    rows = []
+    for s in states:
+        row: dict[int, Fraction] = {}
+        for p, target in step_targets(s):
+            j = column(target)
+            row[j] = row.get(j, 0) + p
+        rows.append(row)
+    return RationalMatrix(tuple(rows))
 
 
 def enumerate_states(t: TypeVector) -> list[tuple[int, ...]]:
@@ -113,7 +115,7 @@ def tasep_step(w: RingWord, site: int) -> RingWord:
 
 
 def transition_matrix(t: TypeVector, cap: int = 2000):
-    """Dense transition matrix of the chain, with its state list.
+    """Sparse transition matrix of the chain, with its state list.
 
     Each of the K particles is chosen with probability 1/K.  Raises when
     the state space exceeds the cap.
@@ -123,93 +125,39 @@ def transition_matrix(t: TypeVector, cap: int = 2000):
         raise ValueError(f"state space has {size} states, above cap {cap}")
     states = enumerate_states(t)
     index = {s: i for i, s in enumerate(states)}
-    K = t.particles
-    p = Fraction(1, K)
-    rows = []
-    for s in states:
-        row = [Fraction(0)] * len(states)
-        for site, label in enumerate(s):
-            if label == VACANT:
-                continue
-            row[index[_step_tuple(s, site)]] += p
-        rows.append(tuple(row))
-    return states, RationalMatrix(tuple(rows))
-
-
-def _int_kernel(rows: list[list[int]]) -> list[Fraction]:
-    """One-dimensional kernel of an integer matrix via fraction-free
-    (Bareiss) elimination; raises if the kernel dimension is not 1."""
-    m = [row[:] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []  # (row, col)
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        sel = -1
-        for r in range(rank, n_rows):
-            if m[r][col] != 0:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        piv = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            factor = m[r][col]
-            for c in range(col, n_cols):
-                m[r][c] = (m[r][c] * piv - factor * m[rank][c]) // prev
-        pivots.append((rank, col))
-        prev = piv
-        rank += 1
-    free = [c for c in range(n_cols) if c not in {c for _, c in pivots}]
-    if len(free) != 1:
-        raise ValueError(f"kernel dimension is {len(free)}, expected 1 (chain reducible?)")
-    x = [Fraction(0)] * n_cols
-    x[free[0]] = Fraction(1)
-    for r, c in reversed(pivots):
-        s = Fraction(0)
-        for c2 in range(c + 1, n_cols):
-            if m[r][c2]:
-                s += m[r][c2] * x[c2]
-        x[c] = -s / m[r][c]
-    return x
+    return states, chain_matrix(states, index.__getitem__, _particle_steps(t.particles))
 
 
 def stationary_exact(P: RationalMatrix) -> tuple[Fraction, ...]:
     """Exact stationary distribution of a row-stochastic matrix.
 
-    Solves pi P = pi with sum(pi) = 1 by fraction-free elimination on the
-    integer-cleared system; the result is verified against P before being
-    returned and must be strictly positive.
+    Solves pi P = pi with sum(pi) = 1 by fraction-free elimination on
+    P^T - I; the result is verified against P before being returned and
+    must be strictly positive.
     """
     if not P.is_row_stochastic():
         raise ValueError("matrix is not row-stochastic")
     n = P.n_rows
-    # Rows of (P^T - I), with denominators cleared row by row.
-    int_rows = []
-    for i in range(n):
-        row = [P.rows[j][i] - (1 if i == j else 0) for j in range(n)]
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        int_rows.append([int(x * lcm) for x in row])
-    x = _int_kernel(int_rows)
+    rows = [{} for _ in range(n)]  # row j of P^T - I
+    for i, row in enumerate(P.rows):
+        for j, x in row.items():
+            rows[j][i] = x
+    for j, row in enumerate(rows):
+        row[j] = row.get(j, 0) - 1
+    x = kernel_vector(rows, n)
     total = sum(x)
     if total == 0:
         raise ValueError("degenerate kernel")
-    pi = tuple(v / total for v in x)
+    pi = tuple(Fraction(v, total) for v in x)
     if any(p <= 0 for p in pi):
         raise ValueError("stationary vector not strictly positive (chain not irreducible)")
-    for j in range(n):
-        if sum(pi[i] * P.rows[i][j] for i in range(n)) != pi[j]:
-            raise RuntimeError("stationarity verification failed")
+    flow = [Fraction(0)] * n
+    for p, row in zip(pi, P.rows):
+        for j, x in row.items():
+            flow[j] += p * x
+    if tuple(flow) != pi:
+        raise RuntimeError("stationarity verification failed")
     return pi
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _canon(sites: tuple[int, ...]) -> tuple[int, ...]:
@@ -223,12 +171,7 @@ def _quotient_stationary(reps, step_targets) -> dict[tuple, Fraction]:
     (probability, target word) pairs.  The lifted distribution is exact.
     """
     index = {r: i for i, r in enumerate(reps)}
-    n = len(reps)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, rep in enumerate(reps):
-        for p, target in step_targets(rep):
-            rows[i][index[_canon(target)]] += p
-    pi_q = stationary_exact(RationalMatrix(tuple(tuple(r) for r in rows)))
+    pi_q = stationary_exact(chain_matrix(reps, lambda w: index[_canon(w)], step_targets))
     out = {}
     for i, rep in enumerate(reps):
         orbit = {rep[k:] + rep[:k] for k in range(len(rep))}
@@ -332,12 +275,7 @@ def k_tasep_stationary(t: TypeVector, k: int) -> dict[tuple[int, ...], Fraction]
         dist = _quotient_stationary(reps, targets)
     else:
         index = {s: i for i, s in enumerate(states)}
-        rows = [[Fraction(0)] * len(states) for _ in states]
-        for i, s in enumerate(states):
-            for p, target in targets(s):
-                rows[i][index[target]] += p
-        pi = stationary_exact(RationalMatrix(tuple(tuple(r) for r in rows)))
-        dist = {s: pi[i] for i, s in enumerate(states)}
+        dist = dict(zip(states, stationary_exact(chain_matrix(states, index.__getitem__, targets))))
     _verify_stationary(dist, targets)
     return dist
 

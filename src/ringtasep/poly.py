@@ -230,10 +230,6 @@ class MultiPoly:
         )
 
 
-def partial_derivative(p: MultiPoly, var: int, order: int = 1) -> MultiPoly:
-    return p.derivative(var, order)
-
-
 def laplacian(p: MultiPoly) -> MultiPoly:
     """Sum of the second partials in every variable."""
     out = MultiPoly.zero(p.nvars)
@@ -315,10 +311,6 @@ class OperatorExpr:
                     q = q.derivative(var, k)
             out = out + q * c
         return out
-
-
-def apply_operator(op: OperatorExpr, p: MultiPoly) -> MultiPoly:
-    return op.apply(p)
 
 
 def integrate_interval(p: MultiPoly, lo, hi) -> Fraction:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .markov import RationalMatrix, stationary_exact
+from .markov import chain_matrix, stationary_exact
 
 
 @dataclass(frozen=True)
@@ -126,18 +126,20 @@ def apply_generator_set(L: LinkingPattern, S) -> LinkingPattern:
 
 
 def rs_transition_matrix(n: int, k: int):
-    """Transition matrix of the k-subset chain, with its pattern list."""
+    """Sparse transition matrix of the k-subset chain, with its pattern list."""
     m = 2 * n
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m}")
     patterns = enumerate_patterns(n)
     index = {p: i for i, p in enumerate(patterns)}
     p = Fraction(1, comb(m, k))
-    rows = [[Fraction(0)] * len(patterns) for _ in patterns]
-    for i, L in enumerate(patterns):
-        for S in itertools.combinations(range(1, m + 1), k):
-            rows[i][index[apply_generator_set(L, S)]] += p
-    return patterns, RationalMatrix(tuple(tuple(r) for r in rows))
+    subsets = list(itertools.combinations(range(1, m + 1), k))
+
+    def targets(L):
+        for S in subsets:
+            yield p, apply_generator_set(L, S)
+
+    return patterns, chain_matrix(patterns, index.__getitem__, targets)
 
 
 def rs_stationary(n: int, k: int, cap: int = 6) -> dict[LinkingPattern, Fraction]:

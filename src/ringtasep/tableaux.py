@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .core import TypeVector, binomial
-from .count import det_fraction_free
+from .linalg import det_fraction_free
 from .mlq import DiscreteMLQ, LabeledMLQ
 
 

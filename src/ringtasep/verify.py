@@ -9,6 +9,7 @@ on a seeded 5% sample.
 """
 
 import fnmatch
+import functools
 import hashlib
 import itertools
 import json
@@ -17,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__
 from .core import (
     RingWord,
     TypeVector,
@@ -743,8 +743,23 @@ CHECKS: dict[str, tuple[str, object, dict]] = {
 }
 
 
+@functools.cache
+def _source_hash() -> str:
+    """SHA-256 of the package's .py sources, so that any edit to the code
+    invalidates cached reports; computed once, and only when caching."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                data = fh.read()
+            h.update(f"{name}\0{len(data)}\0".encode())
+            h.update(data)
+    return h.hexdigest()
+
+
 def _cache_key(check_id: str, params: dict) -> str:
-    blob = json.dumps({"id": check_id, "params": params, "version": __version__}, sort_keys=True, default=str)
+    blob = json.dumps({"id": check_id, "params": params, "source": _source_hash()}, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -757,8 +772,9 @@ def run_suite(
     """Run every check whose id matches the glob pattern.
 
     `overrides` maps check ids (or "*") to parameter updates.  With a
-    cache directory, previously computed reports are reused; a seeded 5%
-    sample of cache hits is recomputed and compared.
+    cache directory, previously computed reports are reused when the
+    check, its parameters and the package sources are unchanged; a seeded
+    5% sample of cache hits is recomputed and compared.
     """
     import random as _random
 

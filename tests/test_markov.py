@@ -55,15 +55,14 @@ def test_enumerate_states_lex_and_count():
 
 def test_transition_matrix_single_particle():
     _, P = transition_matrix(TypeVector((1,), 2))
-    assert P.rows == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    assert P.rows == ({1: Fraction(1)}, {0: Fraction(1)})
 
 
 def test_transition_matrix_two_particles_full():
     states, P = transition_matrix(TypeVector((1, 1), 2))
     i = states.index((2, 1))
-    row = dict(zip(states, P.rows[i]))
-    assert row[(1, 2)] == Fraction(1, 2)
-    assert row[(2, 1)] == Fraction(1, 2)
+    row = {states[j]: x for j, x in P.rows[i].items()}
+    assert row == {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
 
 
 def test_transition_matrix_rows_stochastic():
@@ -87,12 +86,28 @@ def test_stationary_exact_verifies():
     pi = stationary_exact(P)
     assert sum(pi) == 1
     for j in range(len(states)):
-        assert sum(pi[i] * P.rows[i][j] for i in range(len(states))) == pi[j]
+        assert sum(pi[i] * P.rows[i].get(j, 0) for i in range(len(states))) == pi[j]
 
 
 def test_stationary_exact_rejects_reducible():
-    P = RationalMatrix(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+    P = RationalMatrix(({0: Fraction(1), 1: Fraction(0)}, {1: Fraction(1)}))
+    assert P.rows == ({0: Fraction(1)}, {1: Fraction(1)})
     with pytest.raises(ValueError):
+        stationary_exact(P)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ({0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(1)}),  # row sum 5/6
+        ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, {0: Fraction(1)}),  # negative entry
+        ({0: Fraction(1, 2), 2: Fraction(1, 2)}, {0: Fraction(1)}),  # column 2 of 2
+    ],
+)
+def test_stationary_exact_rejects_non_stochastic(rows):
+    P = RationalMatrix(rows)
+    assert not P.is_row_stochastic()
+    with pytest.raises(ValueError, match="not row-stochastic"):
         stationary_exact(P)
 
 

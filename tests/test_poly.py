@@ -127,13 +127,21 @@ def test_simplex_integration_vs_monte_carlo():
     rng = random.Random(42)
     p = vandermonde(3) * 5 + q(3, 0) * q(3, 2) - MultiPoly.one(3) * Fraction(1, 3)
     exact = float(integrate_ordered_simplex(p))
+    # the integrand in floats; MultiPoly.evaluate is checked against it below
+    terms = [(float(c), e) for e, c in p.terms.items()]
+
+    def f(x):
+        return sum(c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] for c, e in terms)
+
     total = 0.0
     samples = 200000
     vol = 1.0 / 6.0
     sq = 0.0
-    for _ in range(samples):
+    for i in range(samples):
         pt = sorted(rng.random() for _ in range(3))
-        v = float(p.evaluate([Fraction(x).limit_denominator(10**9) for x in pt]))
+        v = f(pt)
+        if i < 300:
+            assert float(p.evaluate([Fraction(x) for x in pt])) == pytest.approx(v, rel=1e-12, abs=1e-12)
         total += v
         sq += v * v
     mean = total / samples

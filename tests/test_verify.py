@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ringtasep import verify
 from ringtasep.verify import (
     CHECKS,
     CONJECTURE,
@@ -53,6 +54,15 @@ def test_cache_hit_and_audit(tmp_path):
     audit_seed = next(s for s in range(1000) if random.Random(s).random() < 0.05)
     audited = run_suite("rs-figure", cache_dir=str(tmp_path), audit_seed=audit_seed)[0]
     assert audited.cached and audited.status == fresh.status
+
+
+def test_cache_is_keyed_on_the_sources(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "_source_hash", lambda: "a" * 64)
+    assert not run_suite("rs-figure", cache_dir=str(tmp_path))[0].cached
+    assert run_suite("rs-figure", cache_dir=str(tmp_path))[0].cached
+    # an edited source tree must not be served the old report
+    monkeypatch.setattr(verify, "_source_hash", lambda: "b" * 64)
+    assert not run_suite("rs-figure", cache_dir=str(tmp_path))[0].cached
 
 
 def test_report_json_shape():
