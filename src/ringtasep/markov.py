@@ -3,8 +3,9 @@
 States are ring words; a transition picks a particle uniformly at random
 and lets it try to jump left (into a vacancy, or swapping with a strictly
 larger label).  Everything here is exact: transition matrices hold
-sparse Fraction rows, stationary distributions are computed by
-fraction-free elimination and verified against the defining equations.
+sparse Fraction rows, stationary distributions come from the certified
+kernel solve of `linalg.kernel_vector` (modular, with exact elimination
+as the fallback) and are verified against the defining equations.
 
 The ring dynamics commute with rotation, so stationary solves may be done
 on the rotation quotient and lifted; the lift is always re-verified on
@@ -131,9 +132,9 @@ def transition_matrix(t: TypeVector, cap: int = 2000):
 def stationary_exact(P: RationalMatrix) -> tuple[Fraction, ...]:
     """Exact stationary distribution of a row-stochastic matrix.
 
-    Solves pi P = pi with sum(pi) = 1 by fraction-free elimination on
-    P^T - I; the result is verified against P before being returned and
-    must be strictly positive.
+    Solves pi P = pi with sum(pi) = 1 through the certified kernel of
+    P^T - I (`linalg.kernel_vector`); the result is verified against P
+    before being returned and must be strictly positive.
     """
     if not P.is_row_stochastic():
         raise ValueError("matrix is not row-stochastic")
