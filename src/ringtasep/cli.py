@@ -130,7 +130,7 @@ def mlq_group():
 @click.option("--formula", default=None, help="w0 | skw0:k | sw0:k1,k2,...")
 @click.pass_context
 def mlq_count_cmd(ctx, pi_text, b_text, N, formula):
-    """Count queues with the given bottom row, by brute force or formula."""
+    """Count queues with the given bottom row, by row-transfer census or formula."""
     pi = parse_perm(pi_text)
     b = tuple(int(x) for x in b_text.split(","))
     if formula is None:

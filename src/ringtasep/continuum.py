@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .core import Perm, check_permutation
-from .mlq import Arrangement, _bottom_labels, _bottom_labels_fast, _claim_labels
+from .mlq import Arrangement, _bottom_labels_fast, _claim_labels
 from .poly import MultiPoly, OperatorExpr
 
 
@@ -383,7 +383,7 @@ def density_polys(n: int, allow_slow: bool = False) -> dict[Perm, MultiPoly]:
                 base = bottoms_t[g] + 1
                 for k in range(cvec[g]):
                     rows[seq[offsets[g] + k] - 1].append(base + k)
-            w = tuple(_bottom_labels(rows))
+            w = tuple(_bottom_labels_fast(rows, n))
             key = (w, cvec)
             weights[key] = weights.get(key, 0) + 1
 

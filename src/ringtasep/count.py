@@ -1,14 +1,17 @@
 """Exact enumeration of discrete multiline queues and the determinant
 formulas for bottom-row counts.
 
-The brute-force side enumerates all queues of a given type row by row,
-labelling incrementally so shared prefixes are labelled once.  The
-closed-form side evaluates the determinant/product expressions for the
-number of queues whose bottom row is the reverse permutation, the reverse
-with two adjacent values swapped, or a commuting product of such swaps
-(the last is a conjectured formula and is only ever *compared*, never
-assumed).  Nonintersecting lattice-path counting is included as an
-independent oracle for the determinant route.
+The census side is a row-transfer census: it counts queues row by row,
+keeping each labelled row once with the number of queue prefixes that
+reach it.  Merging is exact by the process of the last row: a labelled
+row and the positions of the next row's boxes fix the next labelled row,
+so prefixes that end in the same labelled row give the same bottom words
+from then on.  The closed-form side evaluates the determinant/product
+expressions for the number of queues whose bottom row is the reverse
+permutation, the reverse with two adjacent values swapped, or a
+commuting product of such swaps (the last is a conjectured formula and
+is only ever *compared*, never assumed).  Nonintersecting lattice-path
+counting is included as an independent oracle for the determinant route.
 """
 
 import itertools
@@ -51,38 +54,36 @@ def enumerate_mlqs(t: TypeVector):
         yield DiscreteMLQ(t, rows)
 
 
-def _sweep(N: int, sizes, leaf):
-    """Enumerate row choices of the given sizes, labelling incrementally;
-    leaf(positions, labels) is called once per fully labelled queue with
-    the bottom row's data."""
+def _transfer(N: int, sizes) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Row-transfer census over rows of the given sizes on N sites.
+
+    The state after a row is its labelled row as _claim_labels takes it
+    (sorted (label, position) pairs), mapped to the number of queue
+    prefixes that reach it.  The result maps (positions, labels) of the
+    last row to its number of queues.
+    """
+    states: dict = {(): 1}
     last = len(sizes) - 1
-
-    def rec(d, cur):
-        fill = d + 1
-        if d == last:
-            for combo in itertools.combinations(range(N), sizes[d]):
-                labels, _, _ = _claim_labels(cur, combo, fill)
-                leaf(combo, labels)
-        else:
-            for combo in itertools.combinations(range(N), sizes[d]):
-                labels, _, _ = _claim_labels(cur, combo, fill)
-                rec(d + 1, sorted(zip(labels, combo)))
-
-    rec(0, [])
+    for i, size in enumerate(sizes):
+        combos = list(itertools.combinations(range(N), size))
+        nxt: dict = {}
+        for state, mult in states.items():
+            for combo in combos:
+                labels, _, _ = _claim_labels(state, combo, i + 1)
+                key = (combo, tuple(labels)) if i == last else tuple(sorted(zip(labels, combo)))
+                nxt[key] = nxt.get(key, 0) + mult
+        states = nxt
+    return states
 
 
 def bottom_word_counts(t: TypeVector) -> dict[tuple[int, ...], int]:
     """How many queues of the given type produce each bottom word."""
     counts: dict[tuple[int, ...], int] = {}
-
-    def leaf(positions, labels):
+    for (positions, labels), mult in _transfer(t.N, t.M).items():
         sites = [0] * t.N
         for pos, label in zip(positions, labels):
             sites[pos] = label
-        key = tuple(sites)
-        counts[key] = counts.get(key, 0) + 1
-
-    _sweep(t.N, t.M, leaf)
+        counts[tuple(sites)] = mult
     return counts
 
 
@@ -92,25 +93,19 @@ _CENSUS: dict[tuple[int, int], dict] = {}
 def bottom_position_census(n: int, N: int) -> dict[tuple[Perm, tuple[int, ...]], int]:
     """Counts of queues of type (1,...,1) by (bottom permutation, positions).
 
-    Cached per (n, N); one sweep serves every permutation and position
-    vector at once.
+    Cached per (n, N); one row-transfer census serves every permutation
+    and position vector at once.
     """
     key = (n, N)
     if key not in _CENSUS:
-        counts: dict[tuple, int] = {}
-
-        def leaf(positions, labels):
-            k = (tuple(labels), positions)
-            counts[k] = counts.get(k, 0) + 1
-
-        _sweep(N, tuple(range(1, n + 1)), leaf)
-        _CENSUS[key] = counts
+        census = _transfer(N, tuple(range(1, n + 1)))
+        _CENSUS[key] = {(labels, positions): mult for (positions, labels), mult in census.items()}
     return _CENSUS[key]
 
 
 def mlq_bottom_count(pi, b, N: int, cap: int = 10**7) -> int:
-    """Brute-force count of type-(1,...,1) queues whose bottom row reads
-    the permutation pi at positions b."""
+    """Count of type-(1,...,1) queues whose bottom row reads the
+    permutation pi at positions b, read off the row-transfer census."""
     pi = check_permutation(pi)
     n = len(pi)
     pv = PositionVector(tuple(b), N)

@@ -58,22 +58,12 @@ def _claim_labels(sources, targets, fill):
     return labels, claims, wrapped
 
 
-def _bottom_labels(rows):
-    """Labels of the last row for rows given as sorted position tuples."""
-    cur = [(1, p) for p in rows[0]]
-    labels = [1] * len(rows[0])
-    for r in range(1, len(rows)):
-        labels, _, _ = _claim_labels(cur, rows[r], r + 1)
-        cur = sorted(zip(labels, rows[r]))
-    return labels
-
-
 def _bottom_labels_fast(rows, n):
-    """Hot-path variant of _bottom_labels for samplers and sweeps.
+    """Labels of the last of the n rows, for samplers and sweeps.
 
     rows are sorted sequences of mutually comparable positions (ints or
-    floats).  Must stay behaviorally identical to _bottom_labels; the
-    test suite cross-checks the two on random inputs.
+    floats).  An inlined _claim_labels loop; the test suite cross-checks
+    it against label_mlq on random inputs.
     """
     cur_labels = [1] * len(rows[0])
     cur_pos = rows[0]
@@ -255,7 +245,7 @@ def label_arrangement(a: Arrangement) -> tuple[int, ...]:
     rows = [[] for _ in range(a.n)]
     for pos, r in enumerate(a.order):
         rows[r - 1].append(pos)
-    return tuple(_bottom_labels(rows))
+    return tuple(_bottom_labels_fast(rows, a.n))
 
 
 def sample_arrangement(n: int, rng) -> Arrangement:

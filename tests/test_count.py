@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ringtasep.core import TypeVector, reverse_permutation, swap_values
 from ringtasep.count import (
@@ -23,7 +25,7 @@ from ringtasep.count import (
     reverse_path_spec,
     total_mlq_count,
 )
-from ringtasep.mlq import label_mlq
+from ringtasep.mlq import bottom_word, label_mlq
 
 
 def test_total_count_examples():
@@ -39,17 +41,65 @@ def test_total_count_matches_enumeration():
     assert sum(1 for _ in enumerate_mlqs(t)) == total_mlq_count(t)
 
 
-def test_bottom_word_counts_matches_naive_enumeration():
-    from ringtasep.mlq import bottom_word
+def _oracle_word_counts(t):
+    """Naive oracle: label every queue of the type one by one."""
+    out: dict = {}
+    for q in enumerate_mlqs(t):
+        w = bottom_word(label_mlq(q)).sites
+        out[w] = out.get(w, 0) + 1
+    return out
 
+
+def test_bottom_word_counts_matches_naive_enumeration():
     t = TypeVector((2, 1), 5)
     counts = bottom_word_counts(t)
     assert sum(counts.values()) == total_mlq_count(t)
-    direct: dict = {}
-    for q in enumerate_mlqs(t):
-        w = bottom_word(label_mlq(q)).sites
-        direct[w] = direct.get(w, 0) + 1
-    assert direct == counts
+    assert counts == _oracle_word_counts(t)
+
+
+@pytest.mark.parametrize(
+    "m, N", [((1, 1, 1), 5), ((2, 1, 1), 6), ((1, 2), 5), ((1, 1, 1, 1), 6), ((3, 1), 6)]
+)
+def test_transfer_word_counts_match_oracle(m, N):
+    t = TypeVector(m, N)
+    assert bottom_word_counts(t) == _oracle_word_counts(t)
+
+
+@pytest.mark.parametrize("n, N", [(3, 5), (4, 6)])
+def test_transfer_position_census_matches_oracle(n, N):
+    oracle: dict = {}
+    for q in enumerate_mlqs(TypeVector((1,) * n, N)):
+        key = (label_mlq(q).labels[-1], q.rows[-1])
+        oracle[key] = oracle.get(key, 0) + 1
+    assert bottom_position_census(n, N) == oracle
+
+
+@st.composite
+def _small_type(draw):
+    """A type on at most 7 sites with at most 5*10^4 queues."""
+    N = draw(st.integers(1, 7))
+    m = [draw(st.integers(1, N))]
+    while sum(m) < N and len(m) < 4 and draw(st.booleans()):
+        m.append(draw(st.integers(1, N - sum(m))))
+    t = TypeVector(tuple(m), N)
+    assume(total_mlq_count(t) <= 5 * 10**4)
+    return t
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_small_type())
+def test_transfer_matches_oracle_on_random_types(t):
+    assert bottom_word_counts(t) == _oracle_word_counts(t)
+
+
+def test_large_census_is_pinned():
+    # SHA-256 of the sorted census as recorded by the depth-first sweep
+    # that labelled all 3,781,575 queues one by one; the naive oracle is
+    # too slow at this size.
+    census = bottom_position_census(5, 7)
+    assert sum(census.values()) == total_mlq_count(TypeVector((1,) * 5, 7))
+    digest = hashlib.sha256(repr(sorted(census.items())).encode()).hexdigest()
+    assert digest == "cf633929152872f9433a2750a59a1b5422b731e370b51a54e48c0f7e8e668436"
 
 
 def test_brute_counts_examples():

@@ -8,7 +8,6 @@ from ringtasep.mlq import (
     Arrangement,
     DiscreteMLQ,
     LabeledMLQ,
-    _bottom_labels,
     _bottom_labels_fast,
     _claim_labels,
     bottom_word,
@@ -172,15 +171,27 @@ def test_last_row_step_errors():
         last_row_step(RingWord((1, VACANT)), (0, 0))
 
 
+def _label_mlq_bottom(rows, N):
+    """Bottom labels from label_mlq on the queue the rows define."""
+    q = DiscreteMLQ(TypeVector((1,) * len(rows), N), rows)
+    return list(label_mlq(q).labels[-1])
+
+
+def _ranked(rows):
+    """Float rows as integer rows with the same joint cyclic order."""
+    rank = {v: k for k, v in enumerate(sorted({v for row in rows for v in row}))}
+    return [[rank[v] for v in row] for row in rows], len(rank)
+
+
 def test_fast_labeling_agrees_with_kernel():
     rng = random.Random(11)
     for n in (2, 3, 4, 5, 6):
         for _ in range(300):
             rows = [sorted(rng.sample(range(100), i)) for i in range(1, n + 1)]
-            assert _bottom_labels_fast(rows, n) == _bottom_labels(rows)
+            assert _bottom_labels_fast(rows, n) == _label_mlq_bottom(rows, 100)
         for _ in range(300):
             rows = [sorted(rng.random() for _ in range(i)) for i in range(1, n + 1)]
-            assert _bottom_labels_fast(rows, n) == _bottom_labels(rows)
+            assert _bottom_labels_fast(rows, n) == _label_mlq_bottom(*_ranked(rows))
 
 
 def test_json_roundtrip():
