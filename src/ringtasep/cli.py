@@ -135,7 +135,7 @@ def mlq_count_cmd(ctx, pi_text, b_text, N, formula):
     b = tuple(int(x) for x in b_text.split(","))
     if formula is None:
         value = mlq_bottom_count(pi, b, N)
-        route = "brute"
+        route = "row-transfer"
     elif formula == "w0":
         value = count_bottom_reverse(b)
         route = "reverse-formula"

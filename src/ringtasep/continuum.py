@@ -11,15 +11,19 @@ Enumeration is done once per rotation class: the single top-row box is
 pinned to the origin slot, which cuts the sweep by a factor of the total
 box count.  Rotation multiplicities are restored exactly where the
 reading origin matters.
+
+Beyond the exact caps, one Monte Carlo sampler of bottom words, drawn
+and labelled row by row, serves both permutations and adjacencies.
 """
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .core import Perm, check_permutation
+from .core import Perm, _estimates, check_permutation
 from .mlq import Arrangement, _bottom_labels_fast, _claim_labels
 from .poly import MultiPoly, OperatorExpr
 
@@ -44,45 +48,38 @@ def enumerate_arrangements(n: int, cap: int = 5):
 
 
 def _multiset_perms(items: tuple[int, ...]):
-    counts: dict[int, int] = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    symbols = sorted(counts)
-    total = len(items)
-
-    def rec(acc):
-        if len(acc) == total:
-            yield tuple(acc)
+    """Distinct orderings of items in lexicographic order (next permutation)."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for s in symbols:
-            if counts[s]:
-                counts[s] -= 1
-                acc.append(s)
-                yield from rec(acc)
-                acc.pop()
-                counts[s] += 1
-
-    yield from rec([])
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 # --- one census per rotation class --------------------------------------------
 
-_REP_CENSUS: dict[int, tuple[dict, dict, int]] = {}
+_REP_CENSUS: dict[int, tuple[dict, int]] = {}
 
 
-def _rep_census(n: int) -> tuple[dict[Perm, int], dict[tuple[int, int], int], int]:
+def _rep_census(n: int) -> tuple[dict[Perm, int], int]:
     """Sweep arrangements with the top-row box pinned at slot 0.
 
-    Returns (word_counts, adjacency_counts, reps): word_counts[pi] is the
-    number of *linear* arrangements (all rotations restored) whose bottom
-    word reads pi from the origin; adjacency_counts[(i, j)] counts
-    representatives in which label j cyclically follows label i.
+    Returns (word_counts, reps): word_counts[pi] is the number of *linear*
+    arrangements (all rotations restored) whose bottom word reads pi from
+    the origin, and reps the number of representatives.
     """
     if n in _REP_CENSUS:
         return _REP_CENSUS[n]
     B = comb(n + 1, 2)
     word_counts: dict[Perm, int] = {}
-    adj_counts: dict[tuple[int, int], int] = {}
     reps = 0
 
     def leaf(cur, positions):
@@ -90,16 +87,9 @@ def _rep_census(n: int) -> tuple[dict[Perm, int], dict[tuple[int, int], int], in
         labels, _, _ = _claim_labels(cur, positions, n)
         w = tuple(labels)
         reps += 1
-        for a in range(n):
-            pair = (w[a], w[(a + 1) % n])
-            adj_counts[pair] = adj_counts.get(pair, 0) + 1
-        for j in range(n):
-            if j == 0:
-                gap = (B - positions[-1] - 1) + positions[0]
-            else:
-                gap = positions[j] - positions[j - 1] - 1
+        for j in range(n):  # one count per slot from the box before j to box j
             shifted = w[j:] + w[:j]
-            word_counts[shifted] = word_counts.get(shifted, 0) + 1 + gap
+            word_counts[shifted] = word_counts.get(shifted, 0) + (positions[j] - positions[j - 1] - 1) % B + 1
 
     if n == 1:
         leaf([], (0,))
@@ -117,9 +107,9 @@ def _rep_census(n: int) -> tuple[dict[Perm, int], dict[tuple[int, int], int], in
 
         rec(1, [(1, 0)], tuple(range(1, B)))
 
-    if sum(adj_counts.values()) != n * reps or sum(word_counts.values()) != B * reps:
+    if sum(word_counts.values()) != B * reps:
         raise RuntimeError("census bookkeeping is inconsistent")
-    _REP_CENSUS[n] = (word_counts, adj_counts, reps)
+    _REP_CENSUS[n] = (word_counts, reps)
     return _REP_CENSUS[n]
 
 
@@ -128,7 +118,7 @@ def permutation_distribution(n: int, cap: int = 5) -> dict[Perm, Fraction]:
     queue (uniform arrangement, uniform origin cut)."""
     if n > cap:
         raise ValueError(f"n={n} above exact cap {cap}; use sampling instead")
-    word_counts, _, reps = _rep_census(n)
+    word_counts, reps = _rep_census(n)
     total = reps * comb(n + 1, 2)
     if total != arrangement_count(n):
         raise RuntimeError("representative count disagrees with the closed form")
@@ -136,55 +126,64 @@ def permutation_distribution(n: int, cap: int = 5) -> dict[Perm, Fraction]:
 
 
 def _mc_word_chunk(args):
+    """Bottom-word counts of `samples` queues from random.Random(seed).  Row
+    r, r sorted uniforms, is labelled as drawn and kept as pos[label - 1]:
+    it holds exactly the labels 1..r, which claim in list order."""
     n, samples, seed = args
-    rng = random.Random(seed)
-    rnd = rng.random
+    rnd = random.Random(seed).random
     counts: dict[Perm, int] = {}
+    rows = [(r, range(r)) for r in range(2, n + 1)]
     for _ in range(samples):
-        rows = [sorted(rnd() for _ in range(i)) for i in range(1, n + 1)]
-        w = tuple(_bottom_labels_fast(rows, n))
+        pos, labels = [rnd()], [1]
+        for r, draws in rows:
+            row = [rnd() for _ in draws]
+            row.sort()
+            labels, nxt, label = [0] * r, [], 0
+            for p in pos:
+                label += 1
+                i = bisect_left(row, p)
+                while i < r and labels[i]:
+                    i += 1
+                if i == r:
+                    i = labels.index(0)
+                labels[i] = label
+                nxt.append(row[i])
+            i = labels.index(0)  # the one unclaimed box starts label r
+            labels[i] = r
+            nxt.append(row[i])
+            pos = nxt
+        w = tuple(labels)
         counts[w] = counts.get(w, 0) + 1
     return counts
 
 
-def _mc_counts(chunk, n: int, samples: int, seed: int, jobs: int) -> dict:
-    """Counts merged over `jobs` chunks of the samples.  Chunk w runs as
-    chunk((n, its samples, "{seed}:{w}")), in a process pool when there
-    is more than one chunk."""
+def _mc_counts(n: int, samples: int, seed: int, jobs: int) -> dict[Perm, int]:
+    """Bottom-word counts merged over `jobs` chunks of the samples.  Chunk
+    w runs as _mc_word_chunk((n, its samples, "{seed}:{w}")), in a process
+    pool when there is more than one chunk."""
     if samples < 1:
         raise ValueError("need samples >= 1")
     jobs = max(1, jobs)
-    split = [samples // jobs] * jobs
-    for w in range(samples % jobs):
-        split[w] += 1
+    split = [samples // jobs + (w < samples % jobs) for w in range(jobs)]
     tasks = [(n, s, f"{seed}:{w}") for w, s in enumerate(split) if s > 0]
     if len(tasks) == 1:
-        results = [chunk(tasks[0])]
+        results = [_mc_word_chunk(tasks[0])]
     else:
         import multiprocessing
 
         with multiprocessing.Pool(len(tasks)) as pool:
-            results = pool.map(chunk, tasks)
-    counts: dict = {}
+            results = pool.map(_mc_word_chunk, tasks)
+    counts: dict[Perm, int] = {}
     for c in results:
         for key, v in c.items():
             counts[key] = counts.get(key, 0) + v
     return counts
 
 
-def _estimates(counts: dict, samples: int, name: str) -> dict:
-    """Frequencies under `name`, with naive binomial standard errors."""
-    out = {}
-    for key in sorted(counts):
-        p = counts[key] / samples
-        out[key] = {name: p, "stderr": (p * (1 - p) / samples) ** 0.5, "count": counts[key]}
-    return out
-
-
 def permutation_distribution_mc(n: int, samples: int, seed: int, jobs: int = 1) -> dict:
     """Sampled bottom-permutation frequencies for sizes beyond the exact
     cap, with naive binomial standard errors."""
-    counts = _mc_counts(_mc_word_chunk, n, samples, seed, jobs)
+    counts = _mc_counts(n, samples, seed, jobs)
     return {"n": n, "samples": samples, "words": _estimates(counts, samples, "freq")}
 
 
@@ -242,14 +241,27 @@ class CorrTable:
         }
 
 
+def _adjacency_counts(word_counts: dict[Perm, int]) -> dict[tuple[int, int], int]:
+    """counts[(i, j)]: weighted number of reading positions at which label
+    j cyclically follows label i."""
+    counts: dict[tuple[int, int], int] = {}
+    for w, c in word_counts.items():
+        for pair in zip(w, w[1:] + w[:1]):
+            counts[pair] = counts.get(pair, 0) + c
+    return counts
+
+
 def adjacency_exact(n: int, cap: int = 5) -> CorrTable:
-    """Exact adjacency correlations from the arrangement census."""
+    """Exact adjacency correlations from the arrangement census.  Pairs do
+    not change under rotation, and the rotations of one representative
+    carry B word counts, so the word counts give B times its pairs."""
     if n < 2:
         raise ValueError("need n >= 2")
     if n > cap:
         raise ValueError(f"n={n} above exact cap {cap}; use adjacency_mc")
-    _, adj_counts, reps = _rep_census(n)
-    entries = {pair: Fraction(c, reps) for pair, c in adj_counts.items()}
+    word_counts, reps = _rep_census(n)
+    total = reps * comb(n + 1, 2)
+    entries = {pair: Fraction(c, total) for pair, c in _adjacency_counts(word_counts).items()}
     table = CorrTable(n, entries)
     sums = table.row_sums()
     if any(s != 1 for s in sums.values()):
@@ -288,29 +300,16 @@ def conjecture_table(n: int) -> CorrTable:
     )
 
 
-def _mc_adjacency_chunk(args):
-    n, samples, seed = args
-    rng = random.Random(seed)
-    rnd = rng.random
-    counts: dict[tuple[int, int], int] = {}
-    for _ in range(samples):
-        # box positions are iid uniform; only their relative order matters
-        rows = [sorted(rnd() for _ in range(i)) for i in range(1, n + 1)]
-        w = _bottom_labels_fast(rows, n)
-        for a in range(n):
-            pair = (w[a], w[(a + 1) % n])
-            counts[pair] = counts.get(pair, 0) + 1
-    return counts
-
-
 def adjacency_mc(n: int, samples: int, seed: int, jobs: int = 1) -> dict:
     """Monte Carlo adjacency estimates with standard errors.
 
-    Each sample contributes indicator counts, so estimates are unbiased
-    for the row-normalized table and rows sum to 1 exactly.  Reproducible
-    for fixed (seed, jobs): worker w uses the stream seeded (seed, w).
+    Entry (i, j) counts, over the sampled bottom words, the positions at
+    which j cyclically follows i: n indicators per sample, so estimates
+    are unbiased for the row-normalized table and rows sum to 1 exactly.
+    The samples, and so the streams "{seed}:{w}" of worker w, are those
+    of permutation_distribution_mc with the same (seed, jobs).
     """
-    counts = _mc_counts(_mc_adjacency_chunk, n, samples, seed, jobs)
+    counts = _adjacency_counts(_mc_counts(n, samples, seed, jobs))
     return {"n": n, "samples": samples, "entries": _estimates(counts, samples, "estimate")}
 
 
@@ -366,21 +365,16 @@ def density_polys(n: int, allow_slow: bool = False) -> dict[Perm, MultiPoly]:
         raise ValueError("n above density cap (n = 5 requires allow_slow=True)")
     U = comb(n, 2)
     upper = tuple(i for i in range(1, n) for _ in range(i))
-    seqs = list(_multiset_perms(upper)) if upper else [()]
+    seqs = list(_multiset_perms(upper))
     weights: dict[tuple[Perm, tuple[int, ...]], int] = {}
     for cvec in _weak_compositions(U, n):
-        offsets = [0]
-        for c in cvec[:-1]:
-            offsets.append(offsets[-1] + c)
-        bottoms = [0]
-        for g in range(n - 1):
-            bottoms.append(bottoms[-1] + cvec[g] + 1)
-        bottoms_t = tuple(bottoms)
+        offsets = list(itertools.accumulate(cvec[:-1], initial=0))  # first upper box of gap g
+        bottoms = [o + g for g, o in enumerate(offsets)]  # slot of bottom box g
         for seq in seqs:
             rows: list[list[int]] = [[] for _ in range(n)]
-            rows[n - 1] = list(bottoms_t)
+            rows[n - 1] = list(bottoms)
             for g in range(n):
-                base = bottoms_t[g] + 1
+                base = bottoms[g] + 1
                 for k in range(cvec[g]):
                     rows[seq[offsets[g] + k] - 1].append(base + k)
             w = tuple(_bottom_labels_fast(rows, n))

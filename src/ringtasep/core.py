@@ -48,6 +48,16 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _estimates(counts: dict, samples: int, name: str) -> dict:
+    """Monte Carlo frequencies under `name`, by sorted key, with naive
+    binomial standard errors."""
+    out = {}
+    for key in sorted(counts):
+        p = counts[key] / samples
+        out[key] = {name: p, "stderr": (p * (1 - p) / samples) ** 0.5, "count": counts[key]}
+    return out
+
+
 @dataclass(frozen=True)
 class TypeVector:
     """Particle content of a ring: m[i-1] particles of class i on N sites."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import VACANT, RingWord, TypeVector, cyclic_canonical
+from .core import VACANT, RingWord, TypeVector, _estimates, cyclic_canonical
 from .linalg import kernel_vector
 from .mlq import _claim_labels
 
@@ -309,28 +309,33 @@ def mc_stationary(t: TypeVector, burn_in: int, samples: int, seed: int, thin: in
 
     Runs a single chain, records every `thin`-th state after burn-in, and
     reports per-state frequencies with naive binomial standard errors.
-    Reproducible for a fixed (seed, thin).
+    Reproducible for a fixed (seed, thin).  The word and its sorted
+    occupied sites are updated in place; a step moves occupied[randrange(K)].
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
-    rng = random.Random(seed)
-    state = enumerate_states(t)[0]
-    K = t.particles
-    N = t.N
+    randrange = random.Random(seed).randrange
+    sites = list(enumerate_states(t)[0])
+    occupied = [i for i, x in enumerate(sites) if x != VACANT]
+    K, last = t.particles, t.N - 1
 
-    def advance(s):
-        occupied = [i for i, x in enumerate(s) if x != VACANT]
-        return _step_tuple(s, occupied[rng.randrange(K)])
+    def advance(steps):
+        for _ in range(steps):
+            k = randrange(K)
+            site = occupied[k]
+            mover, neighbor = sites[site], sites[site - 1]  # sites[-1] is left of site 0
+            if neighbor == VACANT or neighbor > mover:
+                sites[site - 1], sites[site] = mover, neighbor
+                if neighbor == VACANT and site:
+                    occupied[k] = site - 1
+                elif neighbor == VACANT:  # from site 0 (k == 0) to the last site
+                    del occupied[0]
+                    occupied.append(last)
 
-    for _ in range(burn_in):
-        state = advance(state)
+    advance(burn_in)
     counts: dict[tuple, int] = {}
     for _ in range(samples):
-        for _ in range(thin):
-            state = advance(state)
+        advance(thin)
+        state = tuple(sites)
         counts[state] = counts.get(state, 0) + 1
-    out = {}
-    for w, c in sorted(counts.items()):
-        f = c / samples
-        out[w] = {"freq": f, "stderr": (f * (1 - f) / samples) ** 0.5, "count": c}
-    return out
+    return _estimates(counts, samples, "freq")

@@ -59,7 +59,9 @@ def _claim_labels(sources, targets, fill):
 
 
 def _bottom_labels_fast(rows, n):
-    """Labels of the last of the n rows, for samplers and sweeps.
+    """Labels of the last of the n rows, for label_arrangement and the
+    density sweep (the Monte Carlo samplers label their rows as they draw
+    them, in continuum._mc_word_chunk).
 
     rows are sorted sequences of mutually comparable positions (ints or
     floats).  An inlined _claim_labels loop; the test suite cross-checks

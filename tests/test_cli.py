@@ -24,11 +24,13 @@ def test_tasep_stationary_mc_reproducible():
 
 
 def test_mlq_count_routes_agree():
-    brute = json.loads(run("mlq", "count", "--pi", "2,1", "--b", "0,2", "--N", "5").output)
+    census = json.loads(run("mlq", "count", "--pi", "2,1", "--b", "0,2", "--N", "5").output)
     formula = json.loads(
         run("mlq", "count", "--pi", "2,1", "--b", "0,2", "--N", "5", "--formula", "w0").output
     )
-    assert brute["count"] == formula["count"] == 2
+    assert census["count"] == formula["count"] == 2
+    assert census["route"] == "row-transfer"
+    assert formula["route"] == "reverse-formula"
 
 
 def test_mlq_count_bad_formula():

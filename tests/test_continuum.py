@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -17,6 +18,7 @@ from ringtasep.continuum import (
     density_polys,
     enumerate_arrangements,
     permutation_distribution,
+    permutation_distribution_mc,
     reverse_probability_formula,
     syt_three_column_count,
     top_pair_adjacency_syt,
@@ -153,6 +155,24 @@ def test_permutation_distribution_mc():
     for w, e in res["words"].items():
         assert abs(e["freq"] - float(exact[w])) <= 3 * e["stderr"] + 1e-9
     assert res == permutation_distribution_mc(3, 60000, seed=2)
+
+
+def _digest(d: dict) -> str:
+    return hashlib.sha256(repr(sorted(d.items())).encode()).hexdigest()
+
+
+def test_mc_streams_are_pinned():
+    # SHA-256 of the outputs as recorded with the samplers that drew all
+    # rows first and labelled them through mlq._bottom_labels_fast
+    assert _digest(adjacency_mc(6, 20_000, seed=5)) == (
+        "6a0f223a991aa088e498a9b8e6cef182540c19314e55c98ad817ec21e57d011b"
+    )
+    assert _digest(adjacency_mc(6, 20_000, seed=5, jobs=2)) == (
+        "3fdc7209f530cff44e1c1e20b979b86be47ce0720f47a377dc749944b11eb1c8"
+    )
+    assert _digest(permutation_distribution_mc(5, 20_000, seed=2)) == (
+        "e7e9db8125ffe8a146741aa9263d325d1e68c357f9f8d4beb4b2c3a2030adbd7"
+    )
 
 
 def test_syt_three_column_counts():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -174,6 +175,22 @@ def test_mc_stationary_reproducible_and_close():
     exact = tasep_stationary(t)
     for w, e in a.items():
         assert abs(e["freq"] - float(exact[w])) <= 3 * e["stderr"] + 1e-9
+
+
+def test_mc_stationary_stream_is_pinned():
+    # SHA-256 as recorded when every step rebuilt the word as a tuple
+    est = mc_stationary(TypeVector((1, 1, 1), 5), burn_in=200, samples=20_000, seed=3, thin=8)
+    digest = hashlib.sha256(repr(sorted(est.items())).encode()).hexdigest()
+    assert digest == "c9052c09bc5a05d3f620d25593b87795e4b68f881330ee99818ae8184b829bcc"
+
+
+def test_mc_stationary_wraps_at_site_zero():
+    # a lone particle starts at site 3 and steps left every time, through
+    # site 0 to site 3 again
+    t = TypeVector((1,), 4)
+    for burn_in in range(9):
+        [w] = mc_stationary(t, burn_in=burn_in, samples=1, seed=0)
+        assert w.index(1) == (2 - burn_in) % 4
 
 
 def test_mc_stationary_single_particle_uniform():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -192,6 +193,23 @@ def test_fast_labeling_agrees_with_kernel():
         for _ in range(300):
             rows = [sorted(rng.random() for _ in range(i)) for i in range(1, n + 1)]
             assert _bottom_labels_fast(rows, n) == _label_mlq_bottom(*_ranked(rows))
+
+
+def test_sampler_labelling_agrees_with_kernel():
+    # the sampler draws row r as the next r uniforms of its stream, so the
+    # same stream replayed gives the rows it labelled
+    from ringtasep.continuum import _mc_word_chunk
+
+    for n in range(1, 7):
+        for seed in (f"{n}:0", f"{n}:1"):
+            rnd = random.Random(seed).random
+            words = Counter()
+            for _ in range(300):
+                rows = [sorted(rnd() for _ in range(r)) for r in range(1, n + 1)]
+                word = _label_mlq_bottom(*_ranked(rows))
+                assert _bottom_labels_fast(rows, n) == word
+                words[tuple(word)] += 1
+            assert _mc_word_chunk((n, 300, seed)) == words
 
 
 def test_json_roundtrip():
