@@ -37,7 +37,7 @@ from .mlq import DiscreteMLQ, label_mlq
 from .poly import laplacian, vandermonde
 from .rs import rs_stationary
 from .tableaux import descending_start_count, ssyt_brute, ssyt_count_hook_content, ssyt_count_jacobi_trudi
-from .verify import CHECKS, run_suite, suite_exit_code
+from .verify import CHECKS, CONJECTURE, MISMATCH, run_suite, suite_exit_code
 
 # Usage errors exit with 1; click's default of 2 is reserved for theorem
 # mismatches here.
@@ -401,7 +401,7 @@ def verify_cmd(ctx, pattern, list_only, samples, enable_slow):
         csv_header=("check", "severity", "status", "runtime", "detail"),
     )
     for r in reports:
-        if r.severity == "conjecture" and r.status == "mismatch":
+        if r.severity == CONJECTURE and r.status == MISMATCH:
             click.echo(f"FINDING: conjecture check {r.check_id} mismatched; see witnesses", err=True)
     sys.exit(suite_exit_code(reports))
 

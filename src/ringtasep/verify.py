@@ -1,11 +1,13 @@
 """Verification suite: one registered check per identity, theorem, or
 conjecture, with machine-readable reports.
 
-Theorem-severity checks must match; a mismatch is an error (exit code 2
-in the CLI).  Conjecture-severity checks report match/mismatch with a
-witness and never fail the run: a counterexample is a finding, not a
-bug.  Reports can be cached; cached entries are audited by recomputation
-on a seeded 5% sample.
+A check maps its parameters to `(witnesses, detail)`: its counterexamples
+(empty on a match, `None` if it did not run) and a one-line description.
+Severity lives only in `CHECKS`, and `run_suite` alone turns witnesses
+into a status.  A theorem-severity mismatch is an error (exit code 2 in
+the CLI).  A conjecture-severity mismatch never fails the run: its
+witness is a finding, not a bug.  Reports can be cached; cached entries
+are audited by recomputation on a seeded 5% sample.
 """
 
 import fnmatch
@@ -13,7 +15,9 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +25,7 @@ from fractions import Fraction
 from .core import (
     RingWord,
     TypeVector,
+    binomial,
     inversions,
     rat_str,
     reverse_permutation,
@@ -33,6 +38,7 @@ from .count import (
     count_bottom_reverse,
     count_bottom_reverse_multi_swap,
     count_bottom_reverse_swap,
+    enumerate_mlqs,
     lgv_brute,
     lgv_count,
     reverse_path_spec,
@@ -42,6 +48,7 @@ from .continuum import (
     adjacency_conjecture,
     adjacency_exact,
     adjacency_mc,
+    check_operator_identity,
     density_polys,
     permutation_distribution,
     reverse_probability_formula,
@@ -99,14 +106,6 @@ class VerificationReport:
         }
 
 
-def _outcome(severity: str, ok: bool, witnesses=None, detail: str = ""):
-    if ok:
-        status = PROVED_MATCH if severity == THEOREM else CONJECTURE_MATCH
-    else:
-        status = MISMATCH
-    return status, list(witnesses or []), detail
-
-
 # --- published adjacency table for n = 6 --------------------------------------
 
 TABLE_N6 = {
@@ -133,63 +132,62 @@ def _check_ferrari_martin(params):
         for w, p in dist.items():
             if p != Fraction(counts.get(w, 0), Z):
                 bad.append({"m": list(m), "N": N, "word": list(w)})
-    return _outcome(THEOREM, not bad, bad[:5], "stationary == queue count / total, exactly")
+    return bad[:5], "stationary == queue count / total, exactly"
+
+
+def _census_mismatches(swaps, ns, max_N, formula):
+    """(n, N, b, value) wherever value = formula(b, N) is not the number of
+    queues on N sites whose bottom row holds the reverse permutation of n,
+    with the value swaps applied in order, at the positions b."""
+    for n in ns:
+        pi = functools.reduce(swap_values, swaps, reverse_permutation(n))
+        for N in range(n, max_N + 1):
+            census = bottom_position_census(n, N)
+            for b in itertools.combinations(range(N), n):
+                value = formula(b, N)
+                if value != census.get((pi, b), 0):
+                    yield n, N, b, value
 
 
 def _check_reverse_count(params):
-    bad = []
-    for n in range(2, params.get("max_n", 4) + 1):
-        w0 = reverse_permutation(n)
-        for N in range(n, params.get("max_N", 8) + 1):
-            census = bottom_position_census(n, N)
-            for b in itertools.combinations(range(N), n):
-                if count_bottom_reverse(b) != census.get((w0, b), 0):
-                    bad.append({"n": n, "N": N, "b": list(b)})
-    return _outcome(THEOREM, not bad, bad[:5], "determinant/product formula == brute count")
+    ns = range(2, params.get("max_n", 4) + 1)
+    mismatches = _census_mismatches((), ns, params.get("max_N", 8), lambda b, N: count_bottom_reverse(b))
+    bad = [{"n": n, "N": N, "b": list(b)} for n, N, b, _ in mismatches]
+    return bad[:5], "determinant/product formula == brute count"
 
 
 def _check_reverse_det_vs_product(params):
-    # count_bottom_reverse raises on any internal disagreement
+    # count_bottom_reverse raises RuntimeError when its two routes disagree
+    bad = []
     for n in range(2, params.get("max_n", 4) + 1):
         for N in range(n, params.get("max_N", 10) + 1):
             for b in itertools.combinations(range(N), n):
-                count_bottom_reverse(b)
-    return _outcome(THEOREM, True, [], "determinant route equals product route on the full sweep")
+                try:
+                    count_bottom_reverse(b)
+                except RuntimeError as e:
+                    bad.append({"n": n, "N": N, "b": list(b), "error": str(e)})
+    return bad[:5], "determinant route equals product route on the full sweep"
 
 
 def _check_swap_count(params):
     k = params["k"]
-    bad = []
-    for n in range(k + 1, params.get("max_n", 4) + 1):
-        pi = swap_values(reverse_permutation(n), k)
-        for N in range(n, params.get("max_N", 7) + 1):
-            census = bottom_position_census(n, N)
-            for b in itertools.combinations(range(N), n):
-                if count_bottom_reverse_swap(k, b, N) != census.get((pi, b), 0):
-                    bad.append({"n": n, "N": N, "b": list(b)})
-    sev = THEOREM if k <= 2 else CONJECTURE
-    return _outcome(sev, not bad, bad[:5], f"adjacent-swap count formula, k={k}")
+    ns = range(k + 1, params.get("max_n", 4) + 1)
+    mismatches = _census_mismatches(
+        (k,), ns, params.get("max_N", 7), functools.partial(count_bottom_reverse_swap, k)
+    )
+    bad = [{"n": n, "N": N, "b": list(b)} for n, N, b, _ in mismatches]
+    return bad[:5], f"adjacent-swap count formula, k={k}"
 
 
 def _check_multi_swap(params):
     kvec = tuple(params.get("kvec", (3, 1)))
-    n = params.get("n", 4)
-    pi = reverse_permutation(n)
-    for k in kvec:
-        pi = swap_values(pi, k)
-    bad = []
-    for N in range(n, params.get("max_N", 7) + 1):
-        census = bottom_position_census(n, N)
-        for b in itertools.combinations(range(N), n):
-            got = count_bottom_reverse_multi_swap(kvec, b, N)
-            if (-1) ** len(kvec) * got != census.get((pi, b), 0):
-                bad.append({"N": N, "b": list(b), "formula": got})
-    return _outcome(
-        CONJECTURE,
-        not bad,
-        bad[:5],
-        f"inclusion-exclusion count for swaps {list(kvec)} (sign (-1)^r restored)",
+    sign = (-1) ** len(kvec)
+    mismatches = _census_mismatches(
+        kvec, (params.get("n", 4),), params.get("max_N", 7),
+        lambda b, N: sign * count_bottom_reverse_multi_swap(kvec, b, N),
     )
+    bad = [{"N": N, "b": list(b), "formula": sign * value} for _, N, b, value in mismatches]
+    return bad[:5], f"inclusion-exclusion count for swaps {list(kvec)} (sign (-1)^r restored)"
 
 
 def _check_lgv(params):
@@ -208,7 +206,7 @@ def _check_lgv(params):
     blocked = PathFamilySpec(((0, 0), (0, 1)), ((2, 0), (2, 1)))
     if lgv_brute(blocked) != lgv_count(blocked):
         bad.append({"spec": "blocked"})
-    return _outcome(THEOREM, not bad, bad[:5], "path determinant equals disjoint-family enumeration")
+    return bad[:5], "path determinant equals disjoint-family enumeration"
 
 
 def _check_reverse_probability(params):
@@ -219,7 +217,7 @@ def _check_reverse_probability(params):
             bad.append({"n": n})
         if sum(dist.values()) != 1:
             bad.append({"n": n, "total": str(sum(dist.values()))})
-    return _outcome(THEOREM, not bad, bad, "reverse-permutation probability closed form")
+    return bad, "reverse-permutation probability closed form"
 
 
 def _check_interlacing(params):
@@ -231,18 +229,16 @@ def _check_interlacing(params):
     r3 = interlacing_pattern_count(3)
     if r3["brute"] != 2:
         bad.append(r3)
-    return _outcome(THEOREM, not bad, bad, "linear extensions vs corrected closed form; n=3 gives 2")
+    return bad, "linear extensions vs corrected closed form; n=3 gives 2"
 
 
 def _check_reverse_density(params):
     bad = []
     for n in range(2, params.get("max_n", 4) + 1):
         g = density_polys(n)
-        import math
-
         if g[reverse_permutation(n)] != vandermonde(n) * math.factorial(n):
             bad.append({"n": n})
-    return _outcome(THEOREM, not bad, bad, "reverse-permutation density is n! times the Vandermonde")
+    return bad, "reverse-permutation density is n! times the Vandermonde"
 
 
 def _printed_operator_identities():
@@ -252,7 +248,7 @@ def _printed_operator_identities():
         return OperatorExpr.partial(4, orders, coeff)
 
     I3 = OperatorExpr.identity(3)
-    ops = {
+    return {
         ((4, 3, 1, 2), (4, 3, 2, 1)): D({3: 1}) - I4,
         ((4, 2, 3, 1), (4, 3, 2, 1)): D({2: 1, 3: 1}, Fraction(1, 2)) - I4,
         ((3, 4, 2, 1), (4, 3, 2, 1)): D({1: 1, 2: 1, 3: 1}, Fraction(1, 6)) - I4,
@@ -265,30 +261,23 @@ def _printed_operator_identities():
         - D({3: 1})
         + D({1: 1, 2: 1, 3: 2}, Fraction(1, 6)),
     }
-    return ops
 
 
 def _check_operator_identities(params):
-    from .continuum import check_operator_identity
-
     bad = []
     for (target, base), op in _printed_operator_identities().items():
         if not check_operator_identity(target, op, base)["match"]:
             bad.append({"target": list(target), "base": list(base)})
-    return _outcome(THEOREM, not bad, bad, "all printed derivative identities hold exactly")
+    return bad, "all printed derivative identities hold exactly"
 
 
 def _swap_operator(n: int, k: int) -> OperatorExpr:
     """(1/k!) d^k/dq_{n-k+1}..dq_n - 1."""
-    from math import factorial
-
     orders = {n - 1 - i: 1 for i in range(k)}
-    return OperatorExpr.partial(n, orders, Fraction(1, factorial(k))) - OperatorExpr.identity(n)
+    return OperatorExpr.partial(n, orders, Fraction(1, math.factorial(k))) - OperatorExpr.identity(n)
 
 
 def _check_operator_family(params):
-    from .continuum import check_operator_identity
-
     n = params.get("n", 4)
     w0 = reverse_permutation(n)
     bad = []
@@ -302,40 +291,34 @@ def _check_operator_family(params):
         target = swap_values(base, 1)
         if not check_operator_identity(target, _swap_operator(4, 1), base)["match"]:
             bad.append({"kvec": [3, 1]})
-    return _outcome(CONJECTURE, not bad, bad, "swap densities are derivative images of the reverse density")
-
-
-def _cyclic_classes(perms):
-    classes: dict = {}
-    for w in perms:
-        key = min(w[k:] + w[:k] for k in range(len(w)))
-        classes.setdefault(key, []).append(w)
-    return classes
+    return bad, "swap densities are derivative images of the reverse density"
 
 
 def _check_laplace(params):
     n = params.get("n", 4)
     expected_harmonic = params.get("expected_harmonic")
     if n >= 5 and not params.get("enable_slow", False):
-        return SKIPPED, [], "long-running; pass enable_slow to run"
+        return None, "long-running; pass enable_slow to run"
     g = density_polys(n, allow_slow=True)
-    classes = _cyclic_classes(g.keys())
+    classes: dict = {}  # rotation class (keyed by its least rotation) -> members
+    for w in g:
+        classes.setdefault(min(w[k:] + w[:k] for k in range(len(w))), []).append(w)
     harmonic = []
     for rep, members in sorted(classes.items()):
         flags = {laplacian(g[w]).is_zero() for w in members}
         if len(flags) != 1:
-            return MISMATCH, [{"class": list(rep)}], "harmonicity not constant on a rotation class"
+            return [{"class": list(rep)}], "harmonicity not constant on a rotation class"
         if flags.pop():
             harmonic.append(rep)
     expected = expected_harmonic if expected_harmonic is not None else len(classes)
-    ok = len(harmonic) == expected
     detail = f"{len(harmonic)} of {len(classes)} rotation classes harmonic (expected {expected})"
-    if not ok:
-        detail += (
-            "; the densities themselves pass every independent validation"
-            " (integrals vs census, proven swap identities, Monte Carlo moments)"
-        )
-    return _outcome(THEOREM, ok, [] if ok else [{"harmonic": len(harmonic), "classes": len(classes)}], detail)
+    if len(harmonic) == expected:
+        return [], detail
+    detail += (
+        "; the densities themselves pass every independent validation"
+        " (integrals vs census, proven swap identities, Monte Carlo moments)"
+    )
+    return [{"harmonic": len(harmonic), "classes": len(classes)}], detail
 
 
 def _check_leading_part(params):
@@ -348,7 +331,7 @@ def _check_leading_part(params):
         sign = 1 if (inversions(w0) - inversions(u)) % 2 == 0 else -1
         if p.homogeneous_part(top_deg) != g[w0] * sign:
             bad.append({"u": list(u)})
-    return _outcome(CONJECTURE, not bad, bad, "maximal-degree part of each density is +-(reverse density)")
+    return bad, "maximal-degree part of each density is +-(reverse density)"
 
 
 def _check_density_consistency(params):
@@ -364,7 +347,7 @@ def _check_density_consistency(params):
                 bad.append({"n": n, "w": list(w)})
         if total != 1:
             bad.append({"n": n, "total": str(total)})
-    return _outcome(THEOREM, not bad, bad[:5], "densities integrate to the permutation probabilities")
+    return bad[:5], "densities integrate to the permutation probabilities"
 
 
 def _check_prop43(params):
@@ -391,7 +374,7 @@ def _check_prop43(params):
             lam = conjugate_partition(tuple(x for x in (n - 2, n - 2, i) if x))
             if syt_three_column_count(n, i) != syt_count(lam):
                 bad.append({"n": n, "i": i, "entry": "syt-brute"})
-    return _outcome(THEOREM, not bad, bad[:5], "the three proved adjacency entries, all routes")
+    return bad[:5], "the three proved adjacency entries, all routes"
 
 
 def _check_adjacency_conjecture(params):
@@ -404,7 +387,7 @@ def _check_adjacency_conjecture(params):
                 continue
             if table.value(i, j) != adjacency_conjecture(i, j, n):
                 bad.append({"i": i, "j": j, "exact": rat_str(table.value(i, j))})
-    return _outcome(CONJECTURE, not bad, bad[:5], f"conjectured adjacency table vs exact census, n={n}")
+    return bad[:5], f"conjectured adjacency table vs exact census, n={n}"
 
 
 def _check_table6(params):
@@ -412,7 +395,7 @@ def _check_table6(params):
     for (i, j), val in TABLE_N6.items():
         if adjacency_conjecture(i, j, 6) != Fraction(val):
             bad.append({"i": i, "j": j, "formula": rat_str(adjacency_conjecture(i, j, 6)), "table": val})
-    return _outcome(THEOREM, not bad, bad, "closed form reproduces every published n=6 table entry")
+    return bad, "closed form reproduces every published n=6 table entry"
 
 
 def _check_adjacency_mc(params):
@@ -426,9 +409,7 @@ def _check_adjacency_mc(params):
         truth = float(adjacency_conjecture(i, j, n))
         if abs(e["estimate"] - truth) > 3 * e["stderr"]:
             bad.append({"i": i, "j": j, "estimate": e["estimate"], "truth": truth, "stderr": e["stderr"]})
-    return _outcome(
-        THEOREM, not bad, bad, f"{samples} samples, every entry within 3 standard errors of the table"
-    )
+    return bad, f"{samples} samples, every entry within 3 standard errors of the table"
 
 
 def _check_initial_prefix(params):
@@ -442,12 +423,10 @@ def _check_initial_prefix(params):
                 prob = sum(p for w, p in dist.items() if w[:ell] == xs)
                 if prob != descending_prefix_probability(xs, N):
                     bad.append({"N": N, "xs": list(xs)})
-    return _outcome(THEOREM, not bad, bad[:5], "prefix determinant equals exact stationary prefix mass")
+    return bad[:5], "prefix determinant equals exact stationary prefix mass"
 
 
 def _check_prefix_reverse_duality(params):
-    from .core import binomial
-
     bad = []
     for N in range(2, params.get("max_N", 6) + 1):
         for ell in range(1, min(3, N - 1) + 1):
@@ -459,26 +438,26 @@ def _check_prefix_reverse_duality(params):
                 rhs = count_bottom_reverse(tuple(reversed(xs))) * z
                 if lhs != rhs:
                     bad.append({"N": N, "xs": list(xs)})
-    return _outcome(THEOREM, not bad, bad[:5], "prefix probability equals normalized reverse-bottom count")
+    return bad[:5], "prefix probability equals normalized reverse-bottom count"
+
+
+def _compositions(max_N, parts):
+    """(N, m) for each composition m of N into k parts, 2 <= N <= max_N, k in parts."""
+    for N in range(2, max_N + 1):
+        for k in parts:
+            for cuts in itertools.combinations(range(1, N), k - 1):
+                yield N, tuple(b - a for a, b in zip((0,) + cuts, cuts + (N,)))
 
 
 def _check_fw_routes(params):
     bad = []
-    for N in range(2, params.get("max_N", 7) + 1):
-        for n_parts in (2, 3):
-            if n_parts > N:
-                continue
-            for cuts in itertools.combinations(range(1, N), n_parts - 1):
-                m = tuple(b - a for a, b in zip((0,) + cuts, cuts + (N,)))
-                t = TypeVector(m, N)
-                expected = descending_start_count(m, N)  # raises if routes disagree
-                prefix = tuple(range(n_parts, 1, -1))
-                brute = sum(
-                    c for w, c in bottom_word_counts(t).items() if w[: n_parts - 1] == prefix
-                )
-                if expected != brute:
-                    bad.append({"m": list(m), "N": N, "routes": expected, "brute": brute})
-    return _outcome(THEOREM, not bad, bad[:5], "determinant-sum route == tableau route == brute count")
+    for N, m in _compositions(params.get("max_N", 7), (2, 3)):
+        expected = descending_start_count(m, N)  # raises if routes disagree
+        prefix = tuple(range(len(m), 1, -1))
+        brute = sum(c for w, c in bottom_word_counts(TypeVector(m, N)).items() if w[: len(m) - 1] == prefix)
+        if expected != brute:
+            bad.append({"m": list(m), "N": N, "routes": expected, "brute": brute})
+    return bad[:5], "determinant-sum route == tableau route == brute count"
 
 
 def _check_bijection(params):
@@ -495,30 +474,22 @@ def _check_bijection(params):
     if ssyt_to_mlq(tab, (2, 2, 2, 3), 13) != q13:
         bad.append({"example": "roundtrip"})
     # exhaustive bijectivity on small rings
-    from .count import enumerate_mlqs
-
-    for N in range(2, params.get("max_N", 6) + 1):
-        for n_parts in (2, 3):
-            if n_parts > N:
+    for N, m in _compositions(params.get("max_N", 6), (2, 3)):
+        prefix = tuple(range(len(m), 1, -1))
+        images = set()
+        count = 0
+        for q in enumerate_mlqs(TypeVector(m, N)):
+            l = label_mlq(q)
+            if tuple(l.labels[-1][: len(m) - 1]) != prefix or l.wrapped:
                 continue
-            for cuts in itertools.combinations(range(1, N), n_parts - 1):
-                m = tuple(b - a for a, b in zip((0,) + cuts, cuts + (N,)))
-                t = TypeVector(m, N)
-                prefix = tuple(range(n_parts, 1, -1))
-                images = set()
-                count = 0
-                for q in enumerate_mlqs(t):
-                    l = label_mlq(q)
-                    if tuple(l.labels[-1][: n_parts - 1]) != prefix or l.wrapped:
-                        continue
-                    tab = mlq_to_ssyt(l)
-                    count += 1
-                    images.add(tab)
-                    if ssyt_to_mlq(tab, m, N) != q:
-                        bad.append({"m": list(m), "N": N, "q": q.to_json_dict()})
-                if len(images) != count or count != descending_start_count(m, N):
-                    bad.append({"m": list(m), "N": N, "injective": len(images) == count})
-    return _outcome(THEOREM, not bad, bad[:3], "queue/tableau correspondence is a bijection on the sweep")
+            tab = mlq_to_ssyt(l)
+            count += 1
+            images.add(tab)
+            if ssyt_to_mlq(tab, m, N) != q:
+                bad.append({"m": list(m), "N": N, "q": q.to_json_dict()})
+        if len(images) != count or count != descending_start_count(m, N):
+            bad.append({"m": list(m), "N": N, "injective": len(images) == count})
+    return bad[:3], "queue/tableau correspondence is a bijection on the sweep"
 
 
 def _check_hook_jt_brute(params):
@@ -535,19 +506,13 @@ def _check_hook_jt_brute(params):
             brute = len(ssyt_brute(lam, t))
             if not (hc == jt == brute):
                 bad.append({"shape": list(lam), "t": t, "hc": hc, "jt": jt, "brute": brute})
-    return _outcome(THEOREM, not bad, bad[:5], "hook-content == both determinants == enumeration")
+    return bad[:5], "hook-content == both determinants == enumeration"
 
 
 def _check_row_addition(params):
-    bad = []
-    for N in range(2, params.get("max_N", 8) + 1):
-        for n_parts in range(2, min(4, N) + 1):
-            for cuts in itertools.combinations(range(1, N), n_parts - 1):
-                m = tuple(b - a for a, b in zip((0,) + cuts, cuts + (N,)))
-                rep = hook_content_row_addition_check(m, N)
-                if not rep["match"]:
-                    bad.append({"m": list(m), "N": N})
-    return _outcome(THEOREM, not bad, bad[:5], "row-addition hook-content identity over the sweep")
+    compositions = _compositions(params.get("max_N", 8), (2, 3, 4))
+    bad = [{"m": list(m), "N": N} for N, m in compositions if not hook_content_row_addition_check(m, N)["match"]]
+    return bad[:5], "row-addition hook-content identity over the sweep"
 
 
 def _check_last_row_invariance(params):
@@ -557,7 +522,7 @@ def _check_last_row_invariance(params):
         dist = tasep_stationary(t)
         if push_through_last_row(dist) != dist:
             bad.append({"m": list(m), "N": N})
-    return _outcome(THEOREM, not bad, bad, "the last-row update fixes the stationary distribution")
+    return bad, "the last-row update fixes the stationary distribution"
 
 
 def _check_k_invariance(params):
@@ -569,28 +534,31 @@ def _check_k_invariance(params):
             for k in range(1, N):
                 if k_tasep_stationary(t, k) != base:
                     bad.append({"n": n, "N": N, "k": k})
-    return _outcome(THEOREM, not bad, bad[:5], "k-subset chains share the stationary distribution, k < N")
+    return bad[:5], "k-subset chains share the stationary distribution, k < N"
+
+
+def _full_ring_findings(keys, base, full):
+    """For each key, whether full(**key) solves uniquely to base(**key);
+    no findings when every one does."""
+    findings = []
+    for key in keys:
+        expected = base(**key)
+        try:
+            findings.append({**key, "unique": True, "equals_base": full(**key) == expected})
+        except (ValueError, RuntimeError) as e:
+            findings.append({**key, "unique": False, "error": str(e)})
+    return [] if all(f.get("equals_base") for f in findings) else findings
 
 
 def _check_k_full_ring(params):
-    findings = []
-    for N in range(2, params.get("max_N", 5) + 1):
-        for n in range(1, N + 1):
-            t = TypeVector((1,) * n, N)
-            base = tasep_stationary(t)
-            try:
-                full = k_tasep_stationary(t, N)
-                same = full == base
-                findings.append({"n": n, "N": N, "unique": True, "equals_base": same})
-            except (ValueError, RuntimeError) as e:
-                findings.append({"n": n, "N": N, "unique": False, "error": str(e)})
-    ok = all(f.get("equals_base") for f in findings)
-    return _outcome(
-        CONJECTURE,
-        ok,
-        findings if not ok else [],
+    findings = _full_ring_findings(
+        [{"n": n, "N": N} for N in range(2, params.get("max_N", 5) + 1) for n in range(1, N + 1)],
+        lambda n, N: tasep_stationary(TypeVector((1,) * n, N)),
+        lambda n, N: k_tasep_stationary(TypeVector((1,) * n, N), N),
+    )
+    return findings, (
         "full-ring sweep (k = N): the cyclic firing rule has no valid order, so the forced cut "
-        "yields a deterministic non-ergodic map; no unique stationary distribution exists",
+        "yields a deterministic non-ergodic map; no unique stationary distribution exists"
     )
 
 
@@ -614,14 +582,13 @@ def _check_rs_relations(params):
                         continue
                     if apply_generator(ei, j) != apply_generator(apply_generator(L, j), i):
                         bad.append({"n": n, "rel": "C", "i": i, "j": j})
-    return _outcome(THEOREM, not bad, bad[:5], "generator relations hold exhaustively")
+    return bad[:5], "generator relations hold exhaustively"
 
 
 def _check_rs_figure(params):
-    L = LinkingPattern(((1, 4), (2, 3), (5, 6)))
-    got = apply_generator(L, 4)
-    ok = got == LinkingPattern(((1, 6), (2, 3), (4, 5)))
-    return _outcome(THEOREM, ok, [] if ok else [{"got": got.pairs}], "worked generator action reproduced")
+    got = apply_generator(LinkingPattern(((1, 4), (2, 3), (5, 6))), 4)
+    bad = [] if got == LinkingPattern(((1, 6), (2, 3), (4, 5))) else [{"got": got.pairs}]
+    return bad, "worked generator action reproduced"
 
 
 def _check_rs_k_independence(params):
@@ -631,25 +598,16 @@ def _check_rs_k_independence(params):
         for k in range(2, 2 * n):
             if rs_stationary(n, k) != base:
                 bad.append({"n": n, "k": k})
-    return _outcome(THEOREM, not bad, bad, "pattern-chain stationary distribution is k-independent, k < 2n")
+    return bad, "pattern-chain stationary distribution is k-independent, k < 2n"
 
 
 def _check_rs_full_ring(params):
-    findings = []
-    for n in range(2, params.get("max_n", 4) + 1):
-        base = rs_stationary(n, 1)
-        try:
-            full = rs_stationary(n, 2 * n)
-            findings.append({"n": n, "unique": True, "equals_base": full == base})
-        except (ValueError, RuntimeError) as e:
-            findings.append({"n": n, "unique": False, "error": str(e)})
-    ok = all(f.get("equals_base") for f in findings)
-    return _outcome(
-        CONJECTURE,
-        ok,
-        findings if not ok else [],
-        "full-set generator sweep (k = 2n), outside the k-independence range; reported, not assumed",
+    findings = _full_ring_findings(
+        [{"n": n} for n in range(2, params.get("max_n", 4) + 1)],
+        lambda n: rs_stationary(n, 1),
+        lambda n: rs_stationary(n, 2 * n),
     )
+    return findings, "full-set generator sweep (k = 2n), outside the k-independence range; reported, not assumed"
 
 
 def _most_nested(n):
@@ -664,37 +622,29 @@ def _check_extremes(params):
     bad = []
     for n in range(2, params.get("max_n", 4) + 1):
         rsd = rs_stationary(n, 1)
+        dist = permutation_distribution(n)
         # the pattern chain is rotation invariant, so extremes are attained
         # on whole rotation classes; compare values, not unique states
-        if rsd[_least_nested(n)] != max(rsd.values()):
-            bad.append({"chain": "patterns", "n": n, "end": "max"})
-        if rsd[_most_nested(n)] != min(rsd.values()):
-            bad.append({"chain": "patterns", "n": n, "end": "min"})
-        dist = permutation_distribution(n)
-        if max(dist, key=dist.get) != tuple(range(1, n + 1)):
-            bad.append({"chain": "ring", "n": n, "end": "max"})
-        if min(dist, key=dist.get) != reverse_permutation(n):
-            bad.append({"chain": "ring", "n": n, "end": "min"})
-    return _outcome(
-        CONJECTURE, not bad, bad, "stationary mass peaks at identity/least nested, dips at reverse/most nested"
-    )
+        ends = {
+            ("patterns", "max"): rsd[_least_nested(n)] == max(rsd.values()),
+            ("patterns", "min"): rsd[_most_nested(n)] == min(rsd.values()),
+            ("ring", "max"): max(dist, key=dist.get) == tuple(range(1, n + 1)),
+            ("ring", "min"): min(dist, key=dist.get) == reverse_permutation(n),
+        }
+        bad += [{"chain": chain, "n": n, "end": end} for (chain, end), ok in ends.items() if not ok]
+    return bad, "stationary mass peaks at identity/least nested, dips at reverse/most nested"
 
 
 def _check_figures(params):
-    bad = []
-    q = DiscreteMLQ(TypeVector((2, 1, 1), 8), ((3, 4), (0, 2, 4), (1, 5, 6, 7)))
-    l = label_mlq(q)
-    if l.labels[1] != (1, 2, 1) or l.labels[2] != (1, 1, 2, 3):
-        bad.append({"figure": "labelling"})
-    if bottom_word(l) != RingWord.from_dict(8, {1: 1, 5: 1, 6: 2, 7: 3}):
-        bad.append({"figure": "bottom-word"})
-    if label_arrangement(Arrangement((3, 1, 2, 2, 3, 1, 3, 2, 3))) != (3, 1, 2, 1):
-        bad.append({"figure": "continuous"})
+    l = label_mlq(DiscreteMLQ(TypeVector((2, 1, 1), 8), ((3, 4), (0, 2, 4), (1, 5, 6, 7))))
     u = RingWord.from_dict(9, {0: 4, 2: 2, 7: 3, 8: 1})
-    out = last_row_step(u, (1, 4, 5, 7))
-    if out != RingWord.from_dict(9, {1: 1, 4: 2, 5: 4, 7: 3}):
-        bad.append({"figure": "last-row"})
-    return _outcome(THEOREM, not bad, bad, "worked queue figures reproduced")
+    figures = {
+        "labelling": l.labels[1] == (1, 2, 1) and l.labels[2] == (1, 1, 2, 3),
+        "bottom-word": bottom_word(l) == RingWord.from_dict(8, {1: 1, 5: 1, 6: 2, 7: 3}),
+        "continuous": label_arrangement(Arrangement((3, 1, 2, 2, 3, 1, 3, 2, 3))) == (3, 1, 2, 1),
+        "last-row": last_row_step(u, (1, 4, 5, 7)) == RingWord.from_dict(9, {1: 1, 4: 2, 5: 4, 7: 3}),
+    }
+    return [{"figure": f} for f, ok in figures.items() if not ok], "worked queue figures reproduced"
 
 
 CHECKS: dict[str, tuple[str, object, dict]] = {
@@ -776,12 +726,21 @@ def run_suite(
     check, its parameters and the package sources are unchanged; a seeded
     5% sample of cache hits is recomputed and compared.
     """
-    import random as _random
+    def outcome(severity, fn, params):
+        """(status, witnesses, detail) of one run of a check."""
+        witnesses, detail = fn(params)
+        if witnesses is None:
+            return SKIPPED, [], detail
+        if witnesses:
+            return MISMATCH, witnesses, detail
+        return (PROVED_MATCH if severity == THEOREM else CONJECTURE_MATCH), [], detail
 
     selected = [cid for cid in CHECKS if fnmatch.fnmatch(cid, pattern)]
     if not selected:
         raise ValueError(f"no checks match {pattern!r}")
-    audit_rng = _random.Random(audit_seed)
+    if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
+    audit_rng = random.Random(audit_seed)
     reports = []
     for cid in selected:
         severity, fn, defaults = CHECKS[cid]
@@ -789,41 +748,20 @@ def run_suite(
         for key in ("*", cid):
             if overrides and key in overrides:
                 params.update(overrides[key])
-        cache_path = None
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            cache_path = os.path.join(cache_dir, _cache_key(cid, params) + ".json")
-        if cache_path and os.path.exists(cache_path):
+        cache_path = os.path.join(cache_dir, _cache_key(cid, params) + ".json") if cache_dir else None
+        cached = cache_path is not None and os.path.exists(cache_path)
+        if cached:
             with open(cache_path) as fh:
                 data = json.load(fh)
-            report = VerificationReport(
-                check_id=cid,
-                severity=severity,
-                status=data["status"],
-                params=params,
-                witnesses=data["witnesses"],
-                detail=data["detail"],
-                runtime=data["runtime"],
-                cached=True,
-            )
-            if audit_rng.random() < 0.05:
-                status, witnesses, detail = fn(params)
-                if status != report.status:
-                    raise RuntimeError(f"cache audit failed for {cid}: {status} != {report.status}")
-            reports.append(report)
-            continue
-        t0 = time.time()
-        status, witnesses, detail = fn(params)
-        report = VerificationReport(
-            check_id=cid,
-            severity=severity,
-            status=status,
-            params=params,
-            witnesses=witnesses,
-            detail=detail,
-            runtime=time.time() - t0,
-        )
-        if cache_path:
+            status, witnesses, detail, runtime = data["status"], data["witnesses"], data["detail"], data["runtime"]
+            if audit_rng.random() < 0.05 and (fresh := outcome(severity, fn, params)[0]) != status:
+                raise RuntimeError(f"cache audit failed for {cid}: {fresh} != {status}")
+        else:
+            t0 = time.time()
+            status, witnesses, detail = outcome(severity, fn, params)
+            runtime = time.time() - t0
+        report = VerificationReport(cid, severity, status, params, witnesses, detail, runtime, cached)
+        if cache_path and not cached:
             with open(cache_path, "w") as fh:
                 json.dump(report.to_json_dict(), fh, sort_keys=True)
         reports.append(report)
@@ -832,7 +770,4 @@ def run_suite(
 
 def suite_exit_code(reports) -> int:
     """0 unless a theorem-severity check mismatched (then 2)."""
-    for r in reports:
-        if r.severity == THEOREM and r.status == MISMATCH:
-            return 2
-    return 0
+    return 2 if any(r.severity == THEOREM and r.status == MISMATCH for r in reports) else 0
