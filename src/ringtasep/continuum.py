@@ -7,10 +7,12 @@ polynomial densities of the particle positions given the permutation,
 and the two-point adjacency correlations, together with conjectured
 closed forms for the latter.
 
-Enumeration is done once per rotation class: the single top-row box is
-pinned to the origin slot, which cuts the sweep by a factor of the total
-box count.  Rotation multiplicities are restored exactly where the
-reading origin matters.
+One census enumerates the arrangements, once per rotation class: the
+single top-row box is pinned to the origin slot, which cuts the sweep by
+a factor of the total box count.  It keeps each representative's bottom
+word and gap vector (the boxes between consecutive bottom boxes);
+rotating both restores the permutation counts, for an origin anywhere,
+and the density weights, for an origin at a bottom box.
 
 Beyond the exact caps, one Monte Carlo sampler of bottom words, drawn
 and labelled row by row, serves both permutations and adjacencies.
@@ -24,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .core import Perm, _estimates, check_permutation
-from .mlq import Arrangement, _bottom_labels_fast, _claim_labels
+from .mlq import Arrangement, _claim_labels
 from .poly import MultiPoly, OperatorExpr
 
 
@@ -66,30 +68,32 @@ def _multiset_perms(items: tuple[int, ...]):
 
 # --- one census per rotation class --------------------------------------------
 
-_REP_CENSUS: dict[int, tuple[dict, int]] = {}
+_REP_CENSUS: dict[int, tuple[dict, dict, int]] = {}
 
 
-def _rep_census(n: int) -> tuple[dict[Perm, int], int]:
+def _rep_census(n: int) -> tuple[dict[Perm, int], dict[tuple[Perm, tuple[int, ...]], int], int]:
     """Sweep arrangements with the top-row box pinned at slot 0.
 
-    Returns (word_counts, reps): word_counts[pi] is the number of *linear*
-    arrangements (all rotations restored) whose bottom word reads pi from
-    the origin, and reps the number of representatives.
+    Each representative is counted under its bottom word, read from the
+    pinned box, and its gap vector: gaps[j] non-bottom boxes follow bottom
+    box j.  Rotating both by j = 0..n-1 gives (word_counts, weights, reps):
+    - word_counts[pi]: *linear* arrangements (all rotations restored)
+      whose bottom word reads pi from the origin; rotation j stands for
+      the gaps[j-1] + 1 origins that read it;
+    - weights[(pi, gaps)]: linear arrangements with a bottom box at the
+      origin whose word and gap vector read so;
+    - reps: the number of representatives.
     """
     if n in _REP_CENSUS:
         return _REP_CENSUS[n]
     B = comb(n + 1, 2)
-    word_counts: dict[Perm, int] = {}
-    reps = 0
+    census: dict[tuple[Perm, tuple[int, ...]], int] = {}
 
     def leaf(cur, positions):
-        nonlocal reps
         labels, _, _ = _claim_labels(cur, positions, n)
-        w = tuple(labels)
-        reps += 1
-        for j in range(n):  # one count per slot from the box before j to box j
-            shifted = w[j:] + w[:j]
-            word_counts[shifted] = word_counts.get(shifted, 0) + (positions[j] - positions[j - 1] - 1) % B + 1
+        gaps = tuple((positions[(j + 1) % n] - positions[j] - 1) % B for j in range(n))
+        key = (tuple(labels), gaps)
+        census[key] = census.get(key, 0) + 1
 
     if n == 1:
         leaf([], (0,))
@@ -107,9 +111,18 @@ def _rep_census(n: int) -> tuple[dict[Perm, int], int]:
 
         rec(1, [(1, 0)], tuple(range(1, B)))
 
+    word_counts: dict[Perm, int] = {}
+    weights: dict[tuple[Perm, tuple[int, ...]], int] = {}
+    for (w, gaps), c in census.items():
+        for j in range(n):
+            shifted = w[j:] + w[:j]
+            word_counts[shifted] = word_counts.get(shifted, 0) + (gaps[j - 1] + 1) * c
+            key = (shifted, gaps[j:] + gaps[:j])
+            weights[key] = weights.get(key, 0) + c
+    reps = sum(census.values())
     if sum(word_counts.values()) != B * reps:
         raise RuntimeError("census bookkeeping is inconsistent")
-    _REP_CENSUS[n] = (word_counts, reps)
+    _REP_CENSUS[n] = (word_counts, weights, reps)
     return _REP_CENSUS[n]
 
 
@@ -118,7 +131,7 @@ def permutation_distribution(n: int, cap: int = 5) -> dict[Perm, Fraction]:
     queue (uniform arrangement, uniform origin cut)."""
     if n > cap:
         raise ValueError(f"n={n} above exact cap {cap}; use sampling instead")
-    word_counts, reps = _rep_census(n)
+    word_counts, _, reps = _rep_census(n)
     total = reps * comb(n + 1, 2)
     if total != arrangement_count(n):
         raise RuntimeError("representative count disagrees with the closed form")
@@ -259,7 +272,7 @@ def adjacency_exact(n: int, cap: int = 5) -> CorrTable:
         raise ValueError("need n >= 2")
     if n > cap:
         raise ValueError(f"n={n} above exact cap {cap}; use adjacency_mc")
-    word_counts, reps = _rep_census(n)
+    word_counts, _, reps = _rep_census(n)
     total = reps * comb(n + 1, 2)
     entries = {pair: Fraction(c, total) for pair, c in _adjacency_counts(word_counts).items()}
     table = CorrTable(n, entries)
@@ -353,33 +366,19 @@ def density_polys(n: int, allow_slow: bool = False) -> dict[Perm, MultiPoly]:
 
     Conditioning on the bottom boxes at the q's, the upper boxes land in
     the n cyclic gaps; a gap of length L holding k boxes in a fixed
-    relative order contributes L^k / k!.  Summing over all interleavings
-    and normalizing by the box-count multinomial makes each g_pi a
+    relative order contributes L^k / k!.  The arrangement census weighs
+    each (pi, gap counts) by the interleavings that realize it, and
+    normalizing by the box-count multinomial makes each g_pi a
     polynomial, with sum_pi integral(g_pi) = 1.
 
-    n = 5 enumerates ~12.6M interleavings and is gated behind allow_slow.
+    n = 5 needs the 2.5M-representative census and a long polynomial
+    assembly, and is gated behind allow_slow.
     """
     if n in _DENSITY:
         return _DENSITY[n]
     if n > 5 or (n == 5 and not allow_slow):
         raise ValueError("n above density cap (n = 5 requires allow_slow=True)")
-    U = comb(n, 2)
-    upper = tuple(i for i in range(1, n) for _ in range(i))
-    seqs = list(_multiset_perms(upper))
-    weights: dict[tuple[Perm, tuple[int, ...]], int] = {}
-    for cvec in _weak_compositions(U, n):
-        offsets = list(itertools.accumulate(cvec[:-1], initial=0))  # first upper box of gap g
-        bottoms = [o + g for g, o in enumerate(offsets)]  # slot of bottom box g
-        for seq in seqs:
-            rows: list[list[int]] = [[] for _ in range(n)]
-            rows[n - 1] = list(bottoms)
-            for g in range(n):
-                base = bottoms[g] + 1
-                for k in range(cvec[g]):
-                    rows[seq[offsets[g] + k] - 1].append(base + k)
-            w = tuple(_bottom_labels_fast(rows, n))
-            key = (w, cvec)
-            weights[key] = weights.get(key, 0) + 1
+    _, weights, _ = _rep_census(n)
 
     gaps = [MultiPoly.variable(n, g + 1) - MultiPoly.variable(n, g) for g in range(n - 1)]
     gaps.append(MultiPoly.one(n) - MultiPoly.variable(n, n - 1) + MultiPoly.variable(n, 0))
@@ -405,15 +404,6 @@ def density_polys(n: int, allow_slow: bool = False) -> dict[Perm, MultiPoly]:
     out = {w: p * prefactor for w, p in sorted(out.items())}
     _DENSITY[n] = out
     return out
-
-
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def density_poly(pi, allow_slow: bool = False) -> MultiPoly:

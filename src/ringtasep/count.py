@@ -22,6 +22,7 @@ from math import factorial
 from .core import Perm, TypeVector, binomial, check_permutation
 from .linalg import det_fraction_free
 from .mlq import DiscreteMLQ, _claim_labels
+from .tableaux import conjugate_partition
 
 
 @dataclass(frozen=True)
@@ -165,13 +166,6 @@ def count_bottom_reverse_swap(k: int, b, N: int) -> int:
     return int(val)
 
 
-def _conjugate(parts) -> list[int]:
-    parts = sorted(parts, reverse=True)
-    if not parts:
-        return []
-    return [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]
-
-
 def check_swap_vector(kvec, n: int):
     """Admissibility chain n > k1 > k2+1 > k3+2 > ... > kr+r-1 > r-1."""
     kvec = tuple(kvec)
@@ -203,7 +197,7 @@ def count_bottom_reverse_multi_swap(kvec, b, N: int) -> int:
     total = 0
     for bits in range(1 << r):
         S = [kvec[i] for i in range(r) if bits >> i & 1]
-        conj = _conjugate(S)
+        conj = conjugate_partition(S)
         mat = []
         for i in range(1, n + 1):
             shift = conj[n - i] if n - i < len(conj) else 0

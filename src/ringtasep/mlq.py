@@ -11,9 +11,13 @@ the new label i+1.
 
 A continuous multiline queue keeps only the relative cyclic order of its
 box positions (an Arrangement); the labelling depends on nothing else.
+
+Every exact labelling runs the one step _claim_labels: label_mlq (and so
+label_arrangement) row by row, and the arrangement census of
+continuum.py as it places each row.  Only the Monte Carlo sampler there
+inlines the same step for float rows.
 """
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -58,40 +62,6 @@ def _claim_labels(sources, targets, fill):
     return labels, claims, wrapped
 
 
-def _bottom_labels_fast(rows, n):
-    """Labels of the last of the n rows, for label_arrangement and the
-    density sweep (the Monte Carlo samplers label their rows as they draw
-    them, in continuum._mc_word_chunk).
-
-    rows are sorted sequences of mutually comparable positions (ints or
-    floats).  An inlined _claim_labels loop; the test suite cross-checks
-    it against label_mlq on random inputs.
-    """
-    cur_labels = [1] * len(rows[0])
-    cur_pos = rows[0]
-    for r in range(1, n):
-        tgt = rows[r]
-        B = len(tgt)
-        labels = [0] * B
-        # stable sort by label keeps position order within equal labels
-        for k in sorted(range(len(cur_pos)), key=cur_labels.__getitem__):
-            p = cur_pos[k]
-            i = bisect_left(tgt, p)
-            while i < B and labels[i]:
-                i += 1
-            if i == B:
-                i = 0
-                while labels[i]:
-                    i += 1
-            labels[i] = cur_labels[k]
-        fill = r + 1
-        for i in range(B):
-            if not labels[i]:
-                labels[i] = fill
-        cur_labels, cur_pos = labels, tgt
-    return cur_labels
-
-
 @dataclass(frozen=True)
 class DiscreteMLQ:
     t: TypeVector
@@ -126,17 +96,11 @@ class LabeledMLQ:
     paths: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = field(default=())
     wrapped: bool = False
 
-    def row_labels(self, i: int) -> tuple[int, ...]:
-        return self.labels[i]
-
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()
         d["labels"] = [list(r) for r in self.labels]
         d["paths"] = [[label, [list(c) for c in cells]] for label, cells in self.paths]
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def label_mlq(q: DiscreteMLQ) -> LabeledMLQ:
@@ -244,10 +208,7 @@ def label_arrangement(a: Arrangement) -> tuple[int, ...]:
     For the disjoint-classes type (1,...,1) the result is a permutation.
     Ties among positions have measure zero and never occur here.
     """
-    rows = [[] for _ in range(a.n)]
-    for pos, r in enumerate(a.order):
-        rows[r - 1].append(pos)
-    return tuple(_bottom_labels_fast(rows, a.n))
+    return tuple(label_mlq(materialize(a)).labels[-1])
 
 
 def sample_arrangement(n: int, rng) -> Arrangement:

@@ -36,14 +36,6 @@ class LinkingPattern:
     def n(self) -> int:
         return len(self.pairs)
 
-    def partner(self, i: int) -> int:
-        for a, b in self.pairs:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        raise ValueError(f"point {i} out of range")
-
     def as_map(self) -> dict[int, int]:
         out = {}
         for a, b in self.pairs:

@@ -404,15 +404,8 @@ def hook_content_row_addition_check(m, N: int) -> dict:
     lam = conjugate_partition(lamc)
     muc = tuple(x + 1 for x in lamc)
     mu = conjugate_partition(muc)
-
-    def hc_product(shape, s) -> Fraction:
-        out = Fraction(1)
-        for i, j in cells(shape):
-            out *= Fraction(s + content(i, j), hook_length(shape, i, j))
-        return out
-
-    lhs = hc_product(lam, N - n + 1)
-    rhs = hc_product(mu, N - n + 2)
+    lhs = ssyt_count_hook_content(lam, N - n + 1)
+    rhs = ssyt_count_hook_content(mu, N - n + 2)
     for i in range(1, n):
         rhs *= Fraction(lamc[i - 1] + n - i, N + 1 - i)
     return {"m": t.m, "N": N, "lhs": lhs, "rhs": rhs, "match": lhs == rhs}

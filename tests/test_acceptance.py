@@ -87,10 +87,11 @@ def test_criterion_06_harmonicity_census():
     """n=4: every rotation class harmonic.  The n=5 census is gated
     (RUN_SLOW=1) and asserts the pinned count of 15 harmonic classes out
     of 24; the reproducible computation yields 24 of 24 (densities
-    validated by the proven swap identities at n=5, by all 120 exact
-    integrals against the independent census, and by Monte Carlo
-    moments), so the pinned count fails honestly when run.  Analysis in
-    the reviewer notes."""
+    validated by the proven swap identities at n=5 and by Monte Carlo
+    moments, and equal to those of the former independent interleaving
+    sweep, whose 37,700 (word, gap vector) weights the shared census
+    reproduces exactly, as recorded in CHANGES.md), so the pinned count
+    fails honestly when run.  Analysis in the reviewer notes."""
     n4 = _statuses("laplace-n4")["laplace-n4"]
     ok = n4.status == PROVED_MATCH
     if RUN_SLOW:

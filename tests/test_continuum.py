@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from ringtasep.core import reverse_permutation
 from ringtasep.continuum import (
     CorrTable,
+    _rep_census,
     adjacency_conjecture,
     adjacency_exact,
     adjacency_mc,
@@ -23,7 +24,7 @@ from ringtasep.continuum import (
     syt_three_column_count,
     top_pair_adjacency_syt,
 )
-from ringtasep.mlq import label_arrangement
+from ringtasep.mlq import label_arrangement, label_mlq, materialize
 from ringtasep.poly import MultiPoly, OperatorExpr, integrate_ordered_simplex, vandermonde
 from ringtasep.tableaux import conjugate_partition, syt_count
 
@@ -51,13 +52,57 @@ def test_permutation_distribution_small():
 def test_permutation_distribution_matches_full_enumeration():
     # the pinned-origin census must agree with enumerating every
     # arrangement and reading from the origin cut
-    for n in (2, 3):
+    for n in (2, 3, 4):
         direct: dict = {}
         for a in enumerate_arrangements(n):
             w = label_arrangement(a)
             direct[w] = direct.get(w, 0) + 1
         total = arrangement_count(n)
         assert permutation_distribution(n) == {w: Fraction(c, total) for w, c in sorted(direct.items())}
+
+
+def test_density_weights_match_full_enumeration():
+    # rebuild the census's (word, gap vector) weights from every
+    # arrangement with a bottom box at the origin
+    for n in (1, 2, 3, 4):
+        B = comb(n + 1, 2)
+        weights: dict = {}
+        for a in enumerate_arrangements(n):
+            if a.order[0] == n:
+                q = materialize(a)
+                bottom = q.rows[-1]
+                w = tuple(label_mlq(q).labels[-1])
+                gaps = tuple((bottom[(j + 1) % n] - bottom[j] - 1) % B for j in range(n))
+                weights[(w, gaps)] = weights.get((w, gaps), 0) + 1
+        assert _rep_census(n)[1] == weights
+
+
+def test_exact_outputs_are_pinned():
+    # SHA-256 of the outputs as recorded with the separate density sweep
+    # over bottom-pinned interleavings
+    def poly_digest(g):
+        return hashlib.sha256(repr([(w, sorted(p.terms.items())) for w, p in sorted(g.items())]).encode()).hexdigest()
+
+    densities = {
+        1: "39d6835e655ba99a2dbfe3cc1bd21cf03715248dd13642c9324e05ab69c900df",
+        2: "e027d6e8ad2bab264e39dfed7646ecd330ec60635daaac886b3057db8834a9f9",
+        3: "be49a40f1b7554f912a1ec00cec26cf15731ed19e1a43611a06ff8a863b26f71",
+        4: "079e52d2af72c3ba842b011ec6cfc0b9168c379e93eec4df88929863ebeefac0",
+    }
+    perms = {
+        1: "b7d555a21ea92f5cdc8dcc1ed0bbb66a265917583584f96c1c821009e9af204d",
+        2: "e37e27fcf34e4a47ad82dff3aa0d4470682132fd8719364b452966e97bae4e4d",
+        3: "4606b15456ad43c5f68637dc42b772c579da5abf6a190bcbb682b299730a48af",
+        4: "cf126d5c1f8c12224de2869a45b7e2d1a38af5d17afb23fa3069bb7791185dd2",
+    }
+    adjacencies = {
+        2: "13cfbbf1ff3d0d3438fd2909247f5f8f5991c0759faa7ac95af223b147cb6182",
+        3: "42ce830c12464418565041b5e5b13543393cac7fccbccd76da2211bfd6eabdb3",
+        4: "20b66eb9ac5f794b5ee9150ad141010e781789162f8071f6a13af06a78fb1610",
+    }
+    assert {n: poly_digest(density_polys(n)) for n in densities} == densities
+    assert {n: _digest(permutation_distribution(n)) for n in perms} == perms
+    assert {n: _digest(adjacency_exact(n).entries) for n in adjacencies} == adjacencies
 
 
 def test_reverse_probability_formula():
@@ -163,7 +208,7 @@ def _digest(d: dict) -> str:
 
 def test_mc_streams_are_pinned():
     # SHA-256 of the outputs as recorded with the samplers that drew all
-    # rows first and labelled them through mlq._bottom_labels_fast
+    # rows first and labelled them afterwards
     assert _digest(adjacency_mc(6, 20_000, seed=5)) == (
         "6a0f223a991aa088e498a9b8e6cef182540c19314e55c98ad817ec21e57d011b"
     )
