@@ -8,12 +8,11 @@ command line and seed.
 
 import json
 import sys
-from fractions import Fraction
 
 import click
 
 from . import __version__
-from .core import RingWord, TypeVector, parse_perm, rat_str, word_string
+from .core import TypeVector, parse_perm, rat_str, word_string
 from .count import (
     PathFamilySpec,
     count_bottom_reverse,

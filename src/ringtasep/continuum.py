@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .core import Perm, _estimates, check_permutation
+from .core import Perm, _estimates, _multiset_perms, check_permutation
 from .mlq import Arrangement, _claim_labels
 from .poly import MultiPoly, OperatorExpr
 
@@ -45,25 +45,8 @@ def enumerate_arrangements(n: int, cap: int = 5):
     if n > cap:
         raise ValueError(f"n={n} above enumeration cap {cap}")
     content = [i for i in range(1, n + 1) for _ in range(i)]
-    for order in _multiset_perms(tuple(content)):
+    for order in _multiset_perms(content):
         yield Arrangement(order)
-
-
-def _multiset_perms(items: tuple[int, ...]):
-    """Distinct orderings of items in lexicographic order (next permutation)."""
-    a = sorted(items)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 # --- one census per rotation class --------------------------------------------

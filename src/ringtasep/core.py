@@ -218,3 +218,20 @@ def inversions(pi) -> int:
 
 def parse_perm(text: str) -> Perm:
     return check_permutation(int(p) for p in text.split(","))
+
+
+def _multiset_perms(items):
+    """Distinct orderings of items in lexicographic order (next permutation)."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])

@@ -104,7 +104,7 @@ def bottom_position_census(n: int, N: int) -> dict[tuple[Perm, tuple[int, ...]],
     return _CENSUS[key]
 
 
-def mlq_bottom_count(pi, b, N: int, cap: int = 10**7) -> int:
+def mlq_bottom_count(pi, b, N: int) -> int:
     """Count of type-(1,...,1) queues whose bottom row reads the
     permutation pi at positions b, read off the row-transfer census."""
     pi = check_permutation(pi)
@@ -112,8 +112,6 @@ def mlq_bottom_count(pi, b, N: int, cap: int = 10**7) -> int:
     pv = PositionVector(tuple(b), N)
     if len(pv.b) != n:
         raise ValueError("permutation and position vector sizes differ")
-    if total_mlq_count(TypeVector((1,) * n, N)) > cap:
-        raise ValueError("enumeration size above cap")
     return bottom_position_census(n, N).get((pi, pv.b), 0)
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import VACANT, RingWord, TypeVector, _estimates, cyclic_canonical
+from .core import VACANT, RingWord, TypeVector, _estimates, _multiset_perms, cyclic_canonical
 from .linalg import kernel_vector
-from .mlq import _claim_labels
+from .mlq import last_row_step
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,12 @@ class RationalMatrix:
         )
 
 
-def chain_matrix(states, column, step_targets) -> RationalMatrix:
+def chain_matrix(states, step_targets, key=None) -> RationalMatrix:
     """Sparse transition matrix with one row per state: the probabilities
-    of step_targets(state), (probability, target) pairs, summed by
-    column(target)."""
+    of step_targets(state), (probability, target) pairs, summed by the
+    column of the state key(target) (the target itself by default)."""
+    index = {s: i for i, s in enumerate(states)}
+    column = index.__getitem__ if key is None else lambda w: index[key(w)]
     rows = []
     for s in states:
         row: dict[int, Fraction] = {}
@@ -61,25 +63,8 @@ def chain_matrix(states, column, step_targets) -> RationalMatrix:
 
 def enumerate_states(t: TypeVector) -> list[tuple[int, ...]]:
     """All words of the given type, lexicographic (vacancy sorts first)."""
-    symbols = [(VACANT, t.N - t.particles)] + [(i + 1, t.m[i]) for i in range(t.n)]
-    symbols = [(s, c) for s, c in symbols if c > 0]
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == t.N:
-            out.append(tuple(prefix))
-            return
-        for idx, (s, c) in enumerate(remaining):
-            if c == 0:
-                continue
-            remaining[idx] = (s, c - 1)
-            prefix.append(s)
-            rec(prefix, remaining)
-            prefix.pop()
-            remaining[idx] = (s, c)
-
-    rec([], sorted(symbols))
-    return out
+    labels = [i + 1 for i in range(t.n) for _ in range(t.m[i])]
+    return list(_multiset_perms([VACANT] * (t.N - t.particles) + labels))
 
 
 def state_count(t: TypeVector) -> int:
@@ -125,8 +110,7 @@ def transition_matrix(t: TypeVector, cap: int = 2000):
     if size > cap:
         raise ValueError(f"state space has {size} states, above cap {cap}")
     states = enumerate_states(t)
-    index = {s: i for i, s in enumerate(states)}
-    return states, chain_matrix(states, index.__getitem__, _particle_steps(t.particles))
+    return states, chain_matrix(states, _particle_steps(t.particles))
 
 
 def stationary_exact(P: RationalMatrix) -> tuple[Fraction, ...]:
@@ -171,8 +155,7 @@ def _quotient_stationary(reps, step_targets) -> dict[tuple, Fraction]:
     reps: canonical class representatives; step_targets(rep) yields
     (probability, target word) pairs.  The lifted distribution is exact.
     """
-    index = {r: i for i, r in enumerate(reps)}
-    pi_q = stationary_exact(chain_matrix(reps, lambda w: index[_canon(w)], step_targets))
+    pi_q = stationary_exact(chain_matrix(reps, step_targets, _canon))
     out = {}
     for i, rep in enumerate(reps):
         orbit = {rep[k:] + rep[:k] for k in range(len(rep))}
@@ -226,10 +209,7 @@ def k_tasep_step(w: RingWord, S) -> RingWord:
     S = set(S)
     if not S <= set(range(N)):
         raise ValueError("subset out of range")
-    for pos in _bell_order(S, N):
-        if sites[pos] != VACANT:
-            sites = _step_tuple(sites, pos)
-    return RingWord(sites)
+    return RingWord(_fire(sites, _bell_order(S, N)))
 
 
 def _bell_order(S: set, N: int) -> list[int]:
@@ -245,17 +225,21 @@ def _bell_order(S: set, N: int) -> list[int]:
     return order
 
 
+def _fire(sites: tuple[int, ...], order) -> tuple[int, ...]:
+    """Fire the bells at the positions of order in turn; vacant ones do nothing."""
+    for pos in order:
+        if sites[pos] != VACANT:
+            sites = _step_tuple(sites, pos)
+    return sites
+
+
 def _subset_steps(N: int, k: int):
-    total = comb(N, k)
-    p = Fraction(1, total)
+    p = Fraction(1, comb(N, k))
+    orders = [_bell_order(set(S), N) for S in itertools.combinations(range(N), k)]
 
     def targets(w: tuple[int, ...]):
-        for S in itertools.combinations(range(N), k):
-            sites = w
-            for pos in _bell_order(set(S), N):
-                if sites[pos] != VACANT:
-                    sites = _step_tuple(sites, pos)
-            yield p, sites
+        for order in orders:
+            yield p, _fire(w, order)
 
     return targets
 
@@ -275,8 +259,7 @@ def k_tasep_stationary(t: TypeVector, k: int) -> dict[tuple[int, ...], Fraction]
         reps = sorted({_canon(s) for s in states})
         dist = _quotient_stationary(reps, targets)
     else:
-        index = {s: i for i, s in enumerate(states)}
-        dist = dict(zip(states, stationary_exact(chain_matrix(states, index.__getitem__, targets))))
+        dist = dict(zip(states, stationary_exact(chain_matrix(states, targets))))
     _verify_stationary(dist, targets)
     return dist
 
@@ -290,16 +273,11 @@ def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[i
     """
     out: dict[tuple[int, ...], Fraction] = {}
     for w, prob in dist.items():
-        N = len(w)
-        sources = sorted((label, pos) for pos, label in enumerate(w) if label != VACANT)
-        K = len(sources)
-        share = prob / comb(N, K)
-        for boxes in itertools.combinations(range(N), K):
-            labels, _, _ = _claim_labels(sources, boxes, 0)
-            sites = [VACANT] * N
-            for pos, label in zip(boxes, labels):
-                sites[pos] = label
-            key = tuple(sites)
+        u = RingWord(w)
+        K = len(u.particles())
+        share = prob / comb(len(w), K)
+        for boxes in itertools.combinations(range(len(w)), K):
+            key = last_row_step(u, boxes).sites
             out[key] = out.get(key, Fraction(0)) + share
     return out
 

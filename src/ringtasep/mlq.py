@@ -13,9 +13,10 @@ A continuous multiline queue keeps only the relative cyclic order of its
 box positions (an Arrangement); the labelling depends on nothing else.
 
 Every exact labelling runs the one step _claim_labels: label_mlq (and so
-label_arrangement) row by row, and the arrangement census of
-continuum.py as it places each row.  Only the Monte Carlo sampler there
-inlines the same step for float rows.
+label_arrangement) row by row, the row-transfer census count._transfer
+and the arrangement census of continuum.py as they place each row, and
+last_row_step, which also serves markov.push_through_last_row.  Only the
+Monte Carlo sampler of continuum.py inlines the same step for float rows.
 """
 
 from bisect import bisect_left

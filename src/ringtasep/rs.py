@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .markov import chain_matrix, stationary_exact
+from .markov import _bell_order, chain_matrix, stationary_exact
 
 
 @dataclass(frozen=True)
@@ -82,31 +82,17 @@ def apply_generator(L: LinkingPattern, i: int) -> LinkingPattern:
 
 
 def generator_order(S, m: int) -> list[int]:
-    """Firing order for a generator subset: the lowest pending index whose
-    cyclic predecessor (if selected) has already fired.
+    """Firing order for a generator subset: each run of cyclically
+    consecutive indices fires from its first index on, and the runs go in
+    order of their first index (the TASEP bell order, shifted to 1..m).
 
-    Selecting every index leaves no valid start, so that single case is
+    Selecting every index leaves no run start, so that single case is
     cut at index 1.
     """
     S = set(S)
     if not S <= set(range(1, m + 1)):
         raise ValueError("subset out of range 1..2n")
-    if len(S) == m:
-        return list(range(1, m + 1))
-    order = []
-    fired: set[int] = set()
-    pending = sorted(S)
-    while pending:
-        for i in pending:
-            pred = m if i == 1 else i - 1
-            if pred not in S or pred in fired:
-                order.append(i)
-                fired.add(i)
-                pending.remove(i)
-                break
-        else:
-            raise RuntimeError("no admissible generator order")
-    return order
+    return [i + 1 for i in _bell_order({i - 1 for i in S}, m)]
 
 
 def apply_generator_set(L: LinkingPattern, S) -> LinkingPattern:
@@ -123,7 +109,6 @@ def rs_transition_matrix(n: int, k: int):
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m}")
     patterns = enumerate_patterns(n)
-    index = {p: i for i, p in enumerate(patterns)}
     p = Fraction(1, comb(m, k))
     subsets = list(itertools.combinations(range(1, m + 1), k))
 
@@ -131,7 +116,7 @@ def rs_transition_matrix(n: int, k: int):
         for S in subsets:
             yield p, apply_generator_set(L, S)
 
-    return patterns, chain_matrix(patterns, index.__getitem__, targets)
+    return patterns, chain_matrix(patterns, targets)
 
 
 def rs_stationary(n: int, k: int, cap: int = 6) -> dict[LinkingPattern, Fraction]:

@@ -58,7 +58,7 @@ from .continuum import (
 from .markov import k_tasep_stationary, push_through_last_row, tasep_stationary
 from .mlq import Arrangement, DiscreteMLQ, bottom_word, label_arrangement, label_mlq, last_row_step
 from .poly import MultiPoly, OperatorExpr, integrate_interval, integrate_ordered_simplex, laplacian, vandermonde
-from .rs import LinkingPattern, apply_generator, apply_generator_set, enumerate_patterns, rs_stationary
+from .rs import LinkingPattern, apply_generator, enumerate_patterns, rs_stationary
 from .tableaux import (
     conjugate_partition,
     descending_prefix_probability,

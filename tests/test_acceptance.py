@@ -16,8 +16,6 @@ purpose.
 
 import os
 
-import pytest
-
 from fractions import Fraction
 
 from ringtasep.core import TypeVector, reverse_permutation

@@ -120,6 +120,13 @@ def test_closed_form_two_rows():
         assert mlq_bottom_count((2, 1), b, N) == b[1] - b[0]
 
 
+def test_reverse_count_matches_census_n5_N8():
+    # the (5, 8) census counts 49,172,480 queues row by row
+    N, w0 = 8, reverse_permutation(5)
+    for b in itertools.combinations(range(N), 5):
+        assert mlq_bottom_count(w0, b, N) == count_bottom_reverse(b)
+
+
 def test_reverse_count_examples():
     assert count_bottom_reverse((0, 2)) == 2
     assert count_bottom_reverse((0, 1, 2)) == 1

@@ -52,6 +52,12 @@ def test_enumerate_states_lex_and_count():
     states = enumerate_states(t)
     assert len(states) == state_count(t) == 12
     assert states == sorted(states)
+    for m, N in [((1,), 1), ((1,), 4), ((2,), 2), ((2, 1), 5), ((1, 2, 1), 4), ((1, 1, 1), 6), ((3, 1, 2), 8)]:
+        t = TypeVector(m, N)
+        content = [VACANT] * (N - t.particles) + [i + 1 for i in range(t.n) for _ in range(m[i])]
+        states = enumerate_states(t)
+        assert states == sorted(set(itertools.permutations(content)))
+        assert len(states) == state_count(t)
 
 
 def test_transition_matrix_single_particle():
@@ -165,6 +171,24 @@ def test_push_through_last_row_fixes_stationary():
     t = TypeVector((1, 1), 4)
     dist = tasep_stationary(t)
     assert push_through_last_row(dist) == dist
+
+
+@pytest.mark.parametrize(
+    "word, digest",
+    [
+        ((2, 0, 1, 0), "a11bc884564c7e81bd08abd45c5d04fcb7df3777050bef8610192e82b4f3edfd"),
+        ((1, 2, 0, 1, 0), "483a414a5826d244fbd71bb7226043071b1634772881504019d34c250b148502"),
+        ((3, 0, 1, 0, 2, 0), "9aefb285e95a477696d5d3630d60fa054b7f4585fc07fc08be133a828bc48e33"),
+        ((2, 2, 1, 0, 3), "07de0af0609af4288f7c2efc1dc5c83c78a637383c2b8e7e8d9dd5260c443d95"),
+        ((0, 1, 3, 2, 1, 0, 0), "493409513bbb76183aa0e594cccd5c0030116e39682a805f6c8e61956692885d"),
+    ],
+)
+def test_push_through_last_row_point_mass_is_pinned(word, digest):
+    # SHA-256 as recorded when the step claimed boxes through its own loop;
+    # a point mass is not stationary, so the output spreads over many words
+    out = push_through_last_row({word: Fraction(1)})
+    assert sum(out.values()) == 1 and len(out) > 1
+    assert hashlib.sha256(repr(sorted(out.items())).encode()).hexdigest() == digest
 
 
 def test_mc_stationary_reproducible_and_close():

@@ -74,6 +74,29 @@ def test_generator_order_rules():
     assert generator_order(set(range(1, 9)), 8) == list(range(1, 9))
 
 
+def test_generator_order_matches_lowest_ready_oracle():
+    # independent oracle: repeatedly fire the lowest pending index whose
+    # cyclic predecessor is unselected or has already fired
+    def lowest_ready(S, m):
+        if len(S) == m:
+            return list(range(1, m + 1))
+        order, pending = [], sorted(S)
+
+        def pred(i):
+            return m if i == 1 else i - 1
+
+        while pending:
+            i = next(i for i in pending if pred(i) not in S or pred(i) in order)
+            order.append(i)
+            pending.remove(i)
+        return order
+
+    for m in range(1, 11):
+        for r in range(m + 1):
+            for S in itertools.combinations(range(1, m + 1), r):
+                assert generator_order(S, m) == lowest_ready(set(S), m)
+
+
 def test_apply_generator_set_worked_example():
     for L in enumerate_patterns(4):
         via_set = apply_generator_set(L, {1, 4, 7, 8})
