@@ -5,9 +5,12 @@ of its denominators, and kept sparse as {column: int} maps.
 
 Kernels are solved modulo word-size primes first.  Sparse Gaussian
 elimination mod p gives the rank mod p and, when that is n - 1, a kernel
-vector mod p.  The vectors of successive primes are combined by the
-Chinese remainder theorem, and a primitive integer vector is recovered by
-rational reconstruction (Wang, Guy & Davenport 1982; the multi-modular
+vector mod p.  Its pivots follow a Markowitz count (Markowitz 1957, "The
+elimination form of the inverse"): the live column with the fewest live
+rows, and in it the row with the fewest entries, to limit fill-in.  The
+vectors of successive primes are combined by the Chinese remainder
+theorem, and a primitive integer vector is recovered by rational
+reconstruction (Wang, Guy & Davenport 1982; the multi-modular
 scheme of Dixon 1982, "Exact solution of linear equations using p-adic
 expansions").  It is returned only if it passes an exact certificate:
 it is nonzero and M y = 0 holds in integers.  Rank n - 1 mod p bounds the
@@ -20,6 +23,7 @@ elimination": every update divides exactly by the previous pivot, so
 entries stay integers: each is a minor of the input.
 """
 
+import heapq
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -119,10 +123,15 @@ def _bareiss_kernel(m: list[list[int]], n_cols: int) -> list[int]:
 
 def _kernel_mod(rows: list[dict[int, int]], n_cols: int, p: int) -> list[int] | None:
     """Kernel vector mod p of sparse integer rows, with its free entry set
-    to 1; None unless the rank mod p is n_cols - 1.
+    to 1; None unless exactly one column is left unpivoted, that is, unless
+    the rank mod p is n_cols - 1.
 
-    Gaussian elimination column by column on the sparse rows.  The pivot
-    is the candidate row with the fewest entries, which limits fill-in.
+    Sparse Gaussian elimination with Markowitz pivoting: each step pivots
+    on the live column with the fewest live rows, and in it on the row
+    with the fewest entries, which limits fill-in.  Only the columns of
+    the pivot row change their counts, so a heap of (count, column) with
+    stale entries skipped finds the next pivot column.  A column with no
+    live rows never gains one and is free.
     """
     live = {}
     where = [set() for _ in range(n_cols)]  # column -> live rows nonzero there
@@ -130,9 +139,14 @@ def _kernel_mod(rows: list[dict[int, int]], n_cols: int, p: int) -> list[int] | 
         live[i] = {c: v % p for c, v in row.items() if v % p}
         for c in live[i]:
             where[c].add(i)
+    heap = [(len(w), c) for c, w in enumerate(where)]
+    heapq.heapify(heap)
     pivots, free = [], []
-    for col in range(n_cols):
-        if not where[col]:
+    while heap:
+        count, col = heapq.heappop(heap)
+        if count != len(where[col]):  # stale; a pivoted column has no live rows left
+            continue
+        if not count:
             free.append(col)
             if len(free) > 1:
                 return None
@@ -155,6 +169,9 @@ def _kernel_mod(rows: list[dict[int, int]], n_cols: int, p: int) -> list[int] | 
                 elif c in row:
                     del row[c]
                     where[c].discard(j)
+        for c in top:
+            if c != col:
+                heapq.heappush(heap, (len(where[c]), c))
         pivots.append((col, top))
     if not free:
         return None

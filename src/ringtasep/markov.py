@@ -2,10 +2,17 @@
 
 States are ring words; a transition picks a particle uniformly at random
 and lets it try to jump left (into a vacancy, or swapping with a strictly
-larger label).  Everything here is exact: transition matrices hold
-sparse Fraction rows, stationary distributions come from the certified
-kernel solve of `linalg.kernel_vector` (modular, with exact elimination
-as the fallback) and are verified against the defining equations.
+larger label).  Everything here is exact.
+
+Every chain here picks one of D equally likely moves, and D is the same
+from every state: one of K particles, or one of C(N, k) subsets of sites.
+A step function yields only the targets of those moves.  A transition
+matrix counts the targets per column in integers and holds one Fraction,
+count over D, per nonzero entry.  A stationary vector y comes from the
+certified kernel solve of `linalg.kernel_vector` (modular, with exact
+elimination as the fallback) and is certified by the integer flow
+equations y C = D y, C = D P the integer counts; Fractions are formed
+only for the returned distribution.
 
 The ring dynamics commute with rotation, so stationary solves may be done
 on the rotation quotient and lifted; the lift is always re-verified on
@@ -14,9 +21,10 @@ the full chain.
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .core import VACANT, RingWord, TypeVector, _estimates, _multiset_perms, cyclic_canonical
 from .linalg import kernel_vector
@@ -38,33 +46,46 @@ class RationalMatrix:
     def n_rows(self) -> int:
         return len(self.rows)
 
+    def counts(self) -> tuple[list[dict[int, int]], int]:
+        """The rows cleared once to integers: (C, D) with C = D P and D the
+        lcm of the entry denominators."""
+        D = lcm(*(x.denominator for r in self.rows for x in r.values()))
+        return [{j: x.numerator * (D // x.denominator) for j, x in r.items()} for r in self.rows], D
+
     def is_row_stochastic(self) -> bool:
-        n = self.n_rows
-        return all(
-            sum(r.values()) == 1 and all(x >= 0 and 0 <= j < n for j, x in r.items()) for r in self.rows
-        )
+        return _is_stochastic(*self.counts())
+
+
+def _is_stochastic(C: list[dict[int, int]], D: int) -> bool:
+    n = len(C)
+    return all(sum(r.values()) == D and all(c >= 0 and 0 <= j < n for j, c in r.items()) for r in C)
 
 
 def chain_matrix(states, step_targets, key=None) -> RationalMatrix:
-    """Sparse transition matrix with one row per state: the probabilities
-    of step_targets(state), (probability, target) pairs, summed by the
-    column of the state key(target) (the target itself by default)."""
+    """Sparse transition matrix with one row per state.  step_targets(state)
+    yields the targets of the state's equally likely moves; they are
+    counted in integers by the column of the state key(target) (the target
+    itself by default), and each entry is its count over the number of
+    moves."""
     index = {s: i for i, s in enumerate(states)}
     column = index.__getitem__ if key is None else lambda w: index[key(w)]
     rows = []
     for s in states:
-        row: dict[int, Fraction] = {}
-        for p, target in step_targets(s):
-            j = column(target)
-            row[j] = row.get(j, 0) + p
-        rows.append(row)
+        counts = Counter(map(column, step_targets(s)))
+        moves = counts.total()
+        rows.append({j: Fraction(c, moves) for j, c in counts.items()})
     return RationalMatrix(tuple(rows))
+
+
+def _content(t: TypeVector) -> list[int]:
+    """The letters of a word of the given type in increasing order: the
+    vacancies, then the labels."""
+    return [VACANT] * (t.N - t.particles) + [i + 1 for i in range(t.n) for _ in range(t.m[i])]
 
 
 def enumerate_states(t: TypeVector) -> list[tuple[int, ...]]:
     """All words of the given type, lexicographic (vacancy sorts first)."""
-    labels = [i + 1 for i in range(t.n) for _ in range(t.m[i])]
-    return list(_multiset_perms([VACANT] * (t.N - t.particles) + labels))
+    return list(_multiset_perms(_content(t)))
 
 
 def state_count(t: TypeVector) -> int:
@@ -116,33 +137,35 @@ def transition_matrix(t: TypeVector, cap: int = 2000):
 def stationary_exact(P: RationalMatrix) -> tuple[Fraction, ...]:
     """Exact stationary distribution of a row-stochastic matrix.
 
-    Solves pi P = pi with sum(pi) = 1 through the certified kernel of
-    P^T - I (`linalg.kernel_vector`); the result is verified against P
-    before being returned and must be strictly positive.
+    P is cleared once to integer counts C = D P, with D the lcm of its
+    entry denominators, and y solves y C = D y through the certified
+    kernel of C^T - D I (`linalg.kernel_vector`).  Before the Fractions
+    y_i / sum(y) are formed, y must be strictly positive and y C = D y
+    must hold in integers.
     """
-    if not P.is_row_stochastic():
+    C, D = P.counts()
+    if not _is_stochastic(C, D):
         raise ValueError("matrix is not row-stochastic")
-    n = P.n_rows
-    rows = [{} for _ in range(n)]  # row j of P^T - I
-    for i, row in enumerate(P.rows):
-        for j, x in row.items():
-            rows[j][i] = x
+    n = len(C)
+    rows = [{} for _ in range(n)]  # row j of C^T - D I
+    for i, row in enumerate(C):
+        for j, c in row.items():
+            rows[j][i] = c
+    del C  # only its transpose is kept through the solve
     for j, row in enumerate(rows):
-        row[j] = row.get(j, 0) - 1
-    x = kernel_vector(rows, n)
-    total = sum(x)
+        row[j] = row.get(j, 0) - D
+    y = kernel_vector(rows, n)
+    total = sum(y)
     if total == 0:
         raise ValueError("degenerate kernel")
-    pi = tuple(Fraction(v, total) for v in x)
-    if any(p <= 0 for p in pi):
+    if total < 0:
+        y, total = [-v for v in y], -total
+    if any(v <= 0 for v in y):
         raise ValueError("stationary vector not strictly positive (chain not irreducible)")
-    flow = [Fraction(0)] * n
-    for p, row in zip(pi, P.rows):
-        for j, x in row.items():
-            flow[j] += p * x
-    if tuple(flow) != pi:
+    # y C = D y, read off row by row from C^T - D I
+    if any(sum(c * y[i] for i, c in row.items()) for row in rows):
         raise RuntimeError("stationarity verification failed")
-    return pi
+    return tuple(Fraction(v, total) for v in y)
 
 
 def _canon(sites: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,8 +175,8 @@ def _canon(sites: tuple[int, ...]) -> tuple[int, ...]:
 def _quotient_stationary(reps, step_targets) -> dict[tuple, Fraction]:
     """Solve the chain on rotation classes and lift uniformly to words.
 
-    reps: canonical class representatives; step_targets(rep) yields
-    (probability, target word) pairs.  The lifted distribution is exact.
+    reps: canonical class representatives; step_targets(rep) yields the
+    target words of its moves.  The lifted distribution is exact.
     """
     pi_q = stationary_exact(chain_matrix(reps, step_targets, _canon))
     out = {}
@@ -166,21 +189,33 @@ def _quotient_stationary(reps, step_targets) -> dict[tuple, Fraction]:
 
 
 def _verify_stationary(dist: dict[tuple, Fraction], step_targets):
-    flow: dict[tuple, Fraction] = {w: Fraction(0) for w in dist}
-    for w, p in dist.items():
-        for q, target in step_targets(w):
-            flow[target] += p * q
-    if flow != dist:
+    """Check dist against the flow equations of the full chain, in
+    integers: dist scaled by the lcm of its denominators gives weights, and
+    sum_w weight_w #(w -> v) = D weight_v must hold for every state v, with
+    D the number of moves, which must be the same from every state."""
+    scale = lcm(*(p.denominator for p in dist.values()))
+    weight = {w: p.numerator * (scale // p.denominator) for w, p in dist.items()}
+    D = sum(1 for _ in step_targets(next(iter(dist))))
+    flow = dict.fromkeys(dist, 0)
+    for w, c in weight.items():
+        moves = 0
+        for target in step_targets(w):
+            flow[target] += c
+            moves += 1
+        if moves != D:
+            raise ValueError(f"state {w} has {moves} moves, another has {D}")
+    if any(flow[v] != D * c for v, c in weight.items()):
         raise RuntimeError("stationarity verification failed on the full chain")
 
 
 def _particle_steps(K: int):
-    p = Fraction(1, K)
+    """Targets of the K equally likely moves from a word with K particles:
+    each particle in turn tries its jump."""
 
     def targets(w: tuple[int, ...]):
         for site, label in enumerate(w):
             if label != VACANT:
-                yield p, _step_tuple(w, site)
+                yield _step_tuple(w, site)
 
     return targets
 
@@ -234,12 +269,13 @@ def _fire(sites: tuple[int, ...], order) -> tuple[int, ...]:
 
 
 def _subset_steps(N: int, k: int):
-    p = Fraction(1, comb(N, k))
+    """Targets of the C(N, k) equally likely moves: each k-subset of sites
+    fires its bells."""
     orders = [_bell_order(set(S), N) for S in itertools.combinations(range(N), k)]
 
     def targets(w: tuple[int, ...]):
         for order in orders:
-            yield p, _fire(w, order)
+            yield _fire(w, order)
 
     return targets
 
@@ -270,15 +306,16 @@ def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[i
     A uniformly random set of as many boxes as there are particles is
     drawn, the word's labels claim them, and the relabelled word is the
     new state.  Used to check that the stationary distribution is fixed.
+    The box sets of a word are counted per new word in integers.
     """
     out: dict[tuple[int, ...], Fraction] = {}
     for w, prob in dist.items():
         u = RingWord(w)
         K = len(u.particles())
+        counts = Counter(last_row_step(u, boxes).sites for boxes in itertools.combinations(range(len(w)), K))
         share = prob / comb(len(w), K)
-        for boxes in itertools.combinations(range(len(w)), K):
-            key = last_row_step(u, boxes).sites
-            out[key] = out.get(key, Fraction(0)) + share
+        for key, c in counts.items():
+            out[key] = out.get(key, 0) + c * share
     return out
 
 
@@ -293,7 +330,7 @@ def mc_stationary(t: TypeVector, burn_in: int, samples: int, seed: int, thin: in
     if samples < 1:
         raise ValueError("need samples >= 1")
     randrange = random.Random(seed).randrange
-    sites = list(enumerate_states(t)[0])
+    sites = _content(t)  # the first word of enumerate_states(t)
     occupied = [i for i, x in enumerate(sites) if x != VACANT]
     K, last = t.particles, t.N - 1
 

@@ -10,7 +10,7 @@ any adjacent pair first.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cache, reduce
 
 from .markov import _bell_order, chain_matrix, stationary_exact
 
@@ -104,17 +104,24 @@ def apply_generator_set(L: LinkingPattern, S) -> LinkingPattern:
 
 
 def rs_transition_matrix(n: int, k: int):
-    """Sparse transition matrix of the k-subset chain, with its pattern list."""
+    """Sparse transition matrix of the k-subset chain, with its pattern list.
+
+    Each generator subset's firing order is computed once, and e_i is
+    memoised on (pattern, i) for this one chain: every (pattern, subset)
+    move reuses the few distinct generator applications.  The memo holds
+    the chain's own pattern objects, not a copy per application.
+    """
     m = 2 * n
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m}")
     patterns = enumerate_patterns(n)
-    p = Fraction(1, comb(m, k))
-    subsets = list(itertools.combinations(range(1, m + 1), k))
+    orders = [generator_order(S, m) for S in itertools.combinations(range(1, m + 1), k)]
+    canonical = {L: L for L in patterns}
+    step = cache(lambda L, i: canonical[apply_generator(L, i)])
 
     def targets(L):
-        for S in subsets:
-            yield p, apply_generator_set(L, S)
+        for order in orders:
+            yield reduce(step, order, L)
 
     return patterns, chain_matrix(patterns, targets)
 

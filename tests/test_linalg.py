@@ -171,13 +171,31 @@ def test_trivial_kernels(n):
     assert kernel_vector([{}] * (n - 1) + [{c: 1 for c in range(1, n)}], n) == [1] + [0] * (n - 1)
 
 
+def test_kernel_mod_of_rank_two_below_full_is_none():
+    # column 3 has no rows; column 1 loses its last live row once row 1 is
+    # eliminated by row 0, so two columns are left unpivoted
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1}, {2: 1}]
+    assert linalg._kernel_mod(rows, 4, _PRIMES[0]) is None
+
+
+@pytest.mark.parametrize(
+    "rows, x",
+    [
+        ([{1: 1, 2: 1}, {1: 1, 2: 2}], [1, 0, 0]),  # column 0 has no rows from the start
+        ([{0: 1, 1: 1}, {0: 2, 1: 2, 2: 1}], [-1, 1, 0]),  # column 1 loses its rows
+    ],
+)
+def test_kernel_mod_free_column_has_no_live_rows(rows, x):
+    p = _PRIMES[0]
+    assert linalg._kernel_mod(rows, 3, p) == [v % p for v in x]
+
+
 def _rs_targets(n, k):
     subsets = list(itertools.combinations(range(1, 2 * n + 1), k))
-    p = Fraction(1, len(subsets))
 
     def targets(L):
         for S in subsets:
-            yield p, apply_generator_set(L, S)
+            yield apply_generator_set(L, S)
 
     return targets
 

@@ -1,12 +1,17 @@
 import hashlib
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from ringtasep import markov
 from ringtasep.core import RingWord, TypeVector, VACANT
+from ringtasep.linalg import kernel_vector
 from ringtasep.markov import (
     RationalMatrix,
+    _particle_steps,
+    _verify_stationary,
     enumerate_states,
     k_tasep_stationary,
     k_tasep_step,
@@ -18,6 +23,7 @@ from ringtasep.markov import (
     tasep_step,
     transition_matrix,
 )
+from ringtasep.rs import apply_generator_set, rs_transition_matrix
 
 
 def test_step_swap_and_block():
@@ -96,6 +102,88 @@ def test_stationary_exact_verifies():
         assert sum(pi[i] * P.rows[i].get(j, 0) for i in range(len(states))) == pi[j]
 
 
+def _summed_rows(states, moves):
+    """The transition rows as a per-transition Fraction sum: each of a
+    state's equally likely moves adds 1/D to the entry of its target."""
+    index = {s: i for i, s in enumerate(states)}
+    rows = []
+    for s in states:
+        targets = moves(s)
+        p = Fraction(1, len(targets))
+        row = {}
+        for target in targets:
+            j = index[target]
+            row[j] = row.get(j, 0) + p
+        rows.append(row)
+    return rows
+
+
+def _tasep_moves(w):
+    return [tasep_step(RingWord(w), site).sites for site, _ in RingWord(w).particles()]
+
+
+def _rs_moves(k):
+    return lambda L: [apply_generator_set(L, S) for S in itertools.combinations(range(1, 2 * L.n + 1), k)]
+
+
+@pytest.mark.parametrize(
+    "chain, moves",
+    [
+        (lambda: rs_transition_matrix(3, 2), _rs_moves(2)),
+        (lambda: rs_transition_matrix(4, 3), _rs_moves(3)),
+        (lambda: transition_matrix(TypeVector((2, 1), 5)), _tasep_moves),
+    ],
+)
+def test_chain_matrix_counts_multiplicities(chain, moves):
+    states, P = chain()
+    expected = _summed_rows(states, moves)
+    for row, want in zip(P.rows, expected, strict=True):
+        assert row == want
+    # some state reaches one target by several moves: a count above 1
+    assert any(x * len(moves(s)) > 1 for s, row in zip(states, P.rows) for x in row.values())
+
+
+def test_stationary_exact_refuses_a_wrong_kernel_vector(monkeypatch):
+    _, P = transition_matrix(TypeVector((1, 1), 4))
+
+    def wrong(rows, n):
+        y = [abs(v) for v in kernel_vector(rows, n)]
+        y[0] += 1
+        return y
+
+    monkeypatch.setattr(markov, "kernel_vector", wrong)
+    with pytest.raises(RuntimeError, match="^stationarity verification failed$"):
+        stationary_exact(P)
+
+
+def test_verify_stationary_refuses_moved_mass():
+    t = TypeVector((1, 1, 1), 5)
+    dist = tasep_stationary(t)
+    steps = _particle_steps(t.particles)
+    _verify_stationary(dist, steps)
+    den = lcm(*(p.denominator for p in dist.values()))
+    a, b = min(dist, key=dist.get), max(dist, key=dist.get)
+    dist[a] += Fraction(1, den)
+    dist[b] -= Fraction(1, den)
+    with pytest.raises(RuntimeError, match="full chain"):
+        _verify_stationary(dist, steps)
+
+
+def test_verify_stationary_refuses_unequal_move_counts():
+    t = TypeVector((1, 1), 4)
+    dist = tasep_stationary(t)
+    steps = _particle_steps(t.particles)
+    odd = sorted(dist)[5]
+
+    def targets(w):
+        yield from steps(w)
+        if w == odd:
+            yield w
+
+    with pytest.raises(ValueError, match="3 moves, another has 2"):
+        _verify_stationary(dist, targets)
+
+
 def test_stationary_exact_rejects_reducible():
     P = RationalMatrix(({0: Fraction(1), 1: Fraction(0)}, {1: Fraction(1)}))
     assert P.rows == ({0: Fraction(1)}, {1: Fraction(1)})
@@ -107,6 +195,7 @@ def test_stationary_exact_rejects_reducible():
     "rows",
     [
         ({0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(1)}),  # row sum 5/6
+        ({0: Fraction(1, 2), 1: Fraction(2, 3)}, {0: Fraction(1)}),  # row sum 7/6
         ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, {0: Fraction(1)}),  # negative entry
         ({0: Fraction(1, 2), 2: Fraction(1, 2)}, {0: Fraction(1)}),  # column 2 of 2
     ],
@@ -206,6 +295,13 @@ def test_mc_stationary_stream_is_pinned():
     est = mc_stationary(TypeVector((1, 1, 1), 5), burn_in=200, samples=20_000, seed=3, thin=8)
     digest = hashlib.sha256(repr(sorted(est.items())).encode()).hexdigest()
     assert digest == "c9052c09bc5a05d3f620d25593b87795e4b68f881330ee99818ae8184b829bcc"
+
+
+@pytest.mark.parametrize("m, N", [((1,), 4), ((2,), 2), ((2, 1), 5), ((1, 2, 1), 4), ((1, 1, 1), 6), ((3, 1, 2), 8)])
+def test_mc_stationary_starts_at_the_first_state(m, N):
+    t = TypeVector(m, N)
+    [w] = mc_stationary(t, burn_in=0, samples=1, seed=0, thin=0)  # thin=0 records the start word
+    assert w == enumerate_states(t)[0]
 
 
 def test_mc_stationary_wraps_at_site_zero():
