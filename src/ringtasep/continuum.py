@@ -7,12 +7,26 @@ polynomial densities of the particle positions given the permutation,
 and the two-point adjacency correlations, together with conjectured
 closed forms for the latter.
 
-One census enumerates the arrangements, once per rotation class: the
-single top-row box is pinned to the origin slot, which cuts the sweep by
-a factor of the total box count.  It keeps each representative's bottom
-word and gap vector (the boxes between consecutive bottom boxes);
-rotating both restores the permutation counts, for an origin anywhere,
-and the density weights, for an origin at a bottom box.
+One census counts the cyclic orders of the boxes, boxes of one row being
+alike; the single row-1 box marks each one's origin, so there are
+arrangement_count(n) / B of them.  It inserts the rows one at a time and
+keeps, after row i, only the cycle of (label, o) over the row-i boxes,
+read from the label-1 box, where o counts the boxes of rows < i in the
+gap after the box.  This is exact, for three reasons:
+- Every cyclic order of rows <= i+1 arises exactly once from a cyclic
+  order of rows <= i, a vector c (c_k new boxes in the gap after row-i
+  box k, sum i+1) and, for each k, a split of the gap's o_k older boxes
+  into c_k + 1 runs in order: deleting row i+1 gives back the order, and
+  the new boxes' places among the old ones give c and the runs.
+- Row i+1 is labelled from row i alone, so its labels depend only on
+  the labels of the cycle and on c, and its new o (older boxes plus
+  row-i boxes per new gap) only on the o's and the runs.  Prefixes with
+  equal cycles have equal futures, and merging them by adding their
+  counts is exact.
+- At row n the cycle is the bottom word and its gap vector (the boxes
+  between consecutive bottom boxes).  Rotating both restores the
+  permutation counts, for an origin anywhere, and the density weights,
+  for an origin at a bottom box.
 
 Beyond the exact caps, one Monte Carlo sampler of bottom words, drawn
 and labelled row by row, serves both permutations and adjacencies.
@@ -23,6 +37,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .core import Perm, _estimates, _multiset_perms, check_permutation
@@ -49,64 +64,71 @@ def enumerate_arrangements(n: int, cap: int = 5):
         yield Arrangement(order)
 
 
-# --- one census per rotation class --------------------------------------------
+# --- one census by row insertion -----------------------------------------------
 
-_REP_CENSUS: dict[int, tuple[dict, dict, int]] = {}
+_CENSUS: dict[int, tuple[dict, dict, int]] = {}
 
 
-def _rep_census(n: int) -> tuple[dict[Perm, int], dict[tuple[Perm, tuple[int, ...]], int], int]:
-    """Sweep arrangements with the top-row box pinned at slot 0.
+@cache
+def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """Every tuple of `parts` non-negative ints summing to total."""
+    if parts == 1:
+        return ((total,),)
+    return tuple((a,) + rest for a in range(total + 1) for rest in _compositions(total - a, parts - 1))
 
-    Each representative is counted under its bottom word, read from the
-    pinned box, and its gap vector: gaps[j] non-bottom boxes follow bottom
-    box j.  Rotating both by j = 0..n-1 gives (word_counts, weights, reps):
+
+def _census(n: int) -> tuple[dict[Perm, int], dict[tuple[Perm, tuple[int, ...]], int], int]:
+    """Count the cyclic orders of the boxes, inserting one row at a time.
+
+    The state after row i maps each cycle of (label, o) over the row-i
+    boxes, read from label 1, to its number of cyclic orders of rows <= i;
+    o counts the boxes of rows < i in the gap after the box.  At row n the
+    cycle is a bottom word and its gap vector, and rotating both by
+    j = 0..n-1 gives (word_counts, weights, reps):
     - word_counts[pi]: *linear* arrangements (all rotations restored)
       whose bottom word reads pi from the origin; rotation j stands for
       the gaps[j-1] + 1 origins that read it;
     - weights[(pi, gaps)]: linear arrangements with a bottom box at the
       origin whose word and gap vector read so;
-    - reps: the number of representatives.
+    - reps: the number of cyclic orders.
     """
-    if n in _REP_CENSUS:
-        return _REP_CENSUS[n]
-    B = comb(n + 1, 2)
-    census: dict[tuple[Perm, tuple[int, ...]], int] = {}
-
-    def leaf(cur, positions):
-        labels, _, _ = _claim_labels(cur, positions, n)
-        gaps = tuple((positions[(j + 1) % n] - positions[j] - 1) % B for j in range(n))
-        key = (tuple(labels), gaps)
-        census[key] = census.get(key, 0) + 1
-
-    if n == 1:
-        leaf([], (0,))
-    else:
-
-        def rec(d, cur, remaining):
-            size = d + 1
-            if d == n - 1:
-                leaf(cur, remaining)
-                return
-            for combo in itertools.combinations(remaining, size):
-                labels, _, _ = _claim_labels(cur, combo, d + 1)
-                chosen = set(combo)
-                rec(d + 1, sorted(zip(labels, combo)), tuple(x for x in remaining if x not in chosen))
-
-        rec(1, [(1, 0)], tuple(range(1, B)))
+    if n in _CENSUS:
+        return _CENSUS[n]
+    states = {((1, 0),): 1}
+    for i in range(1, n):
+        nxt: dict[tuple[tuple[int, int], ...], int] = {}
+        for cycle, count in states.items():
+            # row-i box k at k * (i + 2), its gap's t-th new box at k * (i + 2) + t + 1;
+            # label 1 claims first, from 0, so the new cycle starts at the first new box
+            sources = sorted((label, k * (i + 2)) for k, (label, _) in enumerate(cycle))
+            for c in _compositions(i + 1, i):
+                targets = [k * (i + 2) + t + 1 for k, ck in enumerate(c) for t in range(ck)]
+                labels, _, _ = _claim_labels(sources, targets, i + 1)
+                for runs in itertools.product(*(_compositions(o, ck + 1) for (_, o), ck in zip(cycle, c))):
+                    olds = [0]  # boxes of rows <= i before the first new box, then after each
+                    for run in runs:
+                        olds[-1] += 1 + run[0]
+                        olds.extend(run[1:])
+                    lead = olds.pop(0)
+                    olds[-1] += lead
+                    key = tuple(zip(labels, olds))
+                    nxt[key] = nxt.get(key, 0) + count
+        states = nxt
 
     word_counts: dict[Perm, int] = {}
     weights: dict[tuple[Perm, tuple[int, ...]], int] = {}
-    for (w, gaps), c in census.items():
+    for cycle, c in states.items():
+        w, gaps = zip(*cycle)
         for j in range(n):
             shifted = w[j:] + w[:j]
             word_counts[shifted] = word_counts.get(shifted, 0) + (gaps[j - 1] + 1) * c
             key = (shifted, gaps[j:] + gaps[:j])
             weights[key] = weights.get(key, 0) + c
-    reps = sum(census.values())
-    if sum(word_counts.values()) != B * reps:
+    reps = sum(states.values())
+    if sum(word_counts.values()) != comb(n + 1, 2) * reps:
         raise RuntimeError("census bookkeeping is inconsistent")
-    _REP_CENSUS[n] = (word_counts, weights, reps)
-    return _REP_CENSUS[n]
+    _CENSUS[n] = (word_counts, weights, reps)
+    return _CENSUS[n]
 
 
 def permutation_distribution(n: int, cap: int = 5) -> dict[Perm, Fraction]:
@@ -114,7 +136,7 @@ def permutation_distribution(n: int, cap: int = 5) -> dict[Perm, Fraction]:
     queue (uniform arrangement, uniform origin cut)."""
     if n > cap:
         raise ValueError(f"n={n} above exact cap {cap}; use sampling instead")
-    word_counts, _, reps = _rep_census(n)
+    word_counts, _, reps = _census(n)
     total = reps * comb(n + 1, 2)
     if total != arrangement_count(n):
         raise RuntimeError("representative count disagrees with the closed form")
@@ -255,7 +277,7 @@ def adjacency_exact(n: int, cap: int = 5) -> CorrTable:
         raise ValueError("need n >= 2")
     if n > cap:
         raise ValueError(f"n={n} above exact cap {cap}; use adjacency_mc")
-    word_counts, _, reps = _rep_census(n)
+    word_counts, _, reps = _census(n)
     total = reps * comb(n + 1, 2)
     entries = {pair: Fraction(c, total) for pair, c in _adjacency_counts(word_counts).items()}
     table = CorrTable(n, entries)
@@ -354,14 +376,14 @@ def density_polys(n: int, allow_slow: bool = False) -> dict[Perm, MultiPoly]:
     normalizing by the box-count multinomial makes each g_pi a
     polynomial, with sum_pi integral(g_pi) = 1.
 
-    n = 5 needs the 2.5M-representative census and a long polynomial
-    assembly, and is gated behind allow_slow.
+    At n = 5 the census takes about a second but the polynomial assembly
+    takes minutes, so n = 5 is gated behind allow_slow.
     """
     if n in _DENSITY:
         return _DENSITY[n]
     if n > 5 or (n == 5 and not allow_slow):
         raise ValueError("n above density cap (n = 5 requires allow_slow=True)")
-    _, weights, _ = _rep_census(n)
+    _, weights, _ = _census(n)
 
     gaps = [MultiPoly.variable(n, g + 1) - MultiPoly.variable(n, g) for g in range(n - 1)]
     gaps.append(MultiPoly.one(n) - MultiPoly.variable(n, n - 1) + MultiPoly.variable(n, 0))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .core import VACANT, RingWord, TypeVector, _estimates, _multiset_perms, cyclic_canonical
+from .core import VACANT, RingWord, TypeVector, _estimates, _min_rotation, _multiset_perms
 from .linalg import kernel_vector
 from .mlq import last_row_step
 
@@ -131,7 +131,7 @@ def transition_matrix(t: TypeVector, cap: int = 2000):
     if size > cap:
         raise ValueError(f"state space has {size} states, above cap {cap}")
     states = enumerate_states(t)
-    return states, chain_matrix(states, _particle_steps(t.particles))
+    return states, chain_matrix(states, _particle_steps)
 
 
 def stationary_exact(P: RationalMatrix) -> tuple[Fraction, ...]:
@@ -169,7 +169,7 @@ def stationary_exact(P: RationalMatrix) -> tuple[Fraction, ...]:
 
 
 def _canon(sites: tuple[int, ...]) -> tuple[int, ...]:
-    return cyclic_canonical(RingWord(sites))[0].sites
+    return _min_rotation(sites)[0]
 
 
 def _quotient_stationary(reps, step_targets) -> dict[tuple, Fraction]:
@@ -208,16 +208,12 @@ def _verify_stationary(dist: dict[tuple, Fraction], step_targets):
         raise RuntimeError("stationarity verification failed on the full chain")
 
 
-def _particle_steps(K: int):
+def _particle_steps(w: tuple[int, ...]):
     """Targets of the K equally likely moves from a word with K particles:
     each particle in turn tries its jump."""
-
-    def targets(w: tuple[int, ...]):
-        for site, label in enumerate(w):
-            if label != VACANT:
-                yield _step_tuple(w, site)
-
-    return targets
+    for site, label in enumerate(w):
+        if label != VACANT:
+            yield _step_tuple(w, site)
 
 
 def tasep_stationary(t: TypeVector) -> dict[tuple[int, ...], Fraction]:
@@ -225,9 +221,8 @@ def tasep_stationary(t: TypeVector) -> dict[tuple[int, ...], Fraction]:
     quotient and verified on the full chain."""
     states = enumerate_states(t)
     reps = sorted({_canon(s) for s in states})
-    targets = _particle_steps(t.particles)
-    dist = _quotient_stationary(reps, targets)
-    _verify_stationary(dist, targets)
+    dist = _quotient_stationary(reps, _particle_steps)
+    _verify_stationary(dist, _particle_steps)
     return dist
 
 

@@ -14,7 +14,8 @@ box positions (an Arrangement); the labelling depends on nothing else.
 
 Every exact labelling runs the one step _claim_labels: label_mlq (and so
 label_arrangement) row by row, the row-transfer census count._transfer
-and the arrangement census of continuum.py as they place each row, and
+as it places each row, the row-insertion census of continuum.py once per
+(labelled row, spread of the next row over its gaps), and
 last_row_step, which also serves markov.push_through_last_row.  Only the
 Monte Carlo sampler of continuum.py inlines the same step for float rows.
 """

@@ -7,7 +7,7 @@ import pytest
 from ringtasep.core import reverse_permutation
 from ringtasep.continuum import (
     CorrTable,
-    _rep_census,
+    _census,
     adjacency_conjecture,
     adjacency_exact,
     adjacency_mc,
@@ -73,7 +73,7 @@ def test_density_weights_match_full_enumeration():
                 w = tuple(label_mlq(q).labels[-1])
                 gaps = tuple((bottom[(j + 1) % n] - bottom[j] - 1) % B for j in range(n))
                 weights[(w, gaps)] = weights.get((w, gaps), 0) + 1
-        assert _rep_census(n)[1] == weights
+        assert _census(n)[1] == weights
 
 
 def test_exact_outputs_are_pinned():
@@ -102,6 +102,15 @@ def test_exact_outputs_are_pinned():
     assert {n: poly_digest(density_polys(n)) for n in densities} == densities
     assert {n: _digest(permutation_distribution(n)) for n in perms} == perms
     assert {n: _digest(adjacency_exact(n).entries) for n in adjacencies} == adjacencies
+
+
+def test_census_n5_is_pinned():
+    # SHA-256 of the n = 5 word counts and weights as recorded with the
+    # arrangement search that pinned the row-1 box and chose every row's slots
+    word_counts, weights, reps = _census(5)
+    assert reps == arrangement_count(5) // 15 == 2_522_520
+    assert _digest(word_counts) == "ca5a8458e46e7ee00be64015a168368039ed1b5f86d8ced55d8f48ec7d200943"
+    assert _digest(weights) == "a5c1994717a1e2625a2f34422e51e438ddeaed64324db35609721acc78ba11dc"
 
 
 def test_reverse_probability_formula():

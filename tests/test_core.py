@@ -7,6 +7,7 @@ from ringtasep.core import (
     RingWord,
     TypeVector,
     VACANT,
+    _min_rotation,
     binomial,
     cyclic_canonical,
     inversions,
@@ -83,6 +84,25 @@ def test_cyclic_canonical_rotation_invariant_exhaustive():
             canon, _ = cyclic_canonical(w)
             for k in range(N):
                 assert cyclic_canonical(w.rotate(k))[0] == canon
+
+
+def test_min_rotation_matches_cyclic_canonical_on_whole_types():
+    # every state of a few types, periodic words among them, and the
+    # all-vacant word; the oracle takes the least (rotation key, offset)
+    from ringtasep.markov import enumerate_states
+
+    def oracle(sites):
+        key = [s if s != VACANT else max(sites) + 1 for s in sites]
+        off = min(range(len(sites)), key=lambda k: (key[k:] + key[:k], k))
+        return sites[off:] + sites[:off], off
+
+    words = [(VACANT,) * 5]
+    for m, N in (((2,), 4), ((2, 2), 4), ((1, 1, 1), 6), ((3, 3), 6), ((2, 1), 6), ((1, 1, 1, 1), 8)):
+        words += enumerate_states(TypeVector(m, N))
+    assert {(1, VACANT, 1, VACANT), (1, 2, 1, 2), (1, 2) * 3} <= set(words)
+    for sites in words:
+        w, off = cyclic_canonical(RingWord(sites))
+        assert _min_rotation(sites) == (w.sites, off) == oracle(sites)
 
 
 def test_cyclic_canonical_idempotent():

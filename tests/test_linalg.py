@@ -205,7 +205,7 @@ def test_real_chains_take_the_modular_path(monkeypatch):
     t = TypeVector((1, 1, 1, 1, 1), 7)
     dist = tasep_stationary(t)
     assert sum(dist.values()) == 1
-    _verify_stationary(dist, _particle_steps(t.particles))
+    _verify_stationary(dist, _particle_steps)
     dist = rs_stationary(6, 2)
     assert sum(dist.values()) == 1 and min(dist.values()) > 0
     _verify_stationary(dist, _rs_targets(6, 2))

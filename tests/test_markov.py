@@ -159,24 +159,22 @@ def test_stationary_exact_refuses_a_wrong_kernel_vector(monkeypatch):
 def test_verify_stationary_refuses_moved_mass():
     t = TypeVector((1, 1, 1), 5)
     dist = tasep_stationary(t)
-    steps = _particle_steps(t.particles)
-    _verify_stationary(dist, steps)
+    _verify_stationary(dist, _particle_steps)
     den = lcm(*(p.denominator for p in dist.values()))
     a, b = min(dist, key=dist.get), max(dist, key=dist.get)
     dist[a] += Fraction(1, den)
     dist[b] -= Fraction(1, den)
     with pytest.raises(RuntimeError, match="full chain"):
-        _verify_stationary(dist, steps)
+        _verify_stationary(dist, _particle_steps)
 
 
 def test_verify_stationary_refuses_unequal_move_counts():
     t = TypeVector((1, 1), 4)
     dist = tasep_stationary(t)
-    steps = _particle_steps(t.particles)
     odd = sorted(dist)[5]
 
     def targets(w):
-        yield from steps(w)
+        yield from _particle_steps(w)
         if w == odd:
             yield w
 
