@@ -363,70 +363,95 @@ def top_pair_adjacency_syt(n: int) -> Fraction:
 
 # --- densities ------------------------------------------------------------------
 
-_DENSITY: dict[int, dict[Perm, MultiPoly]] = {}
+_GAP_FORMS: dict[int, dict[Perm, MultiPoly]] = {}
 
 
-def density_polys(n: int, allow_slow: bool = False) -> dict[Perm, MultiPoly]:
-    """Exact position densities g_pi(q1..qn) on 0 < q1 < ... < qn < 1.
+def density_gap_forms(n: int) -> dict[Perm, MultiPoly]:
+    """Position densities g_pi written in the cyclic gaps L_0..L_{n-1}.
 
     Conditioning on the bottom boxes at the q's, the upper boxes land in
     the n cyclic gaps; a gap of length L holding k boxes in a fixed
-    relative order contributes L^k / k!.  The arrangement census weighs
-    each (pi, gap counts) by the interleavings that realize it, and
-    normalizing by the box-count multinomial makes each g_pi a
-    polynomial, with sum_pi integral(g_pi) = 1.
-
-    At n = 5 the census takes about a second but the polynomial assembly
-    takes minutes, so n = 5 is gated behind allow_slow.
+    relative order contributes L^k / k!.  The census weighs each
+    (pi, gap counts c) by the interleavings that realize it, and
+    normalizing by the box-count multinomial gives
+    G_pi = n! * prod_{i<n} i! * sum_c w(pi, c) * prod_g L_g^{c_g} / c_g!,
+    homogeneous of degree B - n, with sum_pi integral(g_pi) = 1.  Variable
+    g is L_g = q_{g+2} - q_{g+1}, and L_{n-1} = 1 - q_n + q1 (see poly).
     """
-    if n in _DENSITY:
-        return _DENSITY[n]
-    if n > 5 or (n == 5 and not allow_slow):
-        raise ValueError("n above density cap (n = 5 requires allow_slow=True)")
+    if n in _GAP_FORMS:
+        return _GAP_FORMS[n]
+    if n > 5:
+        raise ValueError("n above density cap 5")
     _, weights, _ = _census(n)
-
-    gaps = [MultiPoly.variable(n, g + 1) - MultiPoly.variable(n, g) for g in range(n - 1)]
-    gaps.append(MultiPoly.one(n) - MultiPoly.variable(n, n - 1) + MultiPoly.variable(n, 0))
-    prefactor = factorial(n)
-    for i in range(1, n):
+    prefactor = 1
+    for i in range(1, n + 1):
         prefactor *= factorial(i)
-    poly_cache: dict[tuple[int, ...], MultiPoly] = {}
-
-    def gap_poly(cvec) -> MultiPoly:
-        if cvec not in poly_cache:
-            p = MultiPoly.one(n)
-            denom = 1
-            for g, c in enumerate(cvec):
-                p = p * gaps[g] ** c
-                denom *= factorial(c)
-            poly_cache[cvec] = p * Fraction(1, denom)
-        return poly_cache[cvec]
-
-    out: dict[Perm, MultiPoly] = {}
+    terms: dict[Perm, dict] = {}
     for (w, cvec), mult in weights.items():
-        term = gap_poly(cvec) * mult
-        out[w] = out.get(w, MultiPoly.zero(n)) + term
-    out = {w: p * prefactor for w, p in sorted(out.items())}
-    _DENSITY[n] = out
+        denom = 1
+        for c in cvec:
+            denom *= factorial(c)
+        terms.setdefault(w, {})[cvec] = Fraction(prefactor * mult, denom)
+    _GAP_FORMS[n] = {w: MultiPoly(n, t) for w, t in sorted(terms.items())}
+    return _GAP_FORMS[n]
+
+
+def _in_q(forms: dict) -> dict:
+    """Expand gap forms in q1..qn, for output; each gap monomial is
+    expanded once for all of the forms."""
+    n = next(iter(forms.values())).nvars
+    q = MultiPoly.variable
+    gaps = [q(n, g + 1) - q(n, g) for g in range(n - 1)] + [MultiPoly.one(n) - q(n, n - 1) + q(n, 0)]
+    powers = [[MultiPoly.one(n)] for _ in gaps]
+    monomials: dict[tuple[int, ...], MultiPoly] = {}
+    out = {}
+    for key, form in forms.items():
+        acc: dict = {}
+        for cvec, coef in form.terms.items():
+            if cvec not in monomials:
+                mono = MultiPoly.one(n)
+                for g, c in enumerate(cvec):
+                    while len(powers[g]) <= c:
+                        powers[g].append(powers[g][-1] * gaps[g])
+                    mono = mono * powers[g][c]
+                monomials[cvec] = mono
+            for e, v in monomials[cvec].terms.items():
+                acc[e] = acc.get(e, 0) + coef * v
+        out[key] = MultiPoly(n, acc)
     return out
 
 
-def density_poly(pi, allow_slow: bool = False) -> MultiPoly:
+def density_polys(n: int, allow_slow: bool = False) -> dict[Perm, MultiPoly]:
+    """Exact position densities g_pi(q1..qn) on 0 < q1 < ... < qn < 1: the
+    gap forms of density_gap_forms, expanded in q.
+
+    Every density check works on the gap forms; the q expansion is for
+    output and for the tests' q-side oracles.  Expanding all 120 densities
+    at n = 5 takes about a minute, so n = 5 is gated behind allow_slow.
+    """
+    if n == 5 and not allow_slow:
+        raise ValueError("n above density cap (n = 5 requires allow_slow=True)")
+    return _in_q(density_gap_forms(n))
+
+
+def density_poly(pi) -> MultiPoly:
+    """The density g_pi(q1..qn) of one permutation, expanded alone."""
     pi = check_permutation(pi)
-    return density_polys(len(pi), allow_slow)[pi]
+    return _in_q({pi: density_gap_forms(len(pi))[pi]})[pi]
 
 
-def check_operator_identity(target, op: OperatorExpr, base, allow_slow: bool = False) -> dict:
+def check_operator_identity(target, op: OperatorExpr, base) -> dict:
     """Apply a differential operator to the density of `base` and compare
-    exactly with the density of `target`."""
+    exactly with the density of `target`, both in gap form."""
     target = check_permutation(target)
     base = check_permutation(base)
-    g_base = density_poly(base, allow_slow)
-    g_target = density_poly(target, allow_slow)
-    image = op.apply(g_base)
+    if len(target) != len(base):
+        raise ValueError("target and base have different lengths")
+    forms = density_gap_forms(len(base))
+    image = op.apply_gaps(forms[base])
     return {
         "target": target,
         "base": base,
-        "match": image == g_target,
-        "difference_terms": len((image - g_target).terms),
+        "match": image == forms[target],
+        "difference_terms": len((image - forms[target]).terms),
     }

@@ -6,10 +6,21 @@ is provided for the density-function work: partial derivatives, the
 Laplacian, linear constant-coefficient differential operators, and exact
 integration over intervals and over the ordered simplex
 0 < q1 < ... < qn < 1.
+
+The densities are kept in the cyclic gaps instead: variable g of a gap
+form is L_g = q_{g+2} - q_{g+1} for g < n-1, and L_{n-1} = 1 - q_n + q1,
+so the gaps sum to 1.  A density is a homogeneous gap form, and two
+homogeneous forms of one degree agree on sum L = 1 only if they are
+equal, so their exponent dicts compare exactly.  The gap_* functions and
+OperatorExpr.apply_gaps do the density calculus on that side:
+d/dq_i acts as d/dL_{i-1} - d/dL_i (indices mod n), the top q-degree part
+sets L_{n-1} = -(L_0 + ... + L_{n-2}), and the ordered-simplex integral
+is a Dirichlet integral.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, perm
 
 from .core import rat_str, parse_rat
 
@@ -116,15 +127,8 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def evaluate(self, point) -> Fraction:
         point = [Fraction(x) for x in point]
@@ -238,6 +242,64 @@ def laplacian(p: MultiPoly) -> MultiPoly:
     return out
 
 
+def _gap_sum(n: int, lo: int, hi: int) -> MultiPoly:
+    """L_lo + ... + L_{hi-1} in n gap variables."""
+    return MultiPoly(n, {tuple(int(g == k) for g in range(n)): 1 for k in range(lo, hi)})
+
+
+def _gap_symbol(orders) -> MultiPoly:
+    """prod_i d^{orders[i]}/dq_i^{orders[i]} on the gap side, as a polynomial
+    whose variable g stands for d/dL_g: each d/dq_i is d/dL_{i-1} - d/dL_i."""
+    n = len(orders)
+    p = MultiPoly.one(n)
+    for i, k in enumerate(orders):
+        if k:
+            p = p * (MultiPoly.variable(n, i - 1) - MultiPoly.variable(n, i)) ** k
+    return p
+
+
+def _apply_symbol(symbol: MultiPoly, p: MultiPoly) -> MultiPoly:
+    """sum over the monomials x^b of the symbol of its coefficient times d^b p / dL^b."""
+    out: dict = {}
+    for b, s in symbol.terms.items():
+        for e, c in p.terms.items():
+            scale = 1
+            for x, y in zip(e, b):
+                if x < y:
+                    break
+                scale *= perm(x, y)
+            else:
+                key = tuple(x - y for x, y in zip(e, b))
+                out[key] = out.get(key, 0) + s * c * scale
+    return MultiPoly(p.nvars, out)
+
+
+def gap_laplacian(p: MultiPoly) -> MultiPoly:
+    """The Laplacian in q of a gap form, sum_i (d/dL_{i-1} - d/dL_i)^2, in one
+    pass over p.  It is homogeneous, so it is zero exactly when the q-side
+    Laplacian is."""
+    n = p.nvars
+    symbol = MultiPoly.zero(n)
+    for i in range(n):
+        symbol = symbol + _gap_symbol(tuple(2 * (g == i) for g in range(n)))
+    return _apply_symbol(symbol, p)
+
+
+def gap_leading_part(p: MultiPoly) -> MultiPoly:
+    """The top q-degree part of a homogeneous gap form: L_{n-1}, whose q-side
+    is 1 - q_n + q1, becomes its linear part -(L_0 + ... + L_{n-2}).  Horner's
+    rule in L_{n-1} multiplies by that linear form once per power."""
+    n = p.nvars
+    linear = -_gap_sum(n, 0, n - 1)
+    by_power: dict[int, dict] = {}
+    for e, c in p.terms.items():
+        by_power.setdefault(e[-1], {})[e[:-1] + (0,)] = c
+    out = MultiPoly.zero(n)
+    for k in range(max(by_power, default=-1), -1, -1):
+        out = out * linear + MultiPoly(n, by_power.get(k, {}))
+    return out
+
+
 def vandermonde(n: int) -> MultiPoly:
     """The fully expanded product of (q_l - q_k) over 1 <= k < l <= n."""
     if n < 1:
@@ -246,6 +308,18 @@ def vandermonde(n: int) -> MultiPoly:
     for k in range(n):
         for l in range(k + 1, n):
             p = p * (MultiPoly.variable(n, l) - MultiPoly.variable(n, k))
+    return p
+
+
+def gap_vandermonde(n: int) -> MultiPoly:
+    """vandermonde(n) as a gap form: the product over k < l < n of
+    L_k + ... + L_{l-1}."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    p = MultiPoly.one(n)
+    for k in range(n):
+        for l in range(k + 1, n):
+            p = p * _gap_sum(n, k, l)
     return p
 
 
@@ -312,6 +386,19 @@ class OperatorExpr:
             out = out + q * c
         return out
 
+    def apply_gaps(self, p: MultiPoly) -> MultiPoly:
+        """The operator on a homogeneous gap form, homogenised: a term of
+        total order k is multiplied by (L_0 + ... + L_{n-1})^k, which is 1
+        on the gaps' simplex, so the image has p's degree and compares
+        exactly with another gap form of that degree."""
+        if p.nvars != self.nvars:
+            raise ValueError("arity mismatch")
+        total = _gap_sum(p.nvars, 0, p.nvars)
+        out = MultiPoly.zero(p.nvars)
+        for c, orders in self.terms:
+            out = out + _apply_symbol(_gap_symbol(orders), p) * total ** sum(orders) * c
+        return out
+
 
 def integrate_interval(p: MultiPoly, lo, hi) -> Fraction:
     """Exact integral of a one-variable polynomial over [lo, hi]."""
@@ -336,3 +423,19 @@ def integrate_ordered_simplex(p: MultiPoly) -> Fraction:
         cur = F.subs_var_equal(v, v + 1) - F.subs_value(v, 0)
     F = cur.antiderivative(n - 1)
     return F.evaluate([1] * n) - F.evaluate([0] * n)
+
+
+def integrate_gap_simplex(p: MultiPoly) -> Fraction:
+    """integrate_ordered_simplex of a gap form, as a Dirichlet integral.
+
+    Over q1 in (0, L_{n-1}) and the gaps on their simplex, L^c integrates
+    to prod_{g<n-1} c_g! * (c_{n-1} + 1)! / (sum c + n)!.
+    """
+    n = p.nvars
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        num = factorial(e[-1] + 1)
+        for x in e[:-1]:
+            num *= factorial(x)
+        total += c * Fraction(num, factorial(sum(e) + n))
+    return total

@@ -49,7 +49,7 @@ from .continuum import (
     adjacency_exact,
     adjacency_mc,
     check_operator_identity,
-    density_polys,
+    density_gap_forms,
     permutation_distribution,
     reverse_probability_formula,
     syt_three_column_count,
@@ -57,7 +57,15 @@ from .continuum import (
 )
 from .markov import k_tasep_stationary, push_through_last_row, tasep_stationary
 from .mlq import Arrangement, DiscreteMLQ, bottom_word, label_arrangement, label_mlq, last_row_step
-from .poly import MultiPoly, OperatorExpr, integrate_interval, integrate_ordered_simplex, laplacian, vandermonde
+from .poly import (
+    MultiPoly,
+    OperatorExpr,
+    gap_laplacian,
+    gap_leading_part,
+    gap_vandermonde,
+    integrate_gap_simplex,
+    integrate_interval,
+)
 from .rs import LinkingPattern, apply_generator, enumerate_patterns, rs_stationary
 from .tableaux import (
     conjugate_partition,
@@ -234,9 +242,8 @@ def _check_interlacing(params):
 
 def _check_reverse_density(params):
     bad = []
-    for n in range(2, params.get("max_n", 4) + 1):
-        g = density_polys(n)
-        if g[reverse_permutation(n)] != vandermonde(n) * math.factorial(n):
+    for n in range(params.get("min_n", 2), params.get("max_n", 4) + 1):
+        if density_gap_forms(n)[reverse_permutation(n)] != gap_vandermonde(n) * math.factorial(n):
             bad.append({"n": n})
     return bad, "reverse-permutation density is n! times the Vandermonde"
 
@@ -299,13 +306,13 @@ def _check_laplace(params):
     expected_harmonic = params.get("expected_harmonic")
     if n >= 5 and not params.get("enable_slow", False):
         return None, "long-running; pass enable_slow to run"
-    g = density_polys(n, allow_slow=True)
+    g = density_gap_forms(n)
     classes: dict = {}  # rotation class (keyed by its least rotation) -> members
     for w in g:
         classes.setdefault(min(w[k:] + w[:k] for k in range(len(w))), []).append(w)
     harmonic = []
     for rep, members in sorted(classes.items()):
-        flags = {laplacian(g[w]).is_zero() for w in members}
+        flags = {gap_laplacian(g[w]).is_zero() for w in members}
         if len(flags) != 1:
             return [{"class": list(rep)}], "harmonicity not constant on a rotation class"
         if flags.pop():
@@ -323,25 +330,24 @@ def _check_laplace(params):
 
 def _check_leading_part(params):
     n = params.get("n", 4)
-    g = density_polys(n)
+    g = density_gap_forms(n)
     w0 = reverse_permutation(n)
-    top_deg = g[w0].degree()
     bad = []
     for u, p in g.items():
         sign = 1 if (inversions(w0) - inversions(u)) % 2 == 0 else -1
-        if p.homogeneous_part(top_deg) != g[w0] * sign:
+        if gap_leading_part(p) != g[w0] * sign:
             bad.append({"u": list(u)})
     return bad, "maximal-degree part of each density is +-(reverse density)"
 
 
 def _check_density_consistency(params):
     bad = []
-    for n in range(1, params.get("max_n", 4) + 1):
-        g = density_polys(n)
+    for n in range(params.get("min_n", 1), params.get("max_n", 4) + 1):
+        g = density_gap_forms(n)
         dist = permutation_distribution(n)
         total = Fraction(0)
         for w, p in g.items():
-            v = integrate_ordered_simplex(p)
+            v = integrate_gap_simplex(p)
             total += v
             if v != dist[w]:
                 bad.append({"n": n, "w": list(w)})
@@ -662,12 +668,15 @@ CHECKS: dict[str, tuple[str, object, dict]] = {
     "reverse-probability": (THEOREM, _check_reverse_probability, {"max_n": 4}),
     "interlacing-count": (THEOREM, _check_interlacing, {"max_n": 4}),
     "reverse-density": (THEOREM, _check_reverse_density, {"max_n": 4}),
+    "reverse-density-n5": (THEOREM, _check_reverse_density, {"min_n": 5, "max_n": 5}),
     "operator-identities": (THEOREM, _check_operator_identities, {}),
     "conj-operator-family": (CONJECTURE, _check_operator_family, {"n": 4}),
+    "conj-operator-family-n5": (CONJECTURE, _check_operator_family, {"n": 5}),
     "laplace-n4": (THEOREM, _check_laplace, {"n": 4}),
     "laplace-n5": (THEOREM, _check_laplace, {"n": 5, "expected_harmonic": 15, "enable_slow": False}),
     "conj-leading-part": (CONJECTURE, _check_leading_part, {"n": 4}),
     "density-consistency": (THEOREM, _check_density_consistency, {"max_n": 4}),
+    "density-consistency-n5": (THEOREM, _check_density_consistency, {"min_n": 5, "max_n": 5}),
     "prop43-adjacency": (THEOREM, _check_prop43, {"max_exact_n": 5, "max_formula_n": 10}),
     "conj-corr-n2": (CONJECTURE, _check_adjacency_conjecture, {"n": 2}),
     "conj-corr-n3": (CONJECTURE, _check_adjacency_conjecture, {"n": 3}),

@@ -4,16 +4,18 @@ from math import comb, factorial
 
 import pytest
 
-from ringtasep.core import reverse_permutation
+from ringtasep.core import reverse_permutation, swap_values
 from ringtasep.continuum import (
     CorrTable,
     _census,
+    _in_q,
     adjacency_conjecture,
     adjacency_exact,
     adjacency_mc,
     arrangement_count,
     check_operator_identity,
     conjecture_table,
+    density_gap_forms,
     density_poly,
     density_polys,
     enumerate_arrangements,
@@ -24,8 +26,19 @@ from ringtasep.continuum import (
     top_pair_adjacency_syt,
 )
 from ringtasep.mlq import label_arrangement, label_mlq, materialize
-from ringtasep.poly import MultiPoly, OperatorExpr, integrate_ordered_simplex, vandermonde
+from ringtasep.poly import (
+    MultiPoly,
+    OperatorExpr,
+    gap_laplacian,
+    gap_leading_part,
+    gap_vandermonde,
+    integrate_gap_simplex,
+    integrate_ordered_simplex,
+    laplacian,
+    vandermonde,
+)
 from ringtasep.tableaux import conjugate_partition, syt_count
+from ringtasep.verify import _printed_operator_identities, _swap_operator
 
 
 def test_arrangement_counts():
@@ -280,4 +293,49 @@ def test_operator_identity_check():
 
 
 def test_density_poly_single():
-    assert density_poly((2, 1)) == density_polys(2)[(2, 1)]
+    for n in (1, 2, 3, 4):
+        g = density_polys(n)
+        for pi in g:
+            assert density_poly(pi) == g[pi]
+
+
+def test_density_poly_reverse_n5_is_vandermonde():
+    # expanded alone from the census weights, against the q-side product
+    assert density_poly(reverse_permutation(5)) == vandermonde(5) * 120
+
+
+def _q(form):
+    return _in_q({0: form})[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gap_route_matches_q_route(n):
+    # each gap-side operation, expanded in q, equals the same operation
+    # done on the q densities; the top q-degree is B - n
+    g, G = density_polys(n), density_gap_forms(n)
+    for w, p in g.items():
+        assert _q(G[w]) == p
+        lap = gap_laplacian(G[w])
+        assert _q(lap) == laplacian(p) and lap.is_zero() == laplacian(p).is_zero()
+        assert _q(gap_leading_part(G[w])) == MultiPoly(n, {e: c for e, c in p.terms.items() if sum(e) == comb(n, 2)})
+        assert integrate_gap_simplex(G[w]) == integrate_ordered_simplex(p)
+    assert _q(gap_vandermonde(n)) == vandermonde(n)
+
+
+def test_operator_identities_agree_across_routes():
+    cases = list(_printed_operator_identities().items())
+    for n in (2, 3, 4):
+        w0 = reverse_permutation(n)
+        cases += [((swap_values(w0, k), w0), _swap_operator(n, k)) for k in range(1, n)]
+    base = swap_values(reverse_permutation(4), 3)
+    cases.append(((swap_values(base, 1), base), _swap_operator(4, 1)))
+    false = ((4, 3, 1, 2), (4, 3, 2, 1)), OperatorExpr.partial(4, {2: 1}) - OperatorExpr.identity(4)
+    cases.append(false)
+    qs = {n: density_polys(n) for n in (2, 3, 4)}
+    matches = []
+    for (target, base), op in cases:
+        g, G = qs[len(base)], density_gap_forms(len(base))
+        assert _q(op.apply_gaps(G[base])) == op.apply(g[base])
+        matches.append(op.apply(g[base]) == g[target])
+        assert check_operator_identity(target, op, base)["match"] == matches[-1]
+    assert matches == [True] * (len(cases) - 1) + [False]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ringtasep import verify
+from ringtasep import continuum, verify
 from ringtasep.verify import (
     CHECKS,
     CONJECTURE,
@@ -77,9 +77,9 @@ def test_report_json_shape():
     assert set(d) == {"check", "severity", "status", "params", "witnesses", "detail", "runtime", "cached"}
 
 
-# Reports of every check at registry defaults, except the two that need
-# the n = 5 continuum census or 10^7 Monte Carlo samples; prop43-adjacency
-# stops at n = 4 for the same reason.  Together they take a few seconds.
+# Reports of every check at registry defaults, except conj-corr-n5 and
+# the 10^7 Monte Carlo samples of corr-mc-n6; prop43-adjacency stops at
+# n = 4.  The n = 5 density checks build the n = 5 census, about a second.
 GOLDEN_SKIP = {"corr-mc-n6", "conj-corr-n5"}
 GOLDEN_OVERRIDES = {"prop43-adjacency": {"max_exact_n": 4}}
 
@@ -100,12 +100,15 @@ GOLDEN = {
     "reverse-probability": "3e792c42207b449fab6bcb4bc220dd7b2ec5460e83277dadc28fd59fe9b5063f",
     "interlacing-count": "194f1d8d0f02fdd2fc802b39d545ddf0e7c30bc403b9690152b3a74183bf31a8",
     "reverse-density": "e2c9a1e29dc4d8a34cdabd29bd7f7d32cc33a5c4240117560160b840489e4403",
+    "reverse-density-n5": "dfaf75e0d88acdf5a80f63db12c3b33019ed144c777bb510e704cceef5f1c563",
     "operator-identities": "11880f34fbe7c0498e0260c1205d0130a0046c81aa5bb25af4a1e4b2d6295067",
     "conj-operator-family": "943ab31d84c909d1647e074477b7e16e1df057ee3a66c2cca388ed09cc4a82de",
+    "conj-operator-family-n5": "7873a91a08af01aab9fdcc1881eaaa2c6ce542ac4b4cd587e3306d46da9bef9d",
     "laplace-n4": "9263198375e87c8acd87831aeb16f5871a17ff1427f102db6a34392c6eaa1e71",
     "laplace-n5": "cb34e29612aeeb5f4710b0bce58486523d05c777a2de1e358d7a69f3fc39d563",
     "conj-leading-part": "ec04054265c659c442e7486b69a0a657fab3047fb5de885f8d697326d02a5b7b",
     "density-consistency": "61685c3a36b29b22135a259151abd5650b40ee31c19759fb250207f460c8dcbc",
+    "density-consistency-n5": "e67653bba69ceb64fac2e7381290c78c543ca4ea822693dfa59e731f33e045e0",
     "prop43-adjacency": "84d8f5e2a31cbb4349d0ec619c72730268eae68040512ea63712ce51e2abc15d",
     "conj-corr-n2": "9d52919f06437c26eb91fef33ac995322833b091146be40ebe25387bd2ed854b",
     "conj-corr-n3": "3b3935ee2ae35cabdcd764b0e55a9ce1989d15bc7d26dba605cda49df48aa6a7",
@@ -178,3 +181,22 @@ def test_census_checks_report_their_witnesses(monkeypatch):
     r = run_suite("conj-multi-swap", overrides={"conj-multi-swap": {"kvec": (3,), "max_N": 4}})[0]
     printed = multi((3,), (0, 1, 2, 3), 4) + 1
     assert (r.status, r.witnesses) == (MISMATCH, [{"N": 4, "b": [0, 1, 2, 3], "formula": printed}])
+
+
+def test_density_checks_never_expand_in_q(monkeypatch):
+    # the density checks work on the gap forms; a fallback to the q
+    # expansion would raise here instead of quietly costing the old time
+    def refuse(forms):
+        raise AssertionError("a density check expanded a density in q")
+
+    monkeypatch.setattr(continuum, "_in_q", refuse)
+    expected = {
+        "reverse-density": PROVED_MATCH,
+        "operator-identities": PROVED_MATCH,
+        "conj-operator-family": CONJECTURE_MATCH,
+        "laplace-n4": PROVED_MATCH,
+        "laplace-n5": SKIPPED,
+        "conj-leading-part": CONJECTURE_MATCH,
+        "density-consistency": PROVED_MATCH,
+    }
+    assert {cid: run_suite(cid)[0].status for cid in expected} == expected
