@@ -16,7 +16,8 @@ only for the returned distribution.
 
 The ring dynamics commute with rotation, so stationary solves may be done
 on the rotation quotient and lifted; the lift is always re-verified on
-the full chain.
+the full chain, by the flow equations and by strong connectivity of the
+chain graph, so it is the chain's unique stationary distribution.
 """
 
 import itertools
@@ -172,40 +173,77 @@ def _canon(sites: tuple[int, ...]) -> tuple[int, ...]:
     return _min_rotation(sites)[0]
 
 
-def _quotient_stationary(reps, step_targets) -> dict[tuple, Fraction]:
-    """Solve the chain on rotation classes and lift uniformly to words.
+def _rotations(rep: tuple[int, ...]) -> set[tuple[int, ...]]:
+    return {rep[k:] + rep[:k] for k in range(len(rep))}
 
-    reps: canonical class representatives; step_targets(rep) yields the
-    target words of its moves.  The lifted distribution is exact.
+
+def _quotient_stationary(reps, step_targets, canon, orbit) -> dict:
+    """Solve a rotation-covariant chain on its classes and lift uniformly.
+
+    reps: class representatives; step_targets(state) yields the targets of
+    its moves; canon(state) is the representative of its class, and
+    orbit(rep) the states of the class.  Each class's probability is
+    shared evenly over its orbit; the lifted distribution is exact.
     """
-    pi_q = stationary_exact(chain_matrix(reps, step_targets, _canon))
+    pi_q = stationary_exact(chain_matrix(reps, step_targets, canon))
     out = {}
-    for i, rep in enumerate(reps):
-        orbit = {rep[k:] + rep[:k] for k in range(len(rep))}
-        share = pi_q[i] / len(orbit)
-        for w in orbit:
-            out[w] = share
+    for rep, p in zip(reps, pi_q):
+        states = orbit(rep)
+        share = p / len(states)
+        for s in states:
+            out[s] = share
     return out
 
 
-def _verify_stationary(dist: dict[tuple, Fraction], step_targets):
-    """Check dist against the flow equations of the full chain, in
-    integers: dist scaled by the lcm of its denominators gives weights, and
+def _verify_stationary(dist: dict, step_targets):
+    """Certify dist as the unique stationary distribution of the full chain
+    on its states, in integers.
+
+    dist scaled by the lcm of its denominators gives weights, and
     sum_w weight_w #(w -> v) = D weight_v must hold for every state v, with
-    D the number of moves, which must be the same from every state."""
+    D the number of moves, which must be the same from every state.  The
+    weights must sum to the scale, and the chain graph must be strongly
+    connected: one forward and one backward search over the same targets
+    reach every state.  A strongly connected chain has exactly one
+    stationary distribution, so dist is it.
+    """
+    states = list(dist)
+    index = {w: i for i, w in enumerate(states)}
     scale = lcm(*(p.denominator for p in dist.values()))
-    weight = {w: p.numerator * (scale // p.denominator) for w, p in dist.items()}
-    D = sum(1 for _ in step_targets(next(iter(dist))))
-    flow = dict.fromkeys(dist, 0)
-    for w, c in weight.items():
-        moves = 0
-        for target in step_targets(w):
-            flow[target] += c
-            moves += 1
-        if moves != D:
-            raise ValueError(f"state {w} has {moves} moves, another has {D}")
-    if any(flow[v] != D * c for v, c in weight.items()):
+    weight = [p.numerator * (scale // p.denominator) for p in dist.values()]
+    if sum(weight) != scale:
+        raise RuntimeError("distribution does not sum to 1")
+    D = sum(1 for _ in step_targets(states[0]))
+    flow = [0] * len(states)
+    succ = []
+    for w, c in zip(states, weight):
+        out = [index[target] for target in step_targets(w)]
+        if len(out) != D:
+            raise ValueError(f"state {w} has {len(out)} moves, another has {D}")
+        for j in out:
+            flow[j] += c
+        succ.append(out)
+    if any(f != D * c for f, c in zip(flow, weight)):
         raise RuntimeError("stationarity verification failed on the full chain")
+    pred = [[] for _ in states]
+    for i, out in enumerate(succ):
+        for j in out:
+            pred[j].append(i)
+    if not (_reaches_all(succ) and _reaches_all(pred)):
+        raise ValueError("chain is not strongly connected")
+
+
+def _reaches_all(adjacent) -> bool:
+    """Whether a search from node 0 along adjacent[i] reaches every node."""
+    seen = [False] * len(adjacent)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for j in adjacent[stack.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    return all(seen)
 
 
 def _particle_steps(w: tuple[int, ...]):
@@ -221,7 +259,7 @@ def tasep_stationary(t: TypeVector) -> dict[tuple[int, ...], Fraction]:
     quotient and verified on the full chain."""
     states = enumerate_states(t)
     reps = sorted({_canon(s) for s in states})
-    dist = _quotient_stationary(reps, _particle_steps)
+    dist = _quotient_stationary(reps, _particle_steps, _canon, _rotations)
     _verify_stationary(dist, _particle_steps)
     return dist
 
@@ -288,7 +326,7 @@ def k_tasep_stationary(t: TypeVector, k: int) -> dict[tuple[int, ...], Fraction]
     targets = _subset_steps(t.N, k)
     if k < t.N:
         reps = sorted({_canon(s) for s in states})
-        dist = _quotient_stationary(reps, targets)
+        dist = _quotient_stationary(reps, targets, _canon, _rotations)
     else:
         dist = dict(zip(states, stationary_exact(chain_matrix(states, targets))))
     _verify_stationary(dist, targets)

@@ -5,6 +5,18 @@ generator e_i rewires a pattern by joining i with i+1 (indices cyclic)
 and the old partners with each other.  The k-subset chain applies all
 generators of a uniformly random k-subset, firing the left generator of
 any adjacent pair first.
+
+Rotation (each point i to i+1 mod 2n) conjugates e_i to e_{i+1}.  For
+k < 2n it maps the firing order of a subset to that of the rotated
+subset up to the order of its runs, and generators in different runs
+commute, so the chain commutes with rotation.  `rs_stationary` then
+solves the chain on rotation classes, each represented by its rotation
+with the smallest `pairs`, shares each class's probability evenly over
+its orbit, and certifies the lift on the full chain by its integer flow
+equations and strong connectivity (`markov._verify_stationary`): it is
+the unique stationary distribution.  k = 2n cuts the full cycle at
+index 1, which breaks rotation covariance, so that chain is solved
+whole.
 """
 
 import itertools
@@ -12,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 
-from .markov import _bell_order, chain_matrix, stationary_exact
+from .markov import _bell_order, _quotient_stationary, _verify_stationary, chain_matrix, stationary_exact
 
 
 @dataclass(frozen=True)
@@ -103,8 +115,14 @@ def apply_generator_set(L: LinkingPattern, S) -> LinkingPattern:
     return L
 
 
-def rs_transition_matrix(n: int, k: int):
-    """Sparse transition matrix of the k-subset chain, with its pattern list.
+def rotate(L: LinkingPattern, s: int = 1) -> LinkingPattern:
+    """The pattern with every point i moved to i + s (indices cyclic)."""
+    m = 2 * L.n
+    return LinkingPattern(tuple(((a + s - 1) % m + 1, (b + s - 1) % m + 1) for a, b in L.pairs))
+
+
+def _rs_chain(n: int, k: int):
+    """The patterns of the k-subset chain and its step_targets function.
 
     Each generator subset's firing order is computed once, and e_i is
     memoised on (pattern, i) for this one chain: every (pattern, subset)
@@ -123,13 +141,46 @@ def rs_transition_matrix(n: int, k: int):
         for order in orders:
             yield reduce(step, order, L)
 
+    return patterns, targets
+
+
+def _rotation_classes(patterns):
+    """({pattern: representative}, {representative: orbit}) of the rotation
+    classes, holding the given pattern objects; a representative is the
+    rotation with the smallest pairs."""
+    canonical = {L: L for L in patterns}
+    rep_of, orbits = {}, {}
+    for L in patterns:
+        if L not in rep_of:
+            orbit = {canonical[rotate(L, s)] for s in range(2 * L.n)}
+            rep = min(orbit, key=lambda P: P.pairs)
+            orbits[rep] = orbit
+            rep_of.update(dict.fromkeys(orbit, rep))
+    return rep_of, orbits
+
+
+def rs_transition_matrix(n: int, k: int):
+    """Sparse transition matrix of the k-subset chain, with its pattern list."""
+    patterns, targets = _rs_chain(n, k)
     return patterns, chain_matrix(patterns, targets)
 
 
-def rs_stationary(n: int, k: int, cap: int = 6) -> dict[LinkingPattern, Fraction]:
-    """Exact stationary distribution of the k-subset chain."""
-    if n > cap:
-        raise ValueError(f"n={n} above exact-solve cap {cap}")
-    patterns, P = rs_transition_matrix(n, k)
-    pi = stationary_exact(P)
-    return {L: pi[i] for i, L in enumerate(patterns)}
+def rs_stationary(n: int, k: int, cap: int = 8) -> dict[LinkingPattern, Fraction]:
+    """Exact stationary distribution of the k-subset chain, certified unique.
+
+    For k < 2n it is solved on rotation classes and lifted; k = 2n is
+    solved on the full chain, which is not ergodic and falls back to dense
+    elimination, so its cap stays at 6.
+    """
+    limit = cap if k < 2 * n else min(cap, 6)
+    if n > limit:
+        raise ValueError(f"n={n} above exact-solve cap {limit}")
+    patterns, targets = _rs_chain(n, k)
+    if k < 2 * n:
+        rep_of, orbits = _rotation_classes(patterns)
+        reps = sorted(orbits, key=lambda L: L.pairs)
+        dist = _quotient_stationary(reps, targets, rep_of.__getitem__, orbits.__getitem__)
+    else:
+        dist = dict(zip(patterns, stationary_exact(chain_matrix(patterns, targets))))
+    _verify_stationary(dist, targets)
+    return {L: dist[L] for L in patterns}

@@ -21,6 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .core import (
     RingWord,
@@ -126,6 +127,22 @@ TABLE_N6 = {
 }
 
 
+# --- shared base solves --------------------------------------------------------
+
+
+@functools.cache
+def _tasep(t: TypeVector):
+    """tasep_stationary(t), solved once per process and shared read-only
+    by every check that needs it."""
+    return MappingProxyType(tasep_stationary(t))
+
+
+@functools.cache
+def _rs(n: int, k: int):
+    """rs_stationary(n, k), solved once per process and shared read-only."""
+    return MappingProxyType(rs_stationary(n, k))
+
+
 # --- check implementations -----------------------------------------------------
 
 
@@ -134,7 +151,7 @@ def _check_ferrari_martin(params):
     bad = []
     for N in range(sum(m), params.get("max_N", 6) + 1):
         t = TypeVector(m, N)
-        dist = tasep_stationary(t)
+        dist = _tasep(t)
         counts = bottom_word_counts(t)
         Z = total_mlq_count(t)
         for w, p in dist.items():
@@ -421,8 +438,7 @@ def _check_adjacency_mc(params):
 def _check_initial_prefix(params):
     bad = []
     for N in range(2, params.get("max_N", 6) + 1):
-        t = TypeVector((1,) * N, N)
-        dist = tasep_stationary(t)
+        dist = _tasep(TypeVector((1,) * N, N))
         for ell in range(1, min(params.get("max_len", 3), N - 1) + 1):
             for xs in itertools.combinations(range(N, 0, -1), ell):
                 # xs is decreasing; prefix letters at sites 0..ell-1
@@ -524,8 +540,7 @@ def _check_row_addition(params):
 def _check_last_row_invariance(params):
     bad = []
     for m, N in params.get("cases", [((1, 1), 4), ((1, 1), 5), ((1, 1, 1), 5)]):
-        t = TypeVector(tuple(m), N)
-        dist = tasep_stationary(t)
+        dist = _tasep(TypeVector(tuple(m), N))
         if push_through_last_row(dist) != dist:
             bad.append({"m": list(m), "N": N})
     return bad, "the last-row update fixes the stationary distribution"
@@ -536,7 +551,7 @@ def _check_k_invariance(params):
     for N in range(2, params.get("max_N", 5) + 1):
         for n in range(1, N + 1):
             t = TypeVector((1,) * n, N)
-            base = tasep_stationary(t)
+            base = _tasep(t)
             for k in range(1, N):
                 if k_tasep_stationary(t, k) != base:
                     bad.append({"n": n, "N": N, "k": k})
@@ -559,7 +574,7 @@ def _full_ring_findings(keys, base, full):
 def _check_k_full_ring(params):
     findings = _full_ring_findings(
         [{"n": n, "N": N} for N in range(2, params.get("max_N", 5) + 1) for n in range(1, N + 1)],
-        lambda n, N: tasep_stationary(TypeVector((1,) * n, N)),
+        lambda n, N: _tasep(TypeVector((1,) * n, N)),
         lambda n, N: k_tasep_stationary(TypeVector((1,) * n, N), N),
     )
     return findings, (
@@ -600,7 +615,7 @@ def _check_rs_figure(params):
 def _check_rs_k_independence(params):
     bad = []
     for n in range(2, params.get("max_n", 4) + 1):
-        base = rs_stationary(n, 1)
+        base = _rs(n, 1)
         for k in range(2, 2 * n):
             if rs_stationary(n, k) != base:
                 bad.append({"n": n, "k": k})
@@ -610,7 +625,7 @@ def _check_rs_k_independence(params):
 def _check_rs_full_ring(params):
     findings = _full_ring_findings(
         [{"n": n} for n in range(2, params.get("max_n", 4) + 1)],
-        lambda n: rs_stationary(n, 1),
+        lambda n: _rs(n, 1),
         lambda n: rs_stationary(n, 2 * n),
     )
     return findings, "full-set generator sweep (k = 2n), outside the k-independence range; reported, not assumed"
@@ -627,7 +642,7 @@ def _least_nested(n):
 def _check_extremes(params):
     bad = []
     for n in range(2, params.get("max_n", 4) + 1):
-        rsd = rs_stationary(n, 1)
+        rsd = _rs(n, 1)
         dist = permutation_distribution(n)
         # the pattern chain is rotation invariant, so extremes are attained
         # on whole rotation classes; compare values, not unique states
@@ -639,6 +654,34 @@ def _check_extremes(params):
         }
         bad += [{"chain": chain, "n": n, "end": end} for (chain, end), ok in ends.items() if not ok]
     return bad, "stationary mass peaks at identity/least nested, dips at reverse/most nested"
+
+
+def _asm_count(n: int) -> int:
+    """A_n = prod_{k<n} (3k+1)!/(n+k)!, the number of n x n alternating sign
+    matrices."""
+    f = math.factorial
+    return math.prod(f(3 * k + 1) for k in range(n)) // math.prod(f(n + k) for k in range(n))
+
+
+def _check_rs_sum_rule(params):
+    bad = []
+    for n in range(1, params.get("max_n", 7) + 1):
+        dist = _rs(n, 1)
+        low = min(dist.values())
+        scaled = {L: p / low for L, p in dist.items()}
+        got = {
+            "integral": all(v.denominator == 1 for v in scaled.values()),
+            "sum": sum(scaled.values()),
+            "most_nested": scaled[_most_nested(n)],
+            "least_nested": scaled[_least_nested(n)],
+        }
+        expected = {"integral": True, "sum": _asm_count(n), "most_nested": 1, "least_nested": _asm_count(n - 1)}
+        bad += [
+            {"n": n, "entry": key, "got": str(got[key]), "expected": str(value)}
+            for key, value in expected.items()
+            if got[key] != value
+        ]
+    return bad, "smallest entry scaled to 1: integer entries summing to A_n, 1 most nested, A_(n-1) least nested"
 
 
 def _check_figures(params):
@@ -698,6 +741,7 @@ CHECKS: dict[str, tuple[str, object, dict]] = {
     "rs-k-independence": (THEOREM, _check_rs_k_independence, {"max_n": 4}),
     "rs-full-ring": (CONJECTURE, _check_rs_full_ring, {"max_n": 4}),
     "extreme-states": (CONJECTURE, _check_extremes, {"max_n": 4}),
+    "rs-sum-rule": (THEOREM, _check_rs_sum_rule, {"max_n": 7}),
     "queue-figures": (THEOREM, _check_figures, {}),
 }
 

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from ringtasep import linalg
 from ringtasep.core import TypeVector
 from ringtasep.linalg import _PRIMES, det_fraction_free, kernel_vector
-from ringtasep.markov import _particle_steps, _verify_stationary, tasep_stationary
-from ringtasep.rs import apply_generator_set, rs_stationary
+from ringtasep.markov import _particle_steps, _verify_stationary, stationary_exact, tasep_stationary
+from ringtasep.rs import apply_generator_set, rs_stationary, rs_transition_matrix
 
 
 def _random_matrix(rng, n):
@@ -209,6 +209,11 @@ def test_real_chains_take_the_modular_path(monkeypatch):
     dist = rs_stationary(6, 2)
     assert sum(dist.values()) == 1 and min(dist.values()) > 0
     _verify_stationary(dist, _rs_targets(6, 2))
+    # rs_stationary(6, 2) solves only its 14 rotation classes; the full
+    # 132-pattern chain is solved here
+    patterns, P = rs_transition_matrix(6, 2)
+    assert len(patterns) == 132
+    assert dict(zip(patterns, stationary_exact(P))) == dist
 
 
 _ENTRY = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))

@@ -182,6 +182,26 @@ def test_verify_stationary_refuses_unequal_move_counts():
         _verify_stationary(dist, targets)
 
 
+def test_verify_stationary_refuses_disconnected_chain():
+    # two disjoint 2-cycles: the uniform vector satisfies every flow
+    # equation, but so does any mix of the two cycles
+    targets = {0: [1], 1: [0], 2: [3], 3: [2]}.__getitem__
+    with pytest.raises(ValueError, match="not strongly connected"):
+        _verify_stationary(dict.fromkeys(range(4), Fraction(1, 4)), targets)
+    # a transient state: 0 -> 1 <-> 2 leaves 0 unreachable, with mass 0
+    targets = {0: [1], 1: [2], 2: [1]}.__getitem__
+    with pytest.raises(ValueError, match="not strongly connected"):
+        _verify_stationary({0: Fraction(0), 1: Fraction(1, 2), 2: Fraction(1, 2)}, targets)
+    # one cycle passes
+    _verify_stationary(dict.fromkeys(range(3), Fraction(1, 3)), lambda i: [(i + 1) % 3])
+
+
+def test_verify_stationary_refuses_unnormalised_mass():
+    dist = tasep_stationary(TypeVector((1, 1), 4))
+    with pytest.raises(RuntimeError, match="does not sum to 1"):
+        _verify_stationary({w: 2 * p for w, p in dist.items()}, _particle_steps)
+
+
 def test_stationary_exact_rejects_reducible():
     P = RationalMatrix(({0: Fraction(1), 1: Fraction(0)}, {1: Fraction(1)}))
     assert P.rows == ({0: Fraction(1)}, {1: Fraction(1)})

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from ringtasep.markov import _quotient_stationary, _verify_stationary, chain_matrix, stationary_exact
 from ringtasep.rs import (
     LinkingPattern,
+    _rotation_classes,
+    _rs_chain,
     apply_generator,
     apply_generator_set,
     enumerate_patterns,
     generator_order,
+    rotate,
     rs_stationary,
     rs_transition_matrix,
 )
@@ -165,3 +169,52 @@ def test_k_independence_small():
 def test_full_generator_sweep_not_ergodic():
     with pytest.raises(ValueError):
         rs_stationary(2, 4)
+
+
+def test_rs_quotient_matches_full_chain():
+    cases = [(n, k) for n in range(1, 6) for k in range(1, 2 * n)] + [(6, 1), (6, 2)]
+    for n, k in cases:
+        patterns, P = rs_transition_matrix(n, k)
+        assert rs_stationary(n, k) == dict(zip(patterns, stationary_exact(P))), (n, k)
+
+
+def test_rotation_classes():
+    assert rotate(FIG_PATTERN) == LinkingPattern(((2, 5), (3, 4), (6, 1)))
+    assert rotate(FIG_PATTERN, 6) == FIG_PATTERN
+    counts = []
+    for n in range(1, 7):
+        patterns = enumerate_patterns(n)
+        rep_of, orbits = _rotation_classes(patterns)
+        assert set(rep_of) == set(patterns)
+        assert sum(map(len, orbits.values())) == len(patterns)
+        for rep, orbit in orbits.items():
+            assert rep == min((rotate(rep, s) for s in range(2 * n)), key=lambda P: P.pairs)
+            assert orbit == {rotate(rep, s) for s in range(2 * n)}
+        # the classes hold the given pattern objects, not copies
+        ids = {id(L) for L in patterns}
+        assert all(id(P) in ids for orbit in orbits.values() for P in orbit)
+        counts.append(len(orbits))
+    assert counts == [1, 1, 2, 3, 6, 14]
+
+
+def test_lift_with_wrong_orbit_share_is_refused():
+    # orbits of 2 and 3 patterns at n = 3: giving every member its class's
+    # whole probability, renormalised, breaks the flow equations
+    patterns, targets = _rs_chain(3, 1)
+    rep_of, orbits = _rotation_classes(patterns)
+    assert sorted(map(len, orbits.values())) == [2, 3]
+    reps = list(orbits)
+    lift = _quotient_stationary(reps, targets, rep_of.__getitem__, orbits.__getitem__)
+    _verify_stationary(lift, targets)
+    pi_q = stationary_exact(chain_matrix(reps, targets, rep_of.__getitem__))
+    whole = {L: p for rep, p in zip(reps, pi_q) for L in orbits[rep]}
+    total = sum(whole.values())
+    with pytest.raises(RuntimeError, match="full chain"):
+        _verify_stationary({L: p / total for L, p in whole.items()}, targets)
+
+
+def test_stationary_caps():
+    with pytest.raises(ValueError, match="cap 6"):
+        rs_stationary(7, 14)
+    with pytest.raises(ValueError, match="cap 8"):
+        rs_stationary(9, 1)

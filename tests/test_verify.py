@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -128,6 +129,7 @@ GOLDEN = {
     "rs-k-independence": "09910caf9b7ef8fdd0e2681e2e74fffb6227fd8adfdf0620e566b545f72d6d1b",
     "rs-full-ring": "c13ad8e6bd127a4fee0aa0d481c7df4cbcac9a35b144b99c635e6c56ef6c4781",
     "extreme-states": "7166a8ede2f899712495a7ffc8377630f0a6e6d1d1929855044f7c676220c894",
+    "rs-sum-rule": "8131148797999bdfdc4246ec3cf2da178eb7c542ea34212958ede9f22174389a",
     "queue-figures": "1159cd7e1615d3ed05c7b377422f326caccb25969fa4f76d5cf1fea4a8edbf10",
 }
 
@@ -200,3 +202,39 @@ def test_density_checks_never_expand_in_q(monkeypatch):
         "density-consistency": PROVED_MATCH,
     }
     assert {cid: run_suite(cid)[0].status for cid in expected} == expected
+
+
+def test_rs_sum_rule_reaches_n8():
+    r = run_suite("rs-sum-rule", overrides={"rs-sum-rule": {"max_n": 8}})[0]
+    assert (r.severity, r.status) == (THEOREM, PROVED_MATCH)
+    assert [verify._asm_count(n) for n in range(9)] == [1, 1, 2, 7, 42, 429, 7436, 218348, 10850216]
+
+
+def test_rs_sum_rule_reports_each_broken_entry(monkeypatch):
+    real = verify._rs
+
+    def skewed(n, k):
+        # one of the three most-nested-class patterns at n = 3 gets 3/2 of its mass
+        dist = dict(real(n, k))
+        if n < 3:
+            return dist
+        low = min(dist.values())
+        L = next(L for L, p in dist.items() if p == low and L != verify._most_nested(n))
+        dist[L] = low * Fraction(3, 2)
+        return dist
+
+    monkeypatch.setattr(verify, "_rs", skewed)
+    r = run_suite("rs-sum-rule", overrides={"rs-sum-rule": {"max_n": 3}})
+    assert (r[0].status, r[0].witnesses) == (MISMATCH, [
+        {"n": 3, "entry": "integral", "got": "False", "expected": "True"},
+        {"n": 3, "entry": "sum", "got": "15/2", "expected": "7"},
+    ])
+    assert suite_exit_code(r) == 2
+
+
+def test_base_solves_are_shared_read_only():
+    t = verify.TypeVector((1, 1), 4)
+    assert verify._tasep(t) is verify._tasep(t)
+    assert verify._rs(3, 1) is verify._rs(3, 1)
+    with pytest.raises(TypeError):
+        verify._rs(3, 1)[next(iter(verify._rs(3, 1)))] = 0
