@@ -35,7 +35,7 @@ from .markov import mc_stationary, tasep_stationary
 from .mlq import DiscreteMLQ, label_mlq
 from .poly import laplacian, vandermonde
 from .rs import rs_stationary
-from .tableaux import descending_start_count, ssyt_brute, ssyt_count_hook_content, ssyt_count_jacobi_trudi
+from .tableaux import descending_start_count, ssyt_count_brute, ssyt_count_hook_content, ssyt_count_jacobi_trudi
 from .verify import CHECKS, CONJECTURE, MISMATCH, run_suite, suite_exit_code
 
 # Usage errors exit with 1; click's default of 2 is reserved for theorem
@@ -333,7 +333,7 @@ def tab_ssyt_count_cmd(ctx, shape, t_bound, route):
     elif route == "jt":
         value = ssyt_count_jacobi_trudi(lam, t_bound)
     else:
-        value = len(ssyt_brute(lam, t_bound))
+        value = ssyt_count_brute(lam, t_bound)
     _emit({"shape": list(lam), "t": t_bound, "route": route, "count": value}, ctx.obj["fmt"])
 
 

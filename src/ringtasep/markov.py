@@ -12,7 +12,10 @@ count over D, per nonzero entry.  A stationary vector y comes from the
 certified kernel solve of `linalg.kernel_vector` (modular, with exact
 elimination as the fallback) and is certified by the integer flow
 equations y C = D y, C = D P the integer counts; Fractions are formed
-only for the returned distribution.
+only for the returned distribution.  A reducible chain is answered from
+its graph before any elimination: the kernel dimension is the number of
+its closed communicating classes, found by one strongly connected
+component pass, the same pass that certifies a lift irreducible.
 
 The ring dynamics commute with rotation, so stationary solves may be done
 on the rotation quotient and lifted; the lift is always re-verified on
@@ -139,14 +142,21 @@ def stationary_exact(P: RationalMatrix) -> tuple[Fraction, ...]:
     """Exact stationary distribution of a row-stochastic matrix.
 
     P is cleared once to integer counts C = D P, with D the lcm of its
-    entry denominators, and y solves y C = D y through the certified
-    kernel of C^T - D I (`linalg.kernel_vector`).  Before the Fractions
-    y_i / sum(y) are formed, y must be strictly positive and y C = D y
-    must hold in integers.
+    entry denominators.  The stationary distributions of P are spanned by
+    one per closed communicating class (Norris, Markov Chains, 1997,
+    section 1.7), so a chain with other than one closed class is refused
+    with that count as the kernel dimension, read off the chain graph.
+    Otherwise y solves y C = D y through the certified kernel of
+    C^T - D I (`linalg.kernel_vector`).  Before the Fractions
+    y_i / sum(y) are formed, y must be strictly positive (it is not when
+    transient states remain) and y C = D y must hold in integers.
     """
     C, D = P.counts()
     if not _is_stochastic(C, D):
         raise ValueError("matrix is not row-stochastic")
+    d = _closed_classes(C)
+    if d != 1:  # dim ker(C^T - D I) is the number of closed classes
+        raise ValueError(f"kernel dimension is {d}, expected 1 (chain reducible?)")
     n = len(C)
     rows = [{} for _ in range(n)]  # row j of C^T - D I
     for i, row in enumerate(C):
@@ -203,8 +213,8 @@ def _verify_stationary(dist: dict, step_targets):
     sum_w weight_w #(w -> v) = D weight_v must hold for every state v, with
     D the number of moves, which must be the same from every state.  The
     weights must sum to the scale, and the chain graph must be strongly
-    connected: one forward and one backward search over the same targets
-    reach every state.  A strongly connected chain has exactly one
+    connected: one pass of `_components` over the same targets finds a
+    single component.  A strongly connected chain has exactly one
     stationary distribution, so dist is it.
     """
     states = list(dist)
@@ -225,25 +235,59 @@ def _verify_stationary(dist: dict, step_targets):
         succ.append(out)
     if any(f != D * c for f, c in zip(flow, weight)):
         raise RuntimeError("stationarity verification failed on the full chain")
-    pred = [[] for _ in states]
-    for i, out in enumerate(succ):
-        for j in out:
-            pred[j].append(i)
-    if not (_reaches_all(succ) and _reaches_all(pred)):
+    if any(_components(succ)):
         raise ValueError("chain is not strongly connected")
 
 
-def _reaches_all(adjacent) -> bool:
-    """Whether a search from node 0 along adjacent[i] reaches every node."""
-    seen = [False] * len(adjacent)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for j in adjacent[stack.pop()]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return all(seen)
+def _components(succ) -> list[int]:
+    """The strongly connected component of every node of the graph with
+    edges i -> j for j in succ[i], by Tarjan's algorithm (1972) with an
+    explicit stack.  Components are numbered 0, 1, ... in the order they
+    close, and a component closes only after every component it reaches,
+    so each edge between components goes to a lower number."""
+    n = len(succ)
+    order, low, comp = [-1] * n, [0] * n, [-1] * n
+    seen, closed = 0, 0
+    path = []  # visited nodes whose component is still open
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        path.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = seen
+                    seen += 1
+                    path.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = path.pop()
+                        comp[w] = closed
+                        if w == v:
+                            break
+                    closed += 1
+    return comp
+
+
+def _closed_classes(succ) -> int:
+    """The number of closed communicating classes of the graph with edges
+    i -> j for j in succ[i]: its strongly connected components that no
+    edge leaves."""
+    comp = _components(succ)
+    leaving = {comp[i] for i, out in enumerate(succ) for j in out if comp[j] != comp[i]}
+    return len(set(comp)) - len(leaving)
 
 
 def _particle_steps(w: tuple[int, ...]):

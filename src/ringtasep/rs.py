@@ -16,7 +16,10 @@ its orbit, and certifies the lift on the full chain by its integer flow
 equations and strong connectivity (`markov._verify_stationary`): it is
 the unique stationary distribution.  k = 2n cuts the full cycle at
 index 1, which breaks rotation covariance, so that chain is solved
-whole.
+whole.  It is not ergodic at any n >= 2 tried: n = 2 leaves a
+transient pattern, and from n = 3 on it has several closed classes,
+which `markov.stationary_exact` counts and reports as the kernel
+dimension before any elimination.
 """
 
 import itertools
@@ -169,12 +172,11 @@ def rs_stationary(n: int, k: int, cap: int = 8) -> dict[LinkingPattern, Fraction
     """Exact stationary distribution of the k-subset chain, certified unique.
 
     For k < 2n it is solved on rotation classes and lifted; k = 2n is
-    solved on the full chain, which is not ergodic and falls back to dense
-    elimination, so its cap stays at 6.
+    given to `stationary_exact` whole, which refuses it from its closed
+    classes when it is not ergodic.
     """
-    limit = cap if k < 2 * n else min(cap, 6)
-    if n > limit:
-        raise ValueError(f"n={n} above exact-solve cap {limit}")
+    if n > cap:
+        raise ValueError(f"n={n} above exact-solve cap {cap}")
     patterns, targets = _rs_chain(n, k)
     if k < 2 * n:
         rep_of, orbits = _rotation_classes(patterns)

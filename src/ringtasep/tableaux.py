@@ -1,17 +1,19 @@
 """Partitions, Young tableaux, and the queue/tableau correspondence.
 
 Semistandard tableau counts come in three mutually checking routes
-(hook-content product, two Jacobi-Trudi determinants, brute
-enumeration).  On top of those sit the probability that a stationary
-word starts with a fixed descending run, the count of queues whose
-bottom row starts n(n-1)...2 (determinant-sum route vs. tableau-count
-route), the explicit bijection from such queues to semistandard
-tableaux, and interlacing (Gelfand-Tsetlin) pattern counting.
+(hook-content product, two Jacobi-Trudi determinants, and a brute
+oracle that counts the rows of the exhaustive listing by row transfer).
+On top of those sit the probability that a stationary word starts with
+a fixed descending run, the count of queues whose bottom row starts
+n(n-1)...2 (determinant-sum route vs. tableau-count route), the explicit
+bijection from such queues to semistandard tableaux, and interlacing
+(Gelfand-Tsetlin) pattern counting.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .core import TypeVector, binomial
@@ -144,6 +146,23 @@ def ssyt_brute(lam, t: int) -> list[Tableau]:
     out: list[Tableau] = []
     fill_rows(0, None, [], out)
     return out
+
+
+def ssyt_count_brute(lam, t: int) -> int:
+    """Number of semistandard tableaux of shape lam with entries in [t],
+    by row transfer over the rows `ssyt_brute` lists: each row allowed
+    under the row above adds the count of the rows below it.  The count is
+    memoised on (row index, row above), so equal futures are counted once;
+    no formula of the other routes is used."""
+    lam = check_partition(lam)
+
+    @cache
+    def below(i, above):
+        if i == len(lam):
+            return 1
+        return sum(below(i + 1, row) for row in _weak_rows(lam[i], t, above))
+
+    return below(0, None)
 
 
 def _weak_rows(length, t, above):

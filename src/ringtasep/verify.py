@@ -75,7 +75,7 @@ from .tableaux import (
     hook_content_row_addition_check,
     interlacing_pattern_count,
     mlq_to_ssyt,
-    ssyt_brute,
+    ssyt_count_brute,
     ssyt_count_hook_content,
     ssyt_count_jacobi_trudi,
     ssyt_to_mlq,
@@ -525,7 +525,7 @@ def _check_hook_jt_brute(params):
         for t in range(0, params.get("max_t", 5) + 1):
             hc = ssyt_count_hook_content(lam, t)
             jt = ssyt_count_jacobi_trudi(lam, t)
-            brute = len(ssyt_brute(lam, t))
+            brute = ssyt_count_brute(lam, t)
             if not (hc == jt == brute):
                 bad.append({"shape": list(lam), "t": t, "hc": hc, "jt": jt, "brute": brute})
     return bad[:5], "hook-content == both determinants == enumeration"
@@ -718,6 +718,7 @@ CHECKS: dict[str, tuple[str, object, dict]] = {
     "laplace-n4": (THEOREM, _check_laplace, {"n": 4}),
     "laplace-n5": (THEOREM, _check_laplace, {"n": 5, "expected_harmonic": 15, "enable_slow": False}),
     "conj-leading-part": (CONJECTURE, _check_leading_part, {"n": 4}),
+    "conj-leading-part-n5": (CONJECTURE, _check_leading_part, {"n": 5}),
     "density-consistency": (THEOREM, _check_density_consistency, {"max_n": 4}),
     "density-consistency-n5": (THEOREM, _check_density_consistency, {"min_n": 5, "max_n": 5}),
     "prop43-adjacency": (THEOREM, _check_prop43, {"max_exact_n": 5, "max_formula_n": 10}),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -7,11 +8,15 @@ import pytest
 
 from ringtasep import markov
 from ringtasep.core import RingWord, TypeVector, VACANT
-from ringtasep.linalg import kernel_vector
+from ringtasep.linalg import _bareiss_kernel, kernel_vector
 from ringtasep.markov import (
     RationalMatrix,
+    _closed_classes,
+    _components,
     _particle_steps,
+    _subset_steps,
     _verify_stationary,
+    chain_matrix,
     enumerate_states,
     k_tasep_stationary,
     k_tasep_step,
@@ -206,6 +211,77 @@ def test_stationary_exact_rejects_reducible():
     P = RationalMatrix(({0: Fraction(1), 1: Fraction(0)}, {1: Fraction(1)}))
     assert P.rows == ({0: Fraction(1)}, {1: Fraction(1)})
     with pytest.raises(ValueError):
+        stationary_exact(P)
+
+
+def _bareiss_error(P):
+    """What the dense fraction-free solve of C^T - D I reports: its error
+    text, or None when the kernel is one-dimensional."""
+    C, D = P.counts()
+    n = len(C)
+    m = [[0] * n for _ in range(n)]
+    for i, row in enumerate(C):
+        for j, c in row.items():
+            m[j][i] = c
+    for j in range(n):
+        m[j][j] -= D
+    try:
+        _bareiss_kernel(m, n)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _full_ring_chain(n, N):
+    states = enumerate_states(TypeVector((1,) * n, N))
+    return chain_matrix(states, _subset_steps(N, N))
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [lambda n=n, N=N: _full_ring_chain(n, N) for N in range(1, 6) for n in range(1, N + 1)]
+    + [lambda n=n: rs_transition_matrix(n, 2 * n)[1] for n in range(1, 6)]
+    + [lambda: transition_matrix(TypeVector((2, 1), 5))[1], lambda: rs_transition_matrix(3, 1)[1]],
+)
+def test_closed_classes_are_the_kernel_dimension(chain):
+    P = chain()
+    error = _bareiss_error(P)
+    dimension = 1 if error is None else int(re.match(r"kernel dimension is (\d+),", error)[1])
+    assert _closed_classes(P.counts()[0]) == dimension
+
+
+def test_closed_classes_of_small_graphs():
+    # components close sinks first: 1, then 2 (its edge to 1 is to a closed one), then 0
+    assert _components([[1, 2], [], [1]]) == [2, 0, 1]
+    assert _closed_classes([]) == 0
+    assert _closed_classes([[0]]) == 1
+    # 0 -> {1, 2} -> 3 <-> 4, with 5 on a loop of its own: two closed classes
+    assert _closed_classes([[1], [2], [1, 3], [4], [3], [5]]) == 2
+    # a long path into a cycle is one deep search, not one stack frame per node
+    assert _closed_classes([[i + 1] for i in range(5000)] + [[4990]]) == 1
+
+
+def test_reducible_chain_is_refused_before_the_kernel_solve(monkeypatch):
+    P = RationalMatrix(({1: Fraction(1)}, {0: Fraction(1)}, {2: Fraction(1, 2), 3: Fraction(1, 2)}, {2: Fraction(1)}))
+    expected = _bareiss_error(P)
+    assert expected == "kernel dimension is 2, expected 1 (chain reducible?)"
+
+    def refuse(rows, n):
+        raise AssertionError("kernel solve of a reducible chain")
+
+    monkeypatch.setattr(markov, "kernel_vector", refuse)
+    with pytest.raises(ValueError) as e:
+        stationary_exact(P)
+    assert str(e.value) == expected
+    with pytest.raises(ValueError, match=r"^kernel dimension is 6, expected 1 \(chain reducible\?\)$"):
+        stationary_exact(rs_transition_matrix(5, 10)[1])
+
+
+def test_one_closed_class_with_a_transient_state_is_not_positive():
+    # 0 leaves for the closed class {1, 2} and never returns
+    P = RationalMatrix(({0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: Fraction(1)}, {1: Fraction(1)}))
+    assert _closed_classes(P.counts()[0]) == 1
+    with pytest.raises(ValueError, match="not strictly positive"):
         stationary_exact(P)
 
 

@@ -214,7 +214,10 @@ def test_lift_with_wrong_orbit_share_is_refused():
 
 
 def test_stationary_caps():
-    with pytest.raises(ValueError, match="cap 6"):
+    # one cap for every k; k = 2n at n = 7 is refused from its closed classes
+    with pytest.raises(ValueError, match=r"^kernel dimension is 28, expected 1 \(chain reducible\?\)$"):
         rs_stationary(7, 14)
     with pytest.raises(ValueError, match="cap 8"):
         rs_stationary(9, 1)
+    with pytest.raises(ValueError, match="cap 8"):
+        rs_stationary(9, 18)

@@ -20,6 +20,7 @@ from ringtasep.tableaux import (
     is_ssyt,
     mlq_to_ssyt,
     ssyt_brute,
+    ssyt_count_brute,
     ssyt_count_hook_content,
     ssyt_count_jacobi_trudi,
     ssyt_to_mlq,
@@ -91,6 +92,17 @@ def test_three_route_agreement_box_sweep():
     for lam in sorted(shapes):
         for t in range(6):
             assert ssyt_count_hook_content(lam, t) == ssyt_count_jacobi_trudi(lam, t) == len(ssyt_brute(lam, t))
+
+
+def test_counted_oracle_matches_the_listing():
+    # every shape of the hook-jt-brute check, the empty one included
+    shapes = [()] + [
+        lam for k in range(1, 5) for lam in itertools.combinations_with_replacement(range(4, 0, -1), k)
+    ]
+    for lam in shapes:
+        for t in range(4):
+            assert ssyt_count_brute(lam, t) == len(ssyt_brute(lam, t)), (lam, t)
+    assert ssyt_count_brute((3, 2, 2), 5) == ssyt_count_hook_content((3, 2, 2), 5)
 
 
 def test_syt_counts():

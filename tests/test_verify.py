@@ -1,11 +1,13 @@
 import hashlib
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ringtasep import continuum, verify
+from ringtasep import continuum, linalg, verify
 from ringtasep.verify import (
     CHECKS,
     CONJECTURE,
@@ -108,6 +110,7 @@ GOLDEN = {
     "laplace-n4": "9263198375e87c8acd87831aeb16f5871a17ff1427f102db6a34392c6eaa1e71",
     "laplace-n5": "cb34e29612aeeb5f4710b0bce58486523d05c777a2de1e358d7a69f3fc39d563",
     "conj-leading-part": "ec04054265c659c442e7486b69a0a657fab3047fb5de885f8d697326d02a5b7b",
+    "conj-leading-part-n5": "df956a3e06dbab1105c5046fce6b16a4a100f41cb67082433a714aa3735dd77b",
     "density-consistency": "61685c3a36b29b22135a259151abd5650b40ee31c19759fb250207f460c8dcbc",
     "density-consistency-n5": "e67653bba69ceb64fac2e7381290c78c543ca4ea822693dfa59e731f33e045e0",
     "prop43-adjacency": "84d8f5e2a31cbb4349d0ec619c72730268eae68040512ea63712ce51e2abc15d",
@@ -202,6 +205,24 @@ def test_density_checks_never_expand_in_q(monkeypatch):
         "density-consistency": PROVED_MATCH,
     }
     assert {cid: run_suite(cid)[0].status for cid in expected} == expected
+
+
+def test_benchmarked_checks_never_eliminate_densely(monkeypatch):
+    # the checks of the verify-exact benchmark workload, at its parameters:
+    # every solve is modular, and every reducible chain is refused from its
+    # closed classes, so the dense Bareiss kernel is never reached
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = []
+    real = linalg._bareiss_kernel
+    monkeypatch.setattr(linalg, "_bareiss_kernel", lambda m, n: calls.append(n) or real(m, n))
+    verify._tasep.cache_clear()  # solve every base chain here, not in an earlier test
+    verify._rs.cache_clear()
+    statuses = {cid: run_suite(cid, overrides={cid: params})[0].status for cid, params in workloads.VERIFY_PARAMS.items()}
+    assert calls == []
+    assert statuses == {cid: status for cid, status in workloads.load_refs()["verify_status"].items() if cid in statuses}
 
 
 def test_rs_sum_rule_reaches_n8():
