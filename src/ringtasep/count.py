@@ -205,11 +205,9 @@ def count_bottom_reverse_multi_swap(kvec, b, N: int) -> int:
         for ki in S:
             coef *= binomial(N, ki)
         total += (-1) ** len(S) * coef * det
-    if isinstance(total, Fraction):
-        if total.denominator != 1:
-            raise RuntimeError("non-integer count")
-        total = int(total)
-    return total
+    if total.denominator != 1:
+        raise RuntimeError("non-integer count")
+    return int(total)
 
 
 # --- nonintersecting lattice paths ------------------------------------------

@@ -1,7 +1,9 @@
 """Exact linear algebra: determinants and one-dimensional kernels.
 
-Rational rows are cleared to integers first, each row scaled by the lcm
-of its denominators, and kept sparse as {column: int} maps.
+Kernels take integer rows, kept sparse as {column: int} maps; the chain
+layer hands them over as counts, so no rational is formed on the way.
+A determinant clears its rational rows to integers first, each row scaled
+by the lcm of its denominators.
 
 Kernels are solved modulo word-size primes first.  Sparse Gaussian
 elimination mod p gives the rank mod p and, when that is n - 1, a kernel
@@ -29,19 +31,6 @@ from math import gcd, isqrt, lcm
 
 # The largest primes below 2^61, 2^62 and 2^63.
 _PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
-
-
-def _integer_rows(rows) -> tuple[list[dict[int, int]], int]:
-    """Sparse integer rows {column: int}, without zeros, from sparse
-    {column: rational} rows, each scaled by the lcm of its denominators;
-    also the product of those scales."""
-    out, scale = [], 1
-    for sparse in rows:
-        entries = [(c, Fraction(x)) for c, x in sparse.items()]
-        s = lcm(*(x.denominator for _, x in entries))
-        out.append({c: x.numerator * (s // x.denominator) for c, x in entries if x})
-        scale *= s
-    return out, scale
 
 
 def _dense(rows: list[dict[int, int]], n_cols: int) -> list[list[int]]:
@@ -86,15 +75,18 @@ def _eliminate(m: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
 
 def det_fraction_free(M) -> Fraction:
     """Exact determinant of a square array of ints/Fractions by
-    fraction-free (Bareiss) elimination."""
-    rows = [dict(enumerate(r)) for r in M]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    fraction-free (Bareiss) elimination, each row first scaled to integers
+    by the lcm of its denominators."""
+    m, scale = [], 1
+    for r in M:
+        s = lcm(*(x.denominator for x in r))
+        m.append([x.numerator * (s // x.denominator) for x in r])
+        scale *= s
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
     if n == 0:
         return Fraction(1)
-    ints, scale = _integer_rows(rows)
-    m = _dense(ints, n)
     pivots, sign = _eliminate(m)
     if len(pivots) < n:
         return Fraction(0)
@@ -218,7 +210,7 @@ def _reconstruct(x: list[int], m: int) -> list[int] | None:
 
 def kernel_vector(rows, n_cols: int) -> list[int]:
     """Integer vector spanning the kernel of a matrix given as sparse
-    {column: rational} rows; raises if the kernel is not one-dimensional.
+    {column: int} rows; raises if the kernel is not one-dimensional.
 
     Solved mod each of _PRIMES in turn: the kernel vectors, normalised on
     one column, are combined by CRT, and after each prime a primitive
@@ -227,10 +219,9 @@ def kernel_vector(rows, n_cols: int) -> list[int]:
     no prime gives a certified y, the kernel is found by fraction-free
     elimination instead, which also reports the kernel dimension.
     """
-    ints, _ = _integer_rows(rows)
     modulus, acc, col = 1, [0] * n_cols, None
     for p in _PRIMES:
-        x = _kernel_mod(ints, n_cols, p)
+        x = _kernel_mod(rows, n_cols, p)
         if x is None:
             break
         if col is None:
@@ -242,6 +233,6 @@ def kernel_vector(rows, n_cols: int) -> list[int]:
         acc = [a + modulus * ((v * inv - a) * k % p) for a, v in zip(acc, x)]
         modulus *= p
         y = _reconstruct(acc, modulus)
-        if y is not None and any(y) and all(sum(v * y[c] for c, v in row.items()) == 0 for row in ints):
+        if y is not None and any(y) and all(sum(v * y[c] for c, v in row.items()) == 0 for row in rows):
             return y
-    return _bareiss_kernel(_dense(ints, n_cols), n_cols)
+    return _bareiss_kernel(_dense(rows, n_cols), n_cols)

@@ -6,16 +6,18 @@ larger label).  Everything here is exact.
 
 Every chain here picks one of D equally likely moves, and D is the same
 from every state: one of K particles, or one of C(N, k) subsets of sites.
-A step function yields only the targets of those moves.  A transition
-matrix counts the targets per column in integers and holds one Fraction,
-count over D, per nonzero entry.  A stationary vector y comes from the
+A step function yields only the targets of those moves.  A chain is
+held as its move counts C, the targets counted per column in integers,
+with P = C / D; the chain layer stays in integers from the step
+functions to the certificate.  A stationary vector y comes from the
 certified kernel solve of `linalg.kernel_vector` (modular, with exact
 elimination as the fallback) and is certified by the integer flow
-equations y C = D y, C = D P the integer counts; Fractions are formed
-only for the returned distribution.  A reducible chain is answered from
-its graph before any elimination: the kernel dimension is the number of
-its closed communicating classes, found by one strongly connected
-component pass, the same pass that certifies a lift irreducible.
+equations y C = D y; Fractions are formed only for the returned
+distribution.  A chain that is not irreducible is answered from its
+graph before any elimination: the kernel dimension is the number of its
+closed communicating classes, found by one strongly connected component
+pass, the same pass that certifies a lift irreducible, and with one
+closed class any further component is transient.
 
 The ring dynamics commute with rotation, so stationary solves may be done
 on the rotation quotient and lifted; the lift is always re-verified on
@@ -36,49 +38,40 @@ from .mlq import last_row_step
 
 
 @dataclass(frozen=True)
-class RationalMatrix:
-    """Square matrix with sparse rows: rows[i] maps a column to its
-    nonzero entry, so a chain costs its transitions, not n^2."""
+class CountMatrix:
+    """Transition counts of a chain whose every state has D equally likely
+    moves: rows[i] maps a column to the number of moves from state i that
+    land there, so the transition matrix is P = C / D.  Rows are sparse, so
+    a chain costs its transitions, not n^2."""
 
-    rows: tuple[dict[int, Fraction], ...]
-
-    def __post_init__(self):
-        rows = tuple({j: Fraction(x) for j, x in r.items() if x} for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    rows: tuple[dict[int, int], ...]
+    D: int
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def counts(self) -> tuple[list[dict[int, int]], int]:
-        """The rows cleared once to integers: (C, D) with C = D P and D the
-        lcm of the entry denominators."""
-        D = lcm(*(x.denominator for r in self.rows for x in r.values()))
-        return [{j: x.numerator * (D // x.denominator) for j, x in r.items()} for r in self.rows], D
 
-    def is_row_stochastic(self) -> bool:
-        return _is_stochastic(*self.counts())
-
-
-def _is_stochastic(C: list[dict[int, int]], D: int) -> bool:
+def _is_stochastic(C: tuple[dict[int, int], ...], D: int) -> bool:
+    """Every row holds positive counts, in range, that sum to D > 0; a
+    stored zero would read as an edge of the chain graph."""
     n = len(C)
-    return all(sum(r.values()) == D and all(c >= 0 and 0 <= j < n for j, c in r.items()) for r in C)
+    return D > 0 and all(sum(r.values()) == D and all(c > 0 and 0 <= j < n for j, c in r.items()) for r in C)
 
 
-def chain_matrix(states, step_targets, key=None) -> RationalMatrix:
-    """Sparse transition matrix with one row per state.  step_targets(state)
-    yields the targets of the state's equally likely moves; they are
-    counted in integers by the column of the state key(target) (the target
-    itself by default), and each entry is its count over the number of
-    moves."""
+def chain_matrix(states, step_targets, key=None) -> CountMatrix:
+    """Move counts with one row per state.  step_targets(state) yields the
+    targets of the state's equally likely moves; they are counted in
+    integers by the column of the state key(target) (the target itself by
+    default).  Every state must yield the same number D of moves."""
     index = {s: i for i, s in enumerate(states)}
     column = index.__getitem__ if key is None else lambda w: index[key(w)]
-    rows = []
-    for s in states:
-        counts = Counter(map(column, step_targets(s)))
-        moves = counts.total()
-        rows.append({j: Fraction(c, moves) for j, c in counts.items()})
-    return RationalMatrix(tuple(rows))
+    rows = tuple(Counter(map(column, step_targets(s))) for s in states)
+    D = rows[0].total() if rows else 0
+    for s, counts in zip(states, rows):
+        if counts.total() != D:
+            raise ValueError(f"state {s} has {counts.total()} moves, another has {D}")
+    return CountMatrix(rows, D)
 
 
 def _content(t: TypeVector) -> list[int]:
@@ -126,10 +119,11 @@ def tasep_step(w: RingWord, site: int) -> RingWord:
 
 
 def transition_matrix(t: TypeVector, cap: int = 2000):
-    """Sparse transition matrix of the chain, with its state list.
+    """Sparse move counts of the chain, with its state list.
 
-    Each of the K particles is chosen with probability 1/K.  Raises when
-    the state space exceeds the cap.
+    Each of the K particles is chosen with probability 1/K: the matrix
+    holds the move counts with D = K (a `CountMatrix`).  Raises when the
+    state space exceeds the cap.
     """
     size = state_count(t)
     if size > cap:
@@ -138,31 +132,34 @@ def transition_matrix(t: TypeVector, cap: int = 2000):
     return states, chain_matrix(states, _particle_steps)
 
 
-def stationary_exact(P: RationalMatrix) -> tuple[Fraction, ...]:
-    """Exact stationary distribution of a row-stochastic matrix.
+def stationary_exact(P: CountMatrix) -> tuple[Fraction, ...]:
+    """Exact stationary distribution of a chain given by its move counts.
 
-    P is cleared once to integer counts C = D P, with D the lcm of its
-    entry denominators.  The stationary distributions of P are spanned by
-    one per closed communicating class (Norris, Markov Chains, 1997,
-    section 1.7), so a chain with other than one closed class is refused
-    with that count as the kernel dimension, read off the chain graph.
-    Otherwise y solves y C = D y through the certified kernel of
-    C^T - D I (`linalg.kernel_vector`).  Before the Fractions
-    y_i / sum(y) are formed, y must be strictly positive (it is not when
-    transient states remain) and y C = D y must hold in integers.
+    P holds the integer counts C of every state's D equally likely moves,
+    so the transition matrix is C / D.  Its stationary distributions are
+    spanned by one per closed communicating class (Norris, Markov Chains,
+    1997, section 1.7), so a chain with other than one closed class is
+    refused with that count as the kernel dimension, read off the chain
+    graph, and a chain whose one closed class leaves transient states, as
+    not strictly positive.  Otherwise y solves y C = D y through the
+    certified kernel of C^T - D I (`linalg.kernel_vector`).  Before the
+    Fractions y_i / sum(y) are formed, y must be strictly positive and
+    y C = D y must hold in integers.
     """
-    C, D = P.counts()
+    C, D = P.rows, P.D
     if not _is_stochastic(C, D):
         raise ValueError("matrix is not row-stochastic")
-    d = _closed_classes(C)
+    comp = _components(C)
+    d = _closed_classes(C, comp)
     if d != 1:  # dim ker(C^T - D I) is the number of closed classes
         raise ValueError(f"kernel dimension is {d}, expected 1 (chain reducible?)")
+    if any(comp):  # the closed class is component 0, the others are transient
+        raise ValueError("stationary vector not strictly positive (chain not irreducible)")
     n = len(C)
     rows = [{} for _ in range(n)]  # row j of C^T - D I
     for i, row in enumerate(C):
         for j, c in row.items():
             rows[j][i] = c
-    del C  # only its transpose is kept through the solve
     for j, row in enumerate(rows):
         row[j] = row.get(j, 0) - D
     y = kernel_vector(rows, n)
@@ -281,11 +278,10 @@ def _components(succ) -> list[int]:
     return comp
 
 
-def _closed_classes(succ) -> int:
+def _closed_classes(succ, comp: list[int]) -> int:
     """The number of closed communicating classes of the graph with edges
-    i -> j for j in succ[i]: its strongly connected components that no
-    edge leaves."""
-    comp = _components(succ)
+    i -> j for j in succ[i], given comp = _components(succ): its strongly
+    connected components that no edge leaves."""
     leaving = {comp[i] for i, out in enumerate(succ) for j in out if comp[j] != comp[i]}
     return len(set(comp)) - len(leaving)
 

@@ -17,9 +17,10 @@ equations and strong connectivity (`markov._verify_stationary`): it is
 the unique stationary distribution.  k = 2n cuts the full cycle at
 index 1, which breaks rotation covariance, so that chain is solved
 whole.  It is not ergodic at any n >= 2 tried: n = 2 leaves a
-transient pattern, and from n = 3 on it has several closed classes,
-which `markov.stationary_exact` counts and reports as the kernel
-dimension before any elimination.
+transient pattern, and from n = 3 on it has several closed classes.
+`markov.stationary_exact` reads both off the strongly connected
+components of the chain graph and refuses the chain before any
+elimination.
 """
 
 import itertools
@@ -163,7 +164,8 @@ def _rotation_classes(patterns):
 
 
 def rs_transition_matrix(n: int, k: int):
-    """Sparse transition matrix of the k-subset chain, with its pattern list."""
+    """Sparse move counts of the k-subset chain, with its pattern list: a
+    `markov.CountMatrix` with D = C(2n, k), one move per generator subset."""
     patterns, targets = _rs_chain(n, k)
     return patterns, chain_matrix(patterns, targets)
 

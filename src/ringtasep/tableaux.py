@@ -52,6 +52,13 @@ def hook_length(lam, i: int, j: int) -> int:
     return lam[i] + lamc[j] - i - j - 1
 
 
+def _hooks(lam):
+    """(row, col, hook length) of every cell, the conjugate formed once."""
+    lamc = conjugate_partition(lam)
+    for i, j in cells(lam):
+        yield i, j, lam[i] + lamc[j] - i - j - 1
+
+
 def content(i: int, j: int) -> int:
     return j - i
 
@@ -101,8 +108,8 @@ def ssyt_count_hook_content(lam, t: int) -> int:
     if t < 0:
         raise ValueError("need t >= 0")
     out = Fraction(1)
-    for i, j in cells(lam):
-        out *= Fraction(t + content(i, j), hook_length(lam, i, j))
+    for i, j, hook in _hooks(lam):
+        out *= Fraction(t + content(i, j), hook)
     if out.denominator != 1:
         raise RuntimeError("hook-content product is not an integer")
     return int(out)
@@ -186,8 +193,8 @@ def syt_count(lam) -> int:
     lam = check_partition(lam)
     size = sum(lam)
     out = Fraction(factorial(size))
-    for i, j in cells(lam):
-        out /= hook_length(lam, i, j)
+    for _, _, hook in _hooks(lam):
+        out /= hook
     if out.denominator != 1:
         raise RuntimeError("hook length formula gave a non-integer")
     return int(out)

@@ -208,6 +208,10 @@ def test_det_fraction_free_vs_cofactor():
     for _ in range(20):
         m = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
         assert det_fraction_free(m) == cofactor_det(m)
+    # rational rows, each cleared to integers by its own lcm
+    for _ in range(20):
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)] for _ in range(4)]
+        assert det_fraction_free(m) == cofactor_det(m)
 
 
 def test_det_requires_square():

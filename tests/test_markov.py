@@ -10,9 +10,10 @@ from ringtasep import markov
 from ringtasep.core import RingWord, TypeVector, VACANT
 from ringtasep.linalg import _bareiss_kernel, kernel_vector
 from ringtasep.markov import (
-    RationalMatrix,
+    CountMatrix,
     _closed_classes,
     _components,
+    _is_stochastic,
     _particle_steps,
     _subset_steps,
     _verify_stationary,
@@ -73,20 +74,20 @@ def test_enumerate_states_lex_and_count():
 
 def test_transition_matrix_single_particle():
     _, P = transition_matrix(TypeVector((1,), 2))
-    assert P.rows == ({1: Fraction(1)}, {0: Fraction(1)})
+    assert P.rows == ({1: 1}, {0: 1}) and P.D == 1
 
 
 def test_transition_matrix_two_particles_full():
     states, P = transition_matrix(TypeVector((1, 1), 2))
     i = states.index((2, 1))
-    row = {states[j]: x for j, x in P.rows[i].items()}
+    row = {states[j]: Fraction(c, P.D) for j, c in P.rows[i].items()}
     assert row == {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
 
 
 def test_transition_matrix_rows_stochastic():
     for m, N in [((1,), 4), ((1, 1), 4), ((2, 1), 5)]:
         _, P = transition_matrix(TypeVector(m, N))
-        assert P.is_row_stochastic()
+        assert _is_stochastic(P.rows, P.D)
 
 
 def test_transition_matrix_cap():
@@ -104,7 +105,7 @@ def test_stationary_exact_verifies():
     pi = stationary_exact(P)
     assert sum(pi) == 1
     for j in range(len(states)):
-        assert sum(pi[i] * P.rows[i].get(j, 0) for i in range(len(states))) == pi[j]
+        assert sum(pi[i] * Fraction(P.rows[i].get(j, 0), P.D) for i in range(len(states))) == pi[j]
 
 
 def _summed_rows(states, moves):
@@ -142,10 +143,18 @@ def _rs_moves(k):
 def test_chain_matrix_counts_multiplicities(chain, moves):
     states, P = chain()
     expected = _summed_rows(states, moves)
-    for row, want in zip(P.rows, expected, strict=True):
-        assert row == want
+    for s, row, want in zip(states, P.rows, expected, strict=True):
+        assert len(moves(s)) == P.D
+        assert {j: Fraction(c, P.D) for j, c in row.items()} == want
     # some state reaches one target by several moves: a count above 1
-    assert any(x * len(moves(s)) > 1 for s, row in zip(states, P.rows) for x in row.values())
+    assert any(c > 1 for row in P.rows for c in row.values())
+
+
+def test_chain_matrix_refuses_unequal_move_counts():
+    targets = {0: [1], 1: [0, 1], 2: [0]}.__getitem__
+    with pytest.raises(ValueError, match="^state 1 has 2 moves, another has 1$"):
+        chain_matrix([0, 1, 2], targets)
+    assert chain_matrix([0, 1], {0: [1, 1], 1: [0, 1]}.__getitem__) == CountMatrix(({1: 2}, {0: 1, 1: 1}), 2)
 
 
 def test_stationary_exact_refuses_a_wrong_kernel_vector(monkeypatch):
@@ -208,16 +217,15 @@ def test_verify_stationary_refuses_unnormalised_mass():
 
 
 def test_stationary_exact_rejects_reducible():
-    P = RationalMatrix(({0: Fraction(1), 1: Fraction(0)}, {1: Fraction(1)}))
-    assert P.rows == ({0: Fraction(1)}, {1: Fraction(1)})
-    with pytest.raises(ValueError):
+    P = CountMatrix(({0: 1}, {1: 1}), 1)
+    with pytest.raises(ValueError, match=r"^kernel dimension is 2, expected 1 \(chain reducible\?\)$"):
         stationary_exact(P)
 
 
 def _bareiss_error(P):
     """What the dense fraction-free solve of C^T - D I reports: its error
     text, or None when the kernel is one-dimensional."""
-    C, D = P.counts()
+    C, D = P.rows, P.D
     n = len(C)
     m = [[0] * n for _ in range(n)]
     for i, row in enumerate(C):
@@ -247,22 +255,26 @@ def test_closed_classes_are_the_kernel_dimension(chain):
     P = chain()
     error = _bareiss_error(P)
     dimension = 1 if error is None else int(re.match(r"kernel dimension is (\d+),", error)[1])
-    assert _closed_classes(P.counts()[0]) == dimension
+    assert _closed(P.rows) == dimension
+
+
+def _closed(succ):
+    return _closed_classes(succ, _components(succ))
 
 
 def test_closed_classes_of_small_graphs():
     # components close sinks first: 1, then 2 (its edge to 1 is to a closed one), then 0
     assert _components([[1, 2], [], [1]]) == [2, 0, 1]
-    assert _closed_classes([]) == 0
-    assert _closed_classes([[0]]) == 1
+    assert _closed([]) == 0
+    assert _closed([[0]]) == 1
     # 0 -> {1, 2} -> 3 <-> 4, with 5 on a loop of its own: two closed classes
-    assert _closed_classes([[1], [2], [1, 3], [4], [3], [5]]) == 2
+    assert _closed([[1], [2], [1, 3], [4], [3], [5]]) == 2
     # a long path into a cycle is one deep search, not one stack frame per node
-    assert _closed_classes([[i + 1] for i in range(5000)] + [[4990]]) == 1
+    assert _closed([[i + 1] for i in range(5000)] + [[4990]]) == 1
 
 
 def test_reducible_chain_is_refused_before_the_kernel_solve(monkeypatch):
-    P = RationalMatrix(({1: Fraction(1)}, {0: Fraction(1)}, {2: Fraction(1, 2), 3: Fraction(1, 2)}, {2: Fraction(1)}))
+    P = CountMatrix(({1: 2}, {0: 2}, {2: 1, 3: 1}, {2: 2}), 2)
     expected = _bareiss_error(P)
     assert expected == "kernel dimension is 2, expected 1 (chain reducible?)"
 
@@ -277,26 +289,39 @@ def test_reducible_chain_is_refused_before_the_kernel_solve(monkeypatch):
         stationary_exact(rs_transition_matrix(5, 10)[1])
 
 
-def test_one_closed_class_with_a_transient_state_is_not_positive():
+def test_one_closed_class_with_a_transient_state_is_not_positive(monkeypatch):
     # 0 leaves for the closed class {1, 2} and never returns
-    P = RationalMatrix(({0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: Fraction(1)}, {1: Fraction(1)}))
-    assert _closed_classes(P.counts()[0]) == 1
-    with pytest.raises(ValueError, match="not strictly positive"):
+    P = CountMatrix(({0: 1, 1: 1}, {2: 2}, {1: 2}), 2)
+    assert _closed(P.rows) == 1
+
+    def refuse(rows, n):
+        raise AssertionError("kernel solve of a chain with a transient state")
+
+    monkeypatch.setattr(markov, "kernel_vector", refuse)
+    with pytest.raises(ValueError, match=r"^stationary vector not strictly positive \(chain not irreducible\)$"):
         stationary_exact(P)
 
 
 @pytest.mark.parametrize(
     "rows",
     [
-        ({0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(1)}),  # row sum 5/6
-        ({0: Fraction(1, 2), 1: Fraction(2, 3)}, {0: Fraction(1)}),  # row sum 7/6
-        ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, {0: Fraction(1)}),  # negative entry
-        ({0: Fraction(1, 2), 2: Fraction(1, 2)}, {0: Fraction(1)}),  # column 2 of 2
+        ({0: 3, 1: 2}, {0: 6}),  # row sum 5/6
+        ({0: 3, 1: 4}, {0: 6}),  # row sum 7/6
+        ({0: 9, 1: -3}, {0: 6}),  # negative count
+        ({0: 3, 2: 3}, {0: 6}),  # column 2 of 2
+        ({0: 6, 1: 0}, {0: 6}),  # a stored zero, which would read as an edge
     ],
 )
 def test_stationary_exact_rejects_non_stochastic(rows):
-    P = RationalMatrix(rows)
-    assert not P.is_row_stochastic()
+    P = CountMatrix(rows, 6)
+    assert not _is_stochastic(P.rows, P.D)
+    with pytest.raises(ValueError, match="not row-stochastic"):
+        stationary_exact(P)
+
+
+def test_stationary_exact_rejects_a_chain_without_moves():
+    P = chain_matrix([0], lambda s: [])
+    assert P == CountMatrix(({},), 0)
     with pytest.raises(ValueError, match="not row-stochastic"):
         stationary_exact(P)
 

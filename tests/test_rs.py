@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ringtasep.markov import _quotient_stationary, _verify_stationary, chain_matrix, stationary_exact
+from ringtasep.markov import _is_stochastic, _quotient_stationary, _verify_stationary, chain_matrix, stationary_exact
 from ringtasep.rs import (
     LinkingPattern,
     _rotation_classes,
@@ -148,7 +148,7 @@ def test_admissible_orders_agree_exhaustive():
 
 def test_transition_matrix_stochastic():
     _, P = rs_transition_matrix(3, 2)
-    assert P.is_row_stochastic()
+    assert _is_stochastic(P.rows, P.D) and P.D == 15  # C(6, 2) generator subsets
 
 
 def test_stationary_two_patterns():
