@@ -44,6 +44,8 @@ from .core import Perm, _estimates, _multiset_perms, check_permutation
 from .mlq import Arrangement, _claim_labels
 from .poly import MultiPoly, OperatorExpr
 
+EXACT_CAP = 5  # the largest n of the exact census routes
+
 
 def arrangement_count(n: int) -> int:
     """Number of arrangements: B! / (1! 2! ... n!) with B = C(n+1, 2)."""
@@ -54,11 +56,11 @@ def arrangement_count(n: int) -> int:
     return out
 
 
-def enumerate_arrangements(n: int, cap: int = 5):
-    """Yield every arrangement of {1x1, 2x2, ..., nxn}; n above the cap
+def enumerate_arrangements(n: int):
+    """Yield every arrangement of {1x1, 2x2, ..., nxn}; n above EXACT_CAP
     is refused (the count grows like B!)."""
-    if n > cap:
-        raise ValueError(f"n={n} above enumeration cap {cap}")
+    if n > EXACT_CAP:
+        raise ValueError(f"n={n} above enumeration cap {EXACT_CAP}")
     content = [i for i in range(1, n + 1) for _ in range(i)]
     for order in _multiset_perms(content):
         yield Arrangement(order)
@@ -131,11 +133,11 @@ def _census(n: int) -> tuple[dict[Perm, int], dict[tuple[Perm, tuple[int, ...]],
     return _CENSUS[n]
 
 
-def permutation_distribution(n: int, cap: int = 5) -> dict[Perm, Fraction]:
+def permutation_distribution(n: int) -> dict[Perm, Fraction]:
     """Exact probability of each bottom permutation of the continuous
-    queue (uniform arrangement, uniform origin cut)."""
-    if n > cap:
-        raise ValueError(f"n={n} above exact cap {cap}; use sampling instead")
+    queue (uniform arrangement, uniform origin cut), for n up to EXACT_CAP."""
+    if n > EXACT_CAP:
+        raise ValueError(f"n={n} above exact cap {EXACT_CAP}; use sampling instead")
     word_counts, _, reps = _census(n)
     total = reps * comb(n + 1, 2)
     if total != arrangement_count(n):
@@ -269,14 +271,14 @@ def _adjacency_counts(word_counts: dict[Perm, int]) -> dict[tuple[int, int], int
     return counts
 
 
-def adjacency_exact(n: int, cap: int = 5) -> CorrTable:
+def adjacency_exact(n: int) -> CorrTable:
     """Exact adjacency correlations from the arrangement census.  Pairs do
     not change under rotation, and the rotations of one representative
     carry B word counts, so the word counts give B times its pairs."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if n > cap:
-        raise ValueError(f"n={n} above exact cap {cap}; use adjacency_mc")
+    if n > EXACT_CAP:
+        raise ValueError(f"n={n} above exact cap {EXACT_CAP}; use adjacency_mc")
     word_counts, _, reps = _census(n)
     total = reps * comb(n + 1, 2)
     entries = {pair: Fraction(c, total) for pair, c in _adjacency_counts(word_counts).items()}
@@ -419,19 +421,6 @@ def _in_q(forms: dict) -> dict:
                 acc[e] = acc.get(e, 0) + coef * v
         out[key] = MultiPoly(n, acc)
     return out
-
-
-def density_polys(n: int, allow_slow: bool = False) -> dict[Perm, MultiPoly]:
-    """Exact position densities g_pi(q1..qn) on 0 < q1 < ... < qn < 1: the
-    gap forms of density_gap_forms, expanded in q.
-
-    Every density check works on the gap forms; the q expansion is for
-    output and for the tests' q-side oracles.  Expanding all 120 densities
-    at n = 5 takes about a minute, so n = 5 is gated behind allow_slow.
-    """
-    if n == 5 and not allow_slow:
-        raise ValueError("n above density cap (n = 5 requires allow_slow=True)")
-    return _in_q(density_gap_forms(n))
 
 
 def density_poly(pi) -> MultiPoly:

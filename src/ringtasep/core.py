@@ -160,22 +160,15 @@ def word_string(w) -> str:
     return "".join("." if s == VACANT else str(s) for s in sites)
 
 
-def _min_rotation(sites: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Lexicographically smallest rotation of a site tuple and the offset
-    achieving it.
+def cyclic_canonical(w: RingWord) -> tuple[RingWord, int]:
+    """Lexicographically smallest rotation of w and the offset achieving it.
 
     Particle labels order naturally; vacancies sort after every label.  On
     ties the smallest offset wins, so the result is deterministic and the
     map is idempotent.
     """
-    key = tuple(s if s != VACANT else _VACANT_KEY for s in sites)
-    off = min(range(len(sites)), key=lambda k: key[k:] + key[:k], default=0)
-    return sites[off:] + sites[:off], off
-
-
-def cyclic_canonical(w: RingWord) -> tuple[RingWord, int]:
-    """Smallest rotation of w and its offset, as `_min_rotation` orders them."""
-    off = _min_rotation(w.sites)[1]
+    key = tuple(s if s != VACANT else _VACANT_KEY for s in w.sites)
+    off = min(range(len(key)), key=lambda k: key[k:] + key[:k])
     return w.rotate(off), off
 
 

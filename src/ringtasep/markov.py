@@ -19,10 +19,13 @@ closed communicating classes, found by one strongly connected component
 pass, the same pass that certifies a lift irreducible, and with one
 closed class any further component is transient.
 
-The ring dynamics commute with rotation, so stationary solves may be done
-on the rotation quotient and lifted; the lift is always re-verified on
-the full chain, by the flow equations and by strong connectivity of the
-chain graph, so it is the chain's unique stationary distribution.
+Every stationary distribution of the package, here and in `rs`, comes
+from one solver, `_certified_stationary`.  Given a rotation that commutes
+with the chain, it solves the chain on the rotation classes and shares
+each class's probability evenly over its orbit; without one it solves
+the full chain.  Either way the answer is certified on the full chain,
+by the flow equations and by strong connectivity of the chain graph, so
+it is the chain's unique stationary distribution.
 """
 
 import itertools
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .core import VACANT, RingWord, TypeVector, _estimates, _min_rotation, _multiset_perms
+from .core import VACANT, RingWord, TypeVector, _estimates, _multiset_perms
 from .linalg import kernel_vector
 from .mlq import last_row_step
 
@@ -176,30 +179,35 @@ def stationary_exact(P: CountMatrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, total) for v in y)
 
 
-def _canon(sites: tuple[int, ...]) -> tuple[int, ...]:
-    return _min_rotation(sites)[0]
+def _certified_stationary(states, step_targets, rotate=None) -> dict:
+    """The chain's unique stationary distribution, in states order, certified
+    on the full chain by `_verify_stationary`.
 
-
-def _rotations(rep: tuple[int, ...]) -> set[tuple[int, ...]]:
-    return {rep[k:] + rep[:k] for k in range(len(rep))}
-
-
-def _quotient_stationary(reps, step_targets, canon, orbit) -> dict:
-    """Solve a rotation-covariant chain on its classes and lift uniformly.
-
-    reps: class representatives; step_targets(state) yields the targets of
-    its moves; canon(state) is the representative of its class, and
-    orbit(rep) the states of the class.  Each class's probability is
-    shared evenly over its orbit; the lifted distribution is exact.
+    Without rotate the full chain is solved.  With rotate, a map that turns
+    a state by one step, each state not yet in a class represents a new
+    one, which walking rotate from it fills with the given state objects.
+    The chain is solved on the representatives, each target counted by its
+    class, and each class's probability is shared evenly over its orbit.
+    A rotate that does not commute with the chain is refused, by the
+    quotient solve or by the certificate, never answered.
     """
-    pi_q = stationary_exact(chain_matrix(reps, step_targets, canon))
-    out = {}
-    for rep, p in zip(reps, pi_q):
-        states = orbit(rep)
-        share = p / len(states)
+    if rotate is None:
+        dist = dict(zip(states, stationary_exact(chain_matrix(states, step_targets))))
+    else:
+        own = {s: s for s in states}
+        rep_of = {}
         for s in states:
-            out[s] = share
-    return out
+            r = s
+            while r not in rep_of:
+                rep_of[r] = s
+                r = own[rotate(r)]
+        reps = [s for s in states if rep_of[s] is s]
+        pi = stationary_exact(chain_matrix(reps, step_targets, rep_of.__getitem__))
+        size = Counter(rep_of.values())
+        share = {r: p / size[r] for r, p in zip(reps, pi)}
+        dist = {s: share[rep_of[s]] for s in states}
+    _verify_stationary(dist, step_targets)
+    return dist
 
 
 def _verify_stationary(dist: dict, step_targets):
@@ -296,12 +304,13 @@ def _particle_steps(w: tuple[int, ...]):
 
 def tasep_stationary(t: TypeVector) -> dict[tuple[int, ...], Fraction]:
     """Exact stationary distribution of the TASEP, solved on the rotation
-    quotient and verified on the full chain."""
-    states = enumerate_states(t)
-    reps = sorted({_canon(s) for s in states})
-    dist = _quotient_stationary(reps, _particle_steps, _canon, _rotations)
-    _verify_stationary(dist, _particle_steps)
-    return dist
+    quotient and certified on the full chain."""
+    return _certified_stationary(enumerate_states(t), _particle_steps, _rotate)
+
+
+def _rotate(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The word turned by one site: site i + 1 moves to site i."""
+    return w[1:] + w[:1]
 
 
 def k_tasep_step(w: RingWord, S) -> RingWord:
@@ -362,15 +371,7 @@ def k_tasep_stationary(t: TypeVector, k: int) -> dict[tuple[int, ...], Fraction]
     """
     if not 1 <= k <= t.N:
         raise ValueError(f"need 1 <= k <= {t.N}")
-    states = enumerate_states(t)
-    targets = _subset_steps(t.N, k)
-    if k < t.N:
-        reps = sorted({_canon(s) for s in states})
-        dist = _quotient_stationary(reps, targets, _canon, _rotations)
-    else:
-        dist = dict(zip(states, stationary_exact(chain_matrix(states, targets))))
-    _verify_stationary(dist, targets)
-    return dist
+    return _certified_stationary(enumerate_states(t), _subset_steps(t.N, k), _rotate if k < t.N else None)
 
 
 def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:

@@ -10,17 +10,18 @@ Rotation (each point i to i+1 mod 2n) conjugates e_i to e_{i+1}.  For
 k < 2n it maps the firing order of a subset to that of the rotated
 subset up to the order of its runs, and generators in different runs
 commute, so the chain commutes with rotation.  `rs_stationary` then
-solves the chain on rotation classes, each represented by its rotation
-with the smallest `pairs`, shares each class's probability evenly over
-its orbit, and certifies the lift on the full chain by its integer flow
-equations and strong connectivity (`markov._verify_stationary`): it is
-the unique stationary distribution.  k = 2n cuts the full cycle at
-index 1, which breaks rotation covariance, so that chain is solved
-whole.  It is not ergodic at any n >= 2 tried: n = 2 leaves a
-transient pattern, and from n = 3 on it has several closed classes.
-`markov.stationary_exact` reads both off the strongly connected
-components of the chain graph and refuses the chain before any
-elimination.
+hands the chain and `rotate` to the package's one stationary solver,
+`markov._certified_stationary`: it solves the chain on rotation
+classes, each represented by its first pattern in `enumerate_patterns`
+order, shares each class's probability evenly over its orbit, and
+certifies the lift on the full chain by its integer flow equations and
+strong connectivity, so it is the unique stationary distribution.
+k = 2n cuts the full cycle at index 1, which breaks rotation
+covariance, so that chain is solved whole.  It is not ergodic at any
+n >= 2 tried: n = 2 leaves a transient pattern, and from n = 3 on it
+has several closed classes.  `markov.stationary_exact` reads both off
+the strongly connected components of the chain graph and refuses the
+chain before any elimination.
 """
 
 import itertools
@@ -28,7 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 
-from .markov import _bell_order, _quotient_stationary, _verify_stationary, chain_matrix, stationary_exact
+from .markov import _bell_order, _certified_stationary, chain_matrix
+
+EXACT_CAP = 8  # the largest n whose patterns are enumerated and whose chains are solved
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,11 @@ class LinkingPattern:
         return out
 
 
-def enumerate_patterns(n: int, cap: int = 8) -> list[LinkingPattern]:
-    """All non-crossing perfect matchings of {1..2n} (Catalan many)."""
-    if n > cap:
-        raise ValueError(f"n={n} above cap {cap}")
+def enumerate_patterns(n: int) -> list[LinkingPattern]:
+    """All non-crossing perfect matchings of {1..2n} (Catalan many), for
+    n up to EXACT_CAP."""
+    if n > EXACT_CAP:
+        raise ValueError(f"n={n} above cap {EXACT_CAP}")
 
     def rec(points):
         if not points:
@@ -148,21 +152,6 @@ def _rs_chain(n: int, k: int):
     return patterns, targets
 
 
-def _rotation_classes(patterns):
-    """({pattern: representative}, {representative: orbit}) of the rotation
-    classes, holding the given pattern objects; a representative is the
-    rotation with the smallest pairs."""
-    canonical = {L: L for L in patterns}
-    rep_of, orbits = {}, {}
-    for L in patterns:
-        if L not in rep_of:
-            orbit = {canonical[rotate(L, s)] for s in range(2 * L.n)}
-            rep = min(orbit, key=lambda P: P.pairs)
-            orbits[rep] = orbit
-            rep_of.update(dict.fromkeys(orbit, rep))
-    return rep_of, orbits
-
-
 def rs_transition_matrix(n: int, k: int):
     """Sparse move counts of the k-subset chain, with its pattern list: a
     `markov.CountMatrix` with D = C(2n, k), one move per generator subset."""
@@ -170,21 +159,15 @@ def rs_transition_matrix(n: int, k: int):
     return patterns, chain_matrix(patterns, targets)
 
 
-def rs_stationary(n: int, k: int, cap: int = 8) -> dict[LinkingPattern, Fraction]:
-    """Exact stationary distribution of the k-subset chain, certified unique.
+def rs_stationary(n: int, k: int) -> dict[LinkingPattern, Fraction]:
+    """Exact stationary distribution of the k-subset chain, certified unique
+    by `markov._certified_stationary`.
 
     For k < 2n it is solved on rotation classes and lifted; k = 2n is
-    given to `stationary_exact` whole, which refuses it from its closed
-    classes when it is not ergodic.
+    solved whole, and refused from its closed classes when it is not
+    ergodic.
     """
-    if n > cap:
-        raise ValueError(f"n={n} above exact-solve cap {cap}")
+    if n > EXACT_CAP:
+        raise ValueError(f"n={n} above exact-solve cap {EXACT_CAP}")
     patterns, targets = _rs_chain(n, k)
-    if k < 2 * n:
-        rep_of, orbits = _rotation_classes(patterns)
-        reps = sorted(orbits, key=lambda L: L.pairs)
-        dist = _quotient_stationary(reps, targets, rep_of.__getitem__, orbits.__getitem__)
-    else:
-        dist = dict(zip(patterns, stationary_exact(chain_matrix(patterns, targets))))
-    _verify_stationary(dist, targets)
-    return {L: dist[L] for L in patterns}
+    return _certified_stationary(patterns, targets, rotate if k < 2 * n else None)

@@ -9,9 +9,8 @@ Criterion 11 is asserted twice: once over the theorem range k < N
 form cannot pass: for k = N the only k-subset is the whole ring, the
 cyclic left-before-right firing rule admits no valid order, and the
 forced-cut map is deterministic and non-ergodic, so no unique stationary
-distribution exists.  See notes/decisions.md at the repository root of
-the review bundle for the analysis; the failure is left visible on
-purpose.
+distribution exists.  See the README section "Tests and acceptance" for
+the analysis; the failure is left visible on purpose.
 """
 
 import os

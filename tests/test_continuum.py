@@ -17,7 +17,6 @@ from ringtasep.continuum import (
     conjecture_table,
     density_gap_forms,
     density_poly,
-    density_polys,
     enumerate_arrangements,
     permutation_distribution,
     permutation_distribution_mc,
@@ -112,7 +111,7 @@ def test_exact_outputs_are_pinned():
         3: "42ce830c12464418565041b5e5b13543393cac7fccbccd76da2211bfd6eabdb3",
         4: "20b66eb9ac5f794b5ee9150ad141010e781789162f8071f6a13af06a78fb1610",
     }
-    assert {n: poly_digest(density_polys(n)) for n in densities} == densities
+    assert {n: poly_digest(_densities(n)) for n in densities} == densities
     assert {n: _digest(permutation_distribution(n)) for n in perms} == perms
     assert {n: _digest(adjacency_exact(n).entries) for n in adjacencies} == adjacencies
 
@@ -257,7 +256,7 @@ def test_top_pair_adjacency():
 
 
 def test_density_polys_two_particles():
-    g = density_polys(2)
+    g = _densities(2)
     q1, q2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     assert g[(2, 1)] == (q2 - q1) * 2
     assert g[(1, 2)] == (MultiPoly.one(2) - q2 + q1) * 2
@@ -265,12 +264,12 @@ def test_density_polys_two_particles():
 
 def test_density_reverse_is_vandermonde():
     for n in (2, 3, 4):
-        assert density_polys(n)[reverse_permutation(n)] == vandermonde(n) * factorial(n)
+        assert _densities(n)[reverse_permutation(n)] == vandermonde(n) * factorial(n)
 
 
 def test_densities_integrate_to_probabilities():
     for n in (2, 3, 4):
-        g = density_polys(n)
+        g = _densities(n)
         dist = permutation_distribution(n)
         total = Fraction(0)
         for w, p in g.items():
@@ -278,11 +277,6 @@ def test_densities_integrate_to_probabilities():
             assert v == dist[w]
             total += v
         assert total == 1
-
-
-def test_density_cap():
-    with pytest.raises(ValueError):
-        density_polys(5)
 
 
 def test_operator_identity_check():
@@ -294,7 +288,7 @@ def test_operator_identity_check():
 
 def test_density_poly_single():
     for n in (1, 2, 3, 4):
-        g = density_polys(n)
+        g = _densities(n)
         for pi in g:
             assert density_poly(pi) == g[pi]
 
@@ -308,11 +302,16 @@ def _q(form):
     return _in_q({0: form})[0]
 
 
+def _densities(n):
+    """Every density g_pi of size n, expanded in q."""
+    return _in_q(density_gap_forms(n))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gap_route_matches_q_route(n):
     # each gap-side operation, expanded in q, equals the same operation
     # done on the q densities; the top q-degree is B - n
-    g, G = density_polys(n), density_gap_forms(n)
+    g, G = _densities(n), density_gap_forms(n)
     for w, p in g.items():
         assert _q(G[w]) == p
         lap = gap_laplacian(G[w])
@@ -331,7 +330,7 @@ def test_operator_identities_agree_across_routes():
     cases.append(((swap_values(base, 1), base), _swap_operator(4, 1)))
     false = ((4, 3, 1, 2), (4, 3, 2, 1)), OperatorExpr.partial(4, {2: 1}) - OperatorExpr.identity(4)
     cases.append(false)
-    qs = {n: density_polys(n) for n in (2, 3, 4)}
+    qs = {n: _densities(n) for n in (2, 3, 4)}
     matches = []
     for (target, base), op in cases:
         g, G = qs[len(base)], density_gap_forms(len(base))

@@ -7,7 +7,6 @@ from ringtasep.core import (
     RingWord,
     TypeVector,
     VACANT,
-    _min_rotation,
     binomial,
     cyclic_canonical,
     inversions,
@@ -102,7 +101,7 @@ def test_min_rotation_matches_cyclic_canonical_on_whole_types():
     assert {(1, VACANT, 1, VACANT), (1, 2, 1, 2), (1, 2) * 3} <= set(words)
     for sites in words:
         w, off = cyclic_canonical(RingWord(sites))
-        assert _min_rotation(sites) == (w.sites, off) == oracle(sites)
+        assert (w.sites, off) == oracle(sites)
 
 
 def test_cyclic_canonical_idempotent():

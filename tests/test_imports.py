@@ -1,6 +1,10 @@
 """Every imported name is used: walks the AST of each package module and
 test file and fails on an import that is never referenced.  Names listed
-in a module's __all__ count as used, since they are re-exported."""
+in a module's __all__ count as used, since they are re-exported.
+
+Every private module-level function of the package is referenced by the
+package itself, outside its own body: a helper that only tests call is
+dead code."""
 
 import ast
 from pathlib import Path
@@ -8,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "ringtasep").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "ringtasep").glob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +45,58 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def uncalled_private_functions(sources: dict[str, str]) -> list[str]:
+    """"module.function" for each private module-level function that no
+    module refers to outside the function's own body.  A bare name refers
+    to its module's own function, or to the one it imports with
+    `from .module import name`; an attribute refers to every function of
+    that name."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = {
+        (module, node.name): node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(node.name)
+    }
+    used = set()
+    for module, tree in trees.items():
+        origin = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names
+        }
+        own_bodies = {
+            id(inner): name
+            for (m, name), node in defined.items()
+            if m == module
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and _is_private(node.id):
+                target = (module, node.id) if (module, node.id) in defined else origin.get(node.id)
+                if target is not None and own_bodies.get(id(node)) != target[1]:
+                    used.add(target)
+            elif isinstance(node, ast.Attribute) and _is_private(node.attr):
+                used |= {key for key in defined if key[1] == node.attr}
+    return sorted(f"{m}.{name}" for m, name in defined.keys() - used)
+
+
+def test_uncalled_private_functions_detected():
+    sources = {
+        "a": "def _dead():\n    return _dead()\n\ndef _used():\n    pass\n\ndef _imported():\n    pass\n\n"
+        "def _by_attribute():\n    pass\n\n_used()\n",
+        "b": "from .a import _imported\n\ndef _dead():\n    pass\n\nx = _imported\n",
+        "c": "from . import a\n\na._by_attribute()\n",
+    }
+    assert uncalled_private_functions(sources) == ["a._dead", "b._dead"]
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    assert uncalled_private_functions({p.stem: p.read_text() for p in SRC}) == []

@@ -3,10 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from ringtasep.markov import _is_stochastic, _quotient_stationary, _verify_stationary, chain_matrix, stationary_exact
+from ringtasep import markov
+from ringtasep.core import TypeVector
+from ringtasep.markov import (
+    _certified_stationary,
+    _is_stochastic,
+    _rotate,
+    _subset_steps,
+    _verify_stationary,
+    enumerate_states,
+    stationary_exact,
+)
 from ringtasep.rs import (
     LinkingPattern,
-    _rotation_classes,
     _rs_chain,
     apply_generator,
     apply_generator_set,
@@ -178,22 +187,32 @@ def test_rs_quotient_matches_full_chain():
         assert rs_stationary(n, k) == dict(zip(patterns, stationary_exact(P))), (n, k)
 
 
-def test_rotation_classes():
+def test_rotation_classes(monkeypatch):
     assert rotate(FIG_PATTERN) == LinkingPattern(((2, 5), (3, 4), (6, 1)))
     assert rotate(FIG_PATTERN, 6) == FIG_PATTERN
+    quotients = []  # the representatives and class map the solver solves on
+    real = markov.chain_matrix
+
+    def spy(states, step_targets, key=None):
+        quotients.append((states, key))
+        return real(states, step_targets, key)
+
+    monkeypatch.setattr(markov, "chain_matrix", spy)
     counts = []
     for n in range(1, 7):
-        patterns = enumerate_patterns(n)
-        rep_of, orbits = _rotation_classes(patterns)
-        assert set(rep_of) == set(patterns)
-        assert sum(map(len, orbits.values())) == len(patterns)
-        for rep, orbit in orbits.items():
-            assert rep == min((rotate(rep, s) for s in range(2 * n)), key=lambda P: P.pairs)
-            assert orbit == {rotate(rep, s) for s in range(2 * n)}
-        # the classes hold the given pattern objects, not copies
+        quotients.clear()
+        patterns = list(rs_stationary(n, 1))
+        ((reps, key),) = quotients
+        # each class is a rotation orbit, represented by its first pattern
+        for rep in reps:
+            orbit = [L for L in patterns if key(L) is rep]
+            assert orbit[0] is rep
+            assert set(orbit) == {rotate(rep, s) for s in range(2 * n)}
+        # the classes hold the chain's own pattern objects, not copies
         ids = {id(L) for L in patterns}
-        assert all(id(P) in ids for orbit in orbits.values() for P in orbit)
-        counts.append(len(orbits))
+        assert key.__self__.keys() == set(patterns)
+        assert all(id(L) in ids for L in key.__self__) and all(id(rep) in ids for rep in reps)
+        counts.append(len(reps))
     assert counts == [1, 1, 2, 3, 6, 14]
 
 
@@ -201,16 +220,25 @@ def test_lift_with_wrong_orbit_share_is_refused():
     # orbits of 2 and 3 patterns at n = 3: giving every member its class's
     # whole probability, renormalised, breaks the flow equations
     patterns, targets = _rs_chain(3, 1)
-    rep_of, orbits = _rotation_classes(patterns)
-    assert sorted(map(len, orbits.values())) == [2, 3]
-    reps = list(orbits)
-    lift = _quotient_stationary(reps, targets, rep_of.__getitem__, orbits.__getitem__)
-    _verify_stationary(lift, targets)
-    pi_q = stationary_exact(chain_matrix(reps, targets, rep_of.__getitem__))
-    whole = {L: p for rep, p in zip(reps, pi_q) for L in orbits[rep]}
+    lift = _certified_stationary(patterns, targets, rotate)
+    size = {L: len({rotate(L, s) for s in range(6)}) for L in patterns}
+    assert sorted(size.values()) == [2, 2, 3, 3, 3]
+    whole = {L: p * size[L] for L, p in lift.items()}
     total = sum(whole.values())
     with pytest.raises(RuntimeError, match="full chain"):
         _verify_stationary({L: p / total for L, p in whole.items()}, targets)
+
+
+def test_rotation_the_chain_does_not_commute_with_is_refused():
+    # the k = N forced cut breaks rotation covariance; handed the rotation
+    # anyway, the solver refuses the chain, from the certificate on the
+    # lift or from the quotient's closed classes, and returns nothing
+    cases = [((1,), 3, RuntimeError, r"^stationarity verification failed on the full chain$")]
+    cases.append(((1, 1), 4, ValueError, r"^kernel dimension is 3, expected 1 \(chain reducible\?\)$"))
+    for m, N, error, text in cases:
+        states = enumerate_states(TypeVector(m, N))
+        with pytest.raises(error, match=text):
+            _certified_stationary(states, _subset_steps(N, N), _rotate)
 
 
 def test_stationary_caps():
