@@ -96,9 +96,8 @@ def tasep():
 @click.option("--exact/--mc", default=True)
 @click.option("--samples", type=int, default=100000, show_default=True)
 @click.option("--burn-in", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=None, help="overrides the global seed")
 @click.pass_context
-def tasep_stationary_cmd(ctx, m_text, N, exact, samples, burn_in, seed):
+def tasep_stationary_cmd(ctx, m_text, N, exact, samples, burn_in):
     """Stationary distribution, exact or Monte Carlo."""
     t = TypeVector.parse(m_text, N)
     if exact:
@@ -106,9 +105,7 @@ def tasep_stationary_cmd(ctx, m_text, N, exact, samples, burn_in, seed):
         data = {word_string(w): rat_str(p) for w, p in sorted(dist.items())}
         _emit(data, ctx.obj["fmt"], csv_rows=sorted(data.items()), csv_header=("state", "probability"))
     else:
-        if seed is None:
-            seed = ctx.obj["seed"] or 0
-        est = mc_stationary(t, burn_in, samples, seed=seed)
+        est = mc_stationary(t, burn_in, samples, seed=ctx.obj["seed"] or 0)
         rows = [(word_string(w), e["freq"], e["stderr"], e["count"]) for w, e in est.items()]
         data = {word_string(w): e for w, e in est.items()}
         _emit(data, ctx.obj["fmt"], csv_rows=rows, csv_header=("state", "freq", "stderr", "count"))
@@ -211,14 +208,11 @@ def continuum():
 @click.option("--n", type=int, required=True)
 @click.option("--mc", is_flag=True, default=False, help="sample instead of enumerating (needed for n >= 6)")
 @click.option("--samples", default="1e6", show_default=True)
-@click.option("--seed", type=int, default=None, help="overrides the global seed")
 @click.pass_context
-def continuum_pdist_cmd(ctx, n, mc, samples, seed):
+def continuum_pdist_cmd(ctx, n, mc, samples):
     """Probability of each bottom permutation, exact or sampled."""
     if mc:
-        if seed is None:
-            seed = ctx.obj["seed"] or 0
-        res = permutation_distribution_mc(n, int(float(samples)), seed, jobs=ctx.obj["jobs"])
+        res = permutation_distribution_mc(n, int(float(samples)), ctx.obj["seed"] or 0, jobs=ctx.obj["jobs"])
         data = {
             "".join(map(str, w)) if n <= 9 else ",".join(map(str, w)): e
             for w, e in res["words"].items()
@@ -247,18 +241,15 @@ def continuum_gpoly_cmd(ctx, pi_text):
 @click.option("--n", type=int, required=True)
 @click.option("--mc", is_flag=True, default=False)
 @click.option("--samples", default="1e6", show_default=True)
-@click.option("--seed", type=int, default=None, help="overrides the global seed")
 @click.pass_context
-def continuum_corr_cmd(ctx, n, mc, samples, seed):
+def continuum_corr_cmd(ctx, n, mc, samples):
     """Adjacency correlation table, exact or Monte Carlo."""
     if not mc:
         table = adjacency_exact(n)
         rows = [(i, j, rat_str(v)) for (i, j), v in sorted(table.entries.items())]
         _emit(table.to_json_dict(), ctx.obj["fmt"], csv_rows=rows, csv_header=("i", "j", "value"))
         return
-    if seed is None:
-        seed = ctx.obj["seed"] or 0
-    res = adjacency_mc(n, int(float(samples)), seed, jobs=ctx.obj["jobs"])
+    res = adjacency_mc(n, int(float(samples)), ctx.obj["seed"] or 0, jobs=ctx.obj["jobs"])
     rows = []
     entries = {}
     for (i, j), e in sorted(res["entries"].items()):
@@ -273,17 +264,6 @@ def continuum_corr_cmd(ctx, n, mc, samples, seed):
     )
 
 
-@continuum.command("verify")
-@click.argument("what", type=click.Choice(["corr-conjecture"]))
-@click.option("--n", type=int, required=True)
-@click.pass_context
-def continuum_verify_cmd(ctx, what, n):
-    """Run the adjacency-table conjecture check for one n."""
-    reports = run_suite(f"conj-corr-n{n}", cache_dir=ctx.obj["cache_dir"])
-    _emit([r.to_json_dict() for r in reports], ctx.obj["fmt"])
-    sys.exit(suite_exit_code(reports))
-
-
 # --- poly -----------------------------------------------------------------------
 
 
@@ -294,13 +274,10 @@ def poly_group():
 
 @poly_group.command("laplacian")
 @click.option("--pi", "pi_text", required=True)
-@click.option("--n", type=int, default=None, help="optional arity cross-check")
 @click.pass_context
-def poly_laplacian_cmd(ctx, pi_text, n):
+def poly_laplacian_cmd(ctx, pi_text):
     """Laplacian of a permutation's density polynomial."""
     pi = parse_perm(pi_text)
-    if n is not None and n != len(pi):
-        raise click.UsageError("--n disagrees with the permutation length")
     result = laplacian(density_poly(pi))
     _emit({"pi": list(pi), "laplacian": result.to_json_dict(), "harmonic": result.is_zero()}, ctx.obj["fmt"])
 
@@ -389,10 +366,7 @@ def verify_cmd(ctx, pattern, list_only, samples, enable_slow):
         overrides["corr-mc-n6"]["seed"] = ctx.obj["seed"]
     if enable_slow:
         overrides["laplace-n5"] = {"enable_slow": True}
-    try:
-        reports = run_suite(pattern, overrides=overrides, cache_dir=ctx.obj["cache_dir"])
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    reports = run_suite(pattern, overrides=overrides, cache_dir=ctx.obj["cache_dir"])
     _emit(
         [r.to_json_dict() for r in reports],
         ctx.obj["fmt"],

@@ -94,6 +94,8 @@ def _census(n: int) -> tuple[dict[Perm, int], dict[tuple[Perm, tuple[int, ...]],
       origin whose word and gap vector read so;
     - reps: the number of cyclic orders.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if n in _CENSUS:
         return _CENSUS[n]
     states = {((1, 0),): 1}
@@ -181,6 +183,8 @@ def _mc_counts(n: int, samples: int, seed: int, jobs: int) -> dict[Perm, int]:
     """Bottom-word counts merged over `jobs` chunks of the samples.  Chunk
     w runs as _mc_word_chunk((n, its samples, "{seed}:{w}")), in a process
     pool when there is more than one chunk."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     if samples < 1:
         raise ValueError("need samples >= 1")
     jobs = max(1, jobs)
@@ -235,7 +239,7 @@ class CorrTable:
         for (i, j), v in self.entries.items():
             if i == j:
                 raise ValueError("diagonal entries are identically zero; omit them")
-            fixed[(i, j)] = Fraction(v) if not isinstance(v, float) else v
+            fixed[(i, j)] = Fraction(v)
         object.__setattr__(self, "entries", fixed)
 
     def value(self, i: int, j: int):
@@ -254,10 +258,7 @@ class CorrTable:
 
         return {
             "n": self.n,
-            "entries": {
-                f"{i},{j}": rat_str(v) if isinstance(v, Fraction) else v
-                for (i, j), v in sorted(self.entries.items())
-            },
+            "entries": {f"{i},{j}": rat_str(v) for (i, j), v in sorted(self.entries.items())},
         }
 
 
@@ -308,18 +309,6 @@ def adjacency_conjecture(i: int, j: int, n: int) -> Fraction:
     )
 
 
-def conjecture_table(n: int) -> CorrTable:
-    return CorrTable(
-        n,
-        {
-            (i, j): adjacency_conjecture(i, j, n)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-        },
-    )
-
-
 def adjacency_mc(n: int, samples: int, seed: int, jobs: int = 1) -> dict:
     """Monte Carlo adjacency estimates with standard errors.
 
@@ -329,6 +318,8 @@ def adjacency_mc(n: int, samples: int, seed: int, jobs: int = 1) -> dict:
     The samples, and so the streams "{seed}:{w}" of worker w, are those
     of permutation_distribution_mc with the same (seed, jobs).
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     counts = _adjacency_counts(_mc_counts(n, samples, seed, jobs))
     return {"n": n, "samples": samples, "entries": _estimates(counts, samples, "estimate")}
 

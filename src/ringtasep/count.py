@@ -118,50 +118,50 @@ def mlq_bottom_count(pi, b, N: int) -> int:
 # --- closed forms -----------------------------------------------------------
 
 
+def _shifted_det(b, S) -> int:
+    """det A_S for positions b and a partition S of swap indices: row i of
+    A_S (1-based) is C(b_i + j - 1 - s, j - 1 - s) for j = 1..n, shifted by
+    s, the (n+1-i)-th part of the conjugate of S (0 past its end).  A_() is
+    the reverse matrix C(b_i + j - 1, j - 1)."""
+    n = len(b)
+    conj = conjugate_partition(S) + (0,) * n
+    return det_fraction_free(
+        [[binomial(bi + j - s, j - s) for j in range(n)] for bi, s in zip(b, reversed(conj[:n]))]
+    )
+
+
 def count_bottom_reverse(b) -> int:
     """Queues with bottom row the reverse permutation at positions b.
 
-    Evaluated both as det C(b_i + j - 1, j - 1) and as the Vandermonde
-    product over the b_i divided by 1! 2! ... (n-1)!; the two routes must
-    agree exactly.
+    Evaluated both as det A_() and as the Vandermonde product over the b_i
+    divided by 1! 2! ... (n-1)!; the two routes must agree exactly.
     """
     b = tuple(b)
     n = len(b)
     if list(b) != sorted(set(b)) or (b and b[0] < 0):
         raise ValueError("positions must strictly increase and be nonnegative")
-    mat = [[binomial(b[i] + j, j) for j in range(n)] for i in range(n)]
-    det = det_fraction_free(mat)
-    prod = Fraction(1)
-    for k in range(n):
-        for l in range(k + 1, n):
-            prod *= b[l] - b[k]
+    det = _shifted_det(b, ())
+    prod = superfactorial = 1
+    for bk, bl in itertools.combinations(b, 2):
+        prod *= bl - bk
     for d in range(1, n):
-        prod /= factorial(d)
-    if det != prod or prod.denominator != 1:
-        raise RuntimeError(f"determinant/product routes disagree: {det} vs {prod}")
-    return int(prod)
+        superfactorial *= factorial(d)
+    quotient, remainder = divmod(prod, superfactorial)
+    if remainder or quotient != det:
+        raise RuntimeError(f"determinant/product routes disagree: {det} vs {Fraction(prod, superfactorial)}")
+    return det
 
 
 def count_bottom_reverse_swap(k: int, b, N: int) -> int:
     """Closed form for the bottom row being the reverse permutation with
-    the values k and k+1 swapped: C(N,k) det A_k minus the reverse count.
+    the values k and k+1 swapped: C(N,k) det A_(k) minus the reverse count.
     A theorem for k = 1, 2; conjectured beyond."""
     b = tuple(b)
     n = len(b)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}")
     PositionVector(b, N)
-    mat = []
-    for i in range(n):
-        if i < n - k:
-            mat.append([binomial(b[i] + j, j) for j in range(n)])
-        else:
-            mat.append([binomial(b[i] + j - 1, j - 1) for j in range(n)])
-    det = det_fraction_free(mat)
-    val = binomial(N, k) * det - count_bottom_reverse(b)
-    if val.denominator != 1:
-        raise RuntimeError("non-integer count")
-    return int(val)
+    return binomial(N, k) * _shifted_det(b, (k,)) - count_bottom_reverse(b)
 
 
 def check_swap_vector(kvec, n: int):
@@ -181,8 +181,7 @@ def count_bottom_reverse_multi_swap(kvec, b, N: int) -> int:
     the reverse permutation hit by the commuting swaps s_{k1}...s_{kr}.
 
     Returns the alternating sum exactly as written: sum over subsets S of
-    (-1)^|S| prod_{i in S} C(N, k_i) det A_S, where A_S shifts row i by
-    the (n+1-i)-th conjugate part of the subset's swap partition.  For
+    (-1)^|S| prod_{i in S} C(N, k_i) det A_S (see _shifted_det).  For
     odd r this evaluates to minus the queue count (the r = 1 case must
     match the single-swap formula up to sign); the caller compares, never
     assumes.
@@ -191,23 +190,14 @@ def count_bottom_reverse_multi_swap(kvec, b, N: int) -> int:
     n = len(b)
     kvec = check_swap_vector(kvec, n)
     PositionVector(b, N)
-    r = len(kvec)
     total = 0
-    for bits in range(1 << r):
-        S = [kvec[i] for i in range(r) if bits >> i & 1]
-        conj = conjugate_partition(S)
-        mat = []
-        for i in range(1, n + 1):
-            shift = conj[n - i] if n - i < len(conj) else 0
-            mat.append([binomial(b[i - 1] + j - 1 - shift, j - 1 - shift) for j in range(1, n + 1)])
-        det = det_fraction_free(mat)
-        coef = 1
-        for ki in S:
-            coef *= binomial(N, ki)
-        total += (-1) ** len(S) * coef * det
-    if total.denominator != 1:
-        raise RuntimeError("non-integer count")
-    return int(total)
+    for r in range(len(kvec) + 1):
+        for S in itertools.combinations(kvec, r):
+            coef = (-1) ** r
+            for ki in S:
+                coef *= binomial(N, ki)
+            total += coef * _shifted_det(b, S)
+    return total
 
 
 # --- nonintersecting lattice paths ------------------------------------------
@@ -244,12 +234,9 @@ def lgv_count(spec: PathFamilySpec) -> int:
     independent check.
     """
     n = len(spec.starts)
-    mat = [
-        [monotone_path_count(spec.starts[j], spec.ends[i]) for j in range(n)]
-        for i in range(n)
-    ]
-    det = det_fraction_free(mat)
-    return int(det)
+    return det_fraction_free(
+        [[monotone_path_count(spec.starts[j], spec.ends[i]) for j in range(n)] for i in range(n)]
+    )
 
 
 def _monotone_paths(start, end):

@@ -2,8 +2,7 @@
 
 Kernels take integer rows, kept sparse as {column: int} maps; the chain
 layer hands them over as counts, so no rational is formed on the way.
-A determinant clears its rational rows to integers first, each row scaled
-by the lcm of its denominators.
+Determinants take dense integer rows.
 
 Kernels are solved modulo word-size primes first.  Sparse Gaussian
 elimination mod p gives the rank mod p and, when that is n - 1, a kernel
@@ -26,8 +25,7 @@ entries stay integers: each is a minor of the input.
 """
 
 import heapq
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 # The largest primes below 2^61, 2^62 and 2^63.
 _PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
@@ -73,24 +71,20 @@ def _eliminate(m: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
     return pivots, sign
 
 
-def det_fraction_free(M) -> Fraction:
-    """Exact determinant of a square array of ints/Fractions by
-    fraction-free (Bareiss) elimination, each row first scaled to integers
-    by the lcm of its denominators."""
-    m, scale = [], 1
-    for r in M:
-        s = lcm(*(x.denominator for x in r))
-        m.append([x.numerator * (s // x.denominator) for x in r])
-        scale *= s
+def det_fraction_free(M) -> int:
+    """Exact determinant of a square array of ints by fraction-free
+    (Bareiss) elimination; any other entry is refused, because the
+    elimination's exact floor divisions hold only for integers."""
+    m = [list(r) for r in M]
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
+    if not all(isinstance(x, int) for r in m for x in r):
+        raise TypeError("matrix entries must be ints")
     if n == 0:
-        return Fraction(1)
+        return 1
     pivots, sign = _eliminate(m)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * m[-1][-1], scale)
+    return sign * m[-1][-1] if len(pivots) == n else 0
 
 
 def _bareiss_kernel(m: list[list[int]], n_cols: int) -> list[int]:

@@ -364,16 +364,6 @@ class OperatorExpr:
         c = Fraction(c)
         return self._merge(tuple((c * k, ov) for k, ov in self.terms))
 
-    def compose(self, other: "OperatorExpr") -> "OperatorExpr":
-        """Operator product; constant coefficients, so orders just add."""
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        prods = []
-        for c1, o1 in self.terms:
-            for c2, o2 in other.terms:
-                prods.append((c1 * c2, tuple(a + b for a, b in zip(o1, o2))))
-        return self._merge(tuple(prods))
-
     def apply(self, p: MultiPoly) -> MultiPoly:
         if p.nvars != self.nvars:
             raise ValueError("arity mismatch")

@@ -61,6 +61,13 @@ def test_continuum_pdist():
     assert data == {"12": "2/3", "21": "1/3"}
 
 
+def test_continuum_pdist_refuses_n_below_one():
+    r = run("continuum", "pdist", "--n", "0")
+    assert r.exit_code == 1
+    assert "need n >= 1" in r.output
+    assert isinstance(r.exception, SystemExit)  # a usage error, not a traceback
+
+
 def test_continuum_gpoly():
     data = json.loads(run("continuum", "gpoly", "--pi", "2,1").output)
     assert data["vars"] == ["q1", "q2"]
@@ -81,8 +88,8 @@ def test_continuum_corr_mc():
     assert "estimate" in data["entries"]["1,2"]
 
 
-def test_continuum_verify_subcommand():
-    r = run("continuum", "verify", "corr-conjecture", "--n", "2")
+def test_verify_conj_corr_check():
+    r = run("verify", "conj-corr-n2")
     assert r.exit_code == 0
     data = json.loads(r.output)
     assert data[0]["status"] == "conjecture-match"

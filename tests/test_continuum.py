@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from ringtasep import continuum
 from ringtasep.core import reverse_permutation, swap_values
 from ringtasep.continuum import (
     CorrTable,
@@ -14,7 +15,6 @@ from ringtasep.continuum import (
     adjacency_mc,
     arrangement_count,
     check_operator_identity,
-    conjecture_table,
     density_gap_forms,
     density_poly,
     enumerate_arrangements,
@@ -58,6 +58,18 @@ def test_permutation_distribution_small():
     assert d3[(3, 2, 1)] == Fraction(1, 30)
     assert sum(d3.values()) == 1
     assert sum(permutation_distribution(4).values()) == 1
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_permutation_distribution_refuses_n_below_one(n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        permutation_distribution(n)
+    assert n not in continuum._CENSUS
+
+
+def test_density_gap_forms_refuses_n_below_one():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        density_gap_forms(0)
 
 
 def test_permutation_distribution_matches_full_enumeration():
@@ -184,9 +196,9 @@ def test_adjacency_conjecture_values():
 
 def test_adjacency_conjecture_matches_exact():
     for n in (2, 3, 4):
-        table = adjacency_exact(n)
-        conj = conjecture_table(n)
-        assert table.entries == conj.entries
+        labels = range(1, n + 1)
+        conj = {(i, j): adjacency_conjecture(i, j, n) for i in labels for j in labels if i != j}
+        assert adjacency_exact(n).entries == conj
 
 
 def test_corr_table_validation():
@@ -220,6 +232,17 @@ def test_permutation_distribution_mc():
     for w, e in res["words"].items():
         assert abs(e["freq"] - float(exact[w])) <= 3 * e["stderr"] + 1e-9
     assert res == permutation_distribution_mc(3, 60000, seed=2)
+
+
+def test_permutation_distribution_mc_refuses_n_below_one():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        permutation_distribution_mc(-2, 5, seed=1)
+    assert permutation_distribution_mc(1, 5, seed=1)["words"][(1,)]["freq"] == 1.0
+
+
+def test_adjacency_mc_refuses_n_below_two():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        adjacency_mc(1, 10, seed=1)
 
 
 def _digest(d: dict) -> str:

@@ -98,13 +98,6 @@ def test_operator_apply():
     assert op.apply(p) == MultiPoly.one(2) - p
 
 
-def test_operator_compose():
-    a = OperatorExpr.partial(3, {0: 1}) - OperatorExpr.identity(3)
-    b = OperatorExpr.partial(3, {2: 2}, Fraction(1, 2))
-    p = (q(3, 0) ** 2) * (q(3, 2) ** 3)
-    assert a.compose(b).apply(p) == a.apply(b.apply(p))
-
-
 def test_integrate_interval_examples():
     y = q(1, 0)
     assert integrate_interval(y * 2, 0, 1) == 1
