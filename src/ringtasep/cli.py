@@ -43,14 +43,23 @@ from .verify import CHECKS, CONJECTURE, MISMATCH, run_suite, suite_exit_code
 click.UsageError.exit_code = 1
 
 
-class _Group(click.Group):
-    """Surface domain validation failures as usage errors (exit 1)."""
+class _Command(click.Command):
+    """Surface domain validation failures as usage errors (exit 1), with
+    the failing command's usage line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as e:
-            raise click.UsageError(str(e))
+            raise click.UsageError(str(e), ctx)
+
+
+class _Group(click.Group):
+    """Every command of the group is a _Command, and every nested group a
+    _Group."""
+
+    command_class = _Command
+    group_class = type
 
 
 def _emit(data, fmt: str, csv_rows=None, csv_header=None):

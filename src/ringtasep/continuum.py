@@ -12,7 +12,7 @@ alike; the single row-1 box marks each one's origin, so there are
 arrangement_count(n) / B of them.  It inserts the rows one at a time and
 keeps, after row i, only the cycle of (label, o) over the row-i boxes,
 read from the label-1 box, where o counts the boxes of rows < i in the
-gap after the box.  This is exact, for three reasons:
+gap after the box, merging equal cycles through mlq.transfer:
 - Every cyclic order of rows <= i+1 arises exactly once from a cyclic
   order of rows <= i, a vector c (c_k new boxes in the gap after row-i
   box k, sum i+1) and, for each k, a split of the gap's o_k older boxes
@@ -20,9 +20,8 @@ gap after the box.  This is exact, for three reasons:
   the new boxes' places among the old ones give c and the runs.
 - Row i+1 is labelled from row i alone, so its labels depend only on
   the labels of the cycle and on c, and its new o (older boxes plus
-  row-i boxes per new gap) only on the o's and the runs.  Prefixes with
-  equal cycles have equal futures, and merging them by adding their
-  counts is exact.
+  row-i boxes per new gap) only on the o's and the runs.  So the cycle
+  fixes its future, which is what transfer needs.
 - At row n the cycle is the bottom word and its gap vector (the boxes
   between consecutive bottom boxes).  Rotating both restores the
   permutation counts, for an origin anywhere, and the density weights,
@@ -41,7 +40,7 @@ from functools import cache
 from math import comb, factorial
 
 from .core import Perm, _estimates, _multiset_perms, check_permutation
-from .mlq import Arrangement, _claim_labels
+from .mlq import Arrangement, _claim_labels, transfer
 from .poly import MultiPoly, OperatorExpr
 
 EXACT_CAP = 5  # the largest n of the exact census routes
@@ -68,8 +67,6 @@ def enumerate_arrangements(n: int):
 
 # --- one census by row insertion -----------------------------------------------
 
-_CENSUS: dict[int, tuple[dict, dict, int]] = {}
-
 
 @cache
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
@@ -79,14 +76,17 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple((a,) + rest for a in range(total + 1) for rest in _compositions(total - a, parts - 1))
 
 
+@cache
 def _census(n: int) -> tuple[dict[Perm, int], dict[tuple[Perm, tuple[int, ...]], int], int]:
     """Count the cyclic orders of the boxes, inserting one row at a time.
 
     The state after row i maps each cycle of (label, o) over the row-i
     boxes, read from label 1, to its number of cyclic orders of rows <= i;
-    o counts the boxes of rows < i in the gap after the box.  At row n the
-    cycle is a bottom word and its gap vector, and rotating both by
-    j = 0..n-1 gives (word_counts, weights, reps):
+    o counts the boxes of rows < i in the gap after the box.  Row i + 1
+    steps each cycle to one new cycle per cyclic order of rows <= i + 1
+    over it, and mlq.transfer merges equal ones.  At row n the cycle is a
+    bottom word and its gap vector, and rotating both by j = 0..n-1 gives
+    (word_counts, weights, reps):
     - word_counts[pi]: *linear* arrangements (all rotations restored)
       whose bottom word reads pi from the origin; rotation j stands for
       the gaps[j-1] + 1 origins that read it;
@@ -96,28 +96,26 @@ def _census(n: int) -> tuple[dict[Perm, int], dict[tuple[Perm, tuple[int, ...]],
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n in _CENSUS:
-        return _CENSUS[n]
+
+    def insert(cycle):  # the cycles of row i + 1 over one of row i, i taken from the loop below
+        # row-i box k at k * (i + 2), its gap's t-th new box at k * (i + 2) + t + 1;
+        # label 1 claims first, from 0, so the new cycle starts at the first new box
+        sources = sorted((label, k * (i + 2)) for k, (label, _) in enumerate(cycle))
+        for c in _compositions(i + 1, i):
+            targets = [k * (i + 2) + t + 1 for k, ck in enumerate(c) for t in range(ck)]
+            labels, _, _ = _claim_labels(sources, targets, i + 1)
+            for runs in itertools.product(*(_compositions(o, ck + 1) for (_, o), ck in zip(cycle, c))):
+                olds = [0]  # boxes of rows <= i before the first new box, then after each
+                for run in runs:
+                    olds[-1] += 1 + run[0]
+                    olds.extend(run[1:])
+                lead = olds.pop(0)
+                olds[-1] += lead
+                yield tuple(zip(labels, olds))
+
     states = {((1, 0),): 1}
     for i in range(1, n):
-        nxt: dict[tuple[tuple[int, int], ...], int] = {}
-        for cycle, count in states.items():
-            # row-i box k at k * (i + 2), its gap's t-th new box at k * (i + 2) + t + 1;
-            # label 1 claims first, from 0, so the new cycle starts at the first new box
-            sources = sorted((label, k * (i + 2)) for k, (label, _) in enumerate(cycle))
-            for c in _compositions(i + 1, i):
-                targets = [k * (i + 2) + t + 1 for k, ck in enumerate(c) for t in range(ck)]
-                labels, _, _ = _claim_labels(sources, targets, i + 1)
-                for runs in itertools.product(*(_compositions(o, ck + 1) for (_, o), ck in zip(cycle, c))):
-                    olds = [0]  # boxes of rows <= i before the first new box, then after each
-                    for run in runs:
-                        olds[-1] += 1 + run[0]
-                        olds.extend(run[1:])
-                    lead = olds.pop(0)
-                    olds[-1] += lead
-                    key = tuple(zip(labels, olds))
-                    nxt[key] = nxt.get(key, 0) + count
-        states = nxt
+        states = transfer(states, insert)
 
     word_counts: dict[Perm, int] = {}
     weights: dict[tuple[Perm, tuple[int, ...]], int] = {}
@@ -131,8 +129,7 @@ def _census(n: int) -> tuple[dict[Perm, int], dict[tuple[Perm, tuple[int, ...]],
     reps = sum(states.values())
     if sum(word_counts.values()) != comb(n + 1, 2) * reps:
         raise RuntimeError("census bookkeeping is inconsistent")
-    _CENSUS[n] = (word_counts, weights, reps)
-    return _CENSUS[n]
+    return word_counts, weights, reps
 
 
 def permutation_distribution(n: int) -> dict[Perm, Fraction]:
@@ -329,11 +326,12 @@ def syt_three_column_count(n: int, i: int) -> int:
     (2n-4+i)! (n-i)(n-i-1) / (i! n! (n-1)!)."""
     if not (0 <= i <= n - 2):
         raise ValueError("need 0 <= i <= n-2")
-    val = Fraction(factorial(2 * n - 4 + i) * (n - i) * (n - i - 1))
-    val /= factorial(i) * factorial(n) * factorial(n - 1)
-    if val.denominator != 1:
+    count, remainder = divmod(
+        factorial(2 * n - 4 + i) * (n - i) * (n - i - 1), factorial(i) * factorial(n) * factorial(n - 1)
+    )
+    if remainder:
         raise RuntimeError("tableau count is not an integer")
-    return int(val)
+    return count
 
 
 def top_pair_adjacency_syt(n: int) -> Fraction:
@@ -356,9 +354,7 @@ def top_pair_adjacency_syt(n: int) -> Fraction:
 
 # --- densities ------------------------------------------------------------------
 
-_GAP_FORMS: dict[int, dict[Perm, MultiPoly]] = {}
-
-
+@cache
 def density_gap_forms(n: int) -> dict[Perm, MultiPoly]:
     """Position densities g_pi written in the cyclic gaps L_0..L_{n-1}.
 
@@ -371,10 +367,8 @@ def density_gap_forms(n: int) -> dict[Perm, MultiPoly]:
     homogeneous of degree B - n, with sum_pi integral(g_pi) = 1.  Variable
     g is L_g = q_{g+2} - q_{g+1}, and L_{n-1} = 1 - q_n + q1 (see poly).
     """
-    if n in _GAP_FORMS:
-        return _GAP_FORMS[n]
-    if n > 5:
-        raise ValueError("n above density cap 5")
+    if n > EXACT_CAP:
+        raise ValueError(f"n={n} above exact cap {EXACT_CAP}")
     _, weights, _ = _census(n)
     prefactor = 1
     for i in range(1, n + 1):
@@ -385,8 +379,7 @@ def density_gap_forms(n: int) -> dict[Perm, MultiPoly]:
         for c in cvec:
             denom *= factorial(c)
         terms.setdefault(w, {})[cvec] = Fraction(prefactor * mult, denom)
-    _GAP_FORMS[n] = {w: MultiPoly(n, t) for w, t in sorted(terms.items())}
-    return _GAP_FORMS[n]
+    return {w: MultiPoly(n, t) for w, t in sorted(terms.items())}
 
 
 def _in_q(forms: dict) -> dict:

@@ -3,25 +3,25 @@ formulas for bottom-row counts.
 
 The census side is a row-transfer census: it counts queues row by row,
 keeping each labelled row once with the number of queue prefixes that
-reach it.  Merging is exact by the process of the last row: a labelled
-row and the positions of the next row's boxes fix the next labelled row,
-so prefixes that end in the same labelled row give the same bottom words
-from then on.  The closed-form side evaluates the determinant/product
-expressions for the number of queues whose bottom row is the reverse
-permutation, the reverse with two adjacent values swapped, or a
-commuting product of such swaps (the last is a conjectured formula and
-is only ever *compared*, never assumed).  Nonintersecting lattice-path
-counting is included as an independent oracle for the determinant route.
+reach it (mlq.transfer over the row step mlq._row_successors; transfer
+says why the merge is exact).  The closed-form side evaluates the
+determinant/product expressions for the number of queues whose bottom
+row is the reverse permutation, the reverse with two adjacent values
+swapped, or a commuting product of such swaps (the last is a
+conjectured formula and is only ever *compared*, never assumed).
+Nonintersecting lattice-path counting is included as an independent
+oracle for the determinant route.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .core import Perm, TypeVector, binomial, check_permutation
 from .linalg import det_fraction_free
-from .mlq import DiscreteMLQ, _claim_labels
+from .mlq import DiscreteMLQ, _row_successors, _word, transfer
 from .tableaux import conjugate_partition
 
 
@@ -56,52 +56,32 @@ def enumerate_mlqs(t: TypeVector):
 
 
 def _transfer(N: int, sizes) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Row-transfer census over rows of the given sizes on N sites.
-
-    The state after a row is its labelled row as _claim_labels takes it
-    (sorted (label, position) pairs), mapped to the number of queue
-    prefixes that reach it.  The result maps (positions, labels) of the
-    last row to its number of queues.
-    """
-    states: dict = {(): 1}
-    last = len(sizes) - 1
+    """Row-transfer census over rows of the given sizes on N sites: maps
+    (positions, labels) of the last row to its number of queues."""
+    states = {((), ()): 1}
     for i, size in enumerate(sizes):
-        combos = list(itertools.combinations(range(N), size))
-        nxt: dict = {}
-        for state, mult in states.items():
-            for combo in combos:
-                labels, _, _ = _claim_labels(state, combo, i + 1)
-                key = (combo, tuple(labels)) if i == last else tuple(sorted(zip(labels, combo)))
-                nxt[key] = nxt.get(key, 0) + mult
-        states = nxt
+        states = transfer(states, _row_successors(N, size, i + 1))
     return states
 
 
 def bottom_word_counts(t: TypeVector) -> dict[tuple[int, ...], int]:
     """How many queues of the given type produce each bottom word."""
-    counts: dict[tuple[int, ...], int] = {}
-    for (positions, labels), mult in _transfer(t.N, t.M).items():
-        sites = [0] * t.N
-        for pos, label in zip(positions, labels):
-            sites[pos] = label
-        counts[tuple(sites)] = mult
-    return counts
-
-
-_CENSUS: dict[tuple[int, int], dict] = {}
+    return {_word(t.N, *row): mult for row, mult in _transfer(t.N, t.M).items()}
 
 
 def bottom_position_census(n: int, N: int) -> dict[tuple[Perm, tuple[int, ...]], int]:
     """Counts of queues of type (1,...,1) by (bottom permutation, positions).
 
-    Cached per (n, N); one row-transfer census serves every permutation
-    and position vector at once.
+    One row-transfer census serves every permutation and position vector
+    at once; it is memoised per (n, N) in _position_census.
     """
-    key = (n, N)
-    if key not in _CENSUS:
-        census = _transfer(N, tuple(range(1, n + 1)))
-        _CENSUS[key] = {(labels, positions): mult for (positions, labels), mult in census.items()}
-    return _CENSUS[key]
+    return _position_census(n, N)
+
+
+@cache
+def _position_census(n: int, N: int) -> dict[tuple[Perm, tuple[int, ...]], int]:
+    census = _transfer(N, range(1, n + 1))
+    return {(labels, positions): mult for (positions, labels), mult in census.items()}
 
 
 def mlq_bottom_count(pi, b, N: int) -> int:

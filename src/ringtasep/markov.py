@@ -37,7 +37,7 @@ from math import comb, lcm
 
 from .core import VACANT, RingWord, TypeVector, _estimates, _multiset_perms
 from .linalg import kernel_vector
-from .mlq import last_row_step
+from .mlq import _row_successors, _word, transfer
 
 
 @dataclass(frozen=True)
@@ -380,17 +380,24 @@ def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[i
     A uniformly random set of as many boxes as there are particles is
     drawn, the word's labels claim them, and the relabelled word is the
     new state.  Used to check that the stationary distribution is fixed.
-    The box sets of a word are counted per new word in integers.
+    The whole distribution takes one row step, mlq.transfer over
+    mlq._row_successors, so its words must share their length N and
+    particle count K; the probabilities reaching a new word over the
+    C(N, K) box sets are summed, then divided by C(N, K).
     """
-    out: dict[tuple[int, ...], Fraction] = {}
+    if not dist:
+        return {}
+    shapes = {(len(w), sum(s != VACANT for s in w)) for w in dist}
+    if len(shapes) > 1:
+        raise ValueError(f"words differ in length or particle count: {sorted(shapes)}")
+    [(N, K)] = shapes
+    states = {}
     for w, prob in dist.items():
         u = RingWord(w)
-        K = len(u.particles())
-        counts = Counter(last_row_step(u, boxes).sites for boxes in itertools.combinations(range(len(w)), K))
-        share = prob / comb(len(w), K)
-        for key, c in counts.items():
-            out[key] = out.get(key, 0) + c * share
-    return out
+        u.type_vector()  # refuses an empty word or a missing class
+        states[tuple(zip(*u.particles()))] = prob
+    rows = transfer(states, _row_successors(N, K, VACANT))  # K labels claim all K boxes
+    return {_word(N, *row): prob / comb(N, K) for row, prob in rows.items()}
 
 
 def mc_stationary(t: TypeVector, burn_in: int, samples: int, seed: int, thin: int = 1):

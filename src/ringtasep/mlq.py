@@ -13,15 +13,20 @@ A continuous multiline queue keeps only the relative cyclic order of its
 box positions (an Arrangement); the labelling depends on nothing else.
 
 Every exact labelling runs the one step _claim_labels: label_mlq (and so
-label_arrangement) row by row, the row-transfer census count._transfer
-as it places each row, the row-insertion census of continuum.py once per
-(labelled row, spread of the next row over its gaps), and
-last_row_step, which also serves markov.push_through_last_row.  Only the
-Monte Carlo sampler of continuum.py inlines the same step for float rows.
+label_arrangement) row by row, the row insertion of continuum._census
+once per (labelled row, spread of the next row over its gaps),
+last_row_step for single words, and _row_successors, the discrete row
+step, which count._transfer takes for each row of a queue and
+markov.push_through_last_row for a whole distribution of words.  Only
+the Monte Carlo sampler of continuum.py inlines the same step for float
+rows.  Every census merges through the one driver transfer: the two
+above, the continuum census, and the tableau oracle
+tableaux.ssyt_count_brute.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .core import VACANT, RingWord, TypeVector
 
@@ -62,6 +67,48 @@ def _claim_labels(sources, targets, fill):
         if labels[k] == 0:
             labels[k] = fill
     return labels, claims, wrapped
+
+
+def transfer(states: dict, successors) -> dict:
+    """One step of a transfer census.
+
+    states maps each state to its multiplicity, the number of prefixes
+    (or their total weight) that reach it.  Each multiplicity passes to
+    every successor that successors(state) yields, once per yield, and
+    equal successors are merged by adding.
+
+    Merging is exact whenever a state alone fixes its future: the
+    successors of a state, and so everything counted after it, do not
+    depend on the prefix that reached it, so prefixes that end in equal
+    states have equal futures and may be counted once, with the sum of
+    their counts.  Each census here steps a state of that kind: a
+    labelled row, which with the next row's boxes fixes the next labelled
+    row (the process of the last row); a cycle of labels and older-box
+    counts in the continuum census; a tableau row, which alone bounds the
+    row below it.
+    """
+    out: dict = {}
+    for state, mult in states.items():
+        for nxt in successors(state):
+            out[nxt] = out.get(nxt, 0) + mult
+    return out
+
+
+def _row_successors(N: int, size: int, fill: int):
+    """The discrete row step for transfer: a labelled row, held as
+    (positions, labels) with positions increasing, goes to the labelled
+    row of every set of `size` boxes on N sites, once per set, the boxes
+    left unclaimed taking label fill.  The claim sources are sorted once
+    per state."""
+    box_sets = list(combinations(range(N), size))
+
+    def successors(state):
+        positions, labels = state
+        sources = sorted(zip(labels, positions))
+        for boxes in box_sets:
+            yield boxes, tuple(_claim_labels(sources, boxes, fill)[0])
+
+    return successors
 
 
 @dataclass(frozen=True)
@@ -146,12 +193,18 @@ def label_mlq(q: DiscreteMLQ) -> LabeledMLQ:
     return LabeledMLQ(q, tuple(all_labels), tuple(paths), any_wrap)
 
 
+def _word(N: int, positions, labels) -> tuple[int, ...]:
+    """The sites of a ring of N sites holding labels at positions, the
+    others vacant."""
+    sites = [VACANT] * N
+    for pos, label in zip(positions, labels):
+        sites[pos] = label
+    return tuple(sites)
+
+
 def bottom_word(l: LabeledMLQ) -> RingWord:
     """Bottom-row labels as a ring word (other sites vacant)."""
-    sites = [VACANT] * l.base.t.N
-    for pos, label in zip(l.base.rows[-1], l.labels[-1]):
-        sites[pos] = label
-    return RingWord(tuple(sites))
+    return RingWord(_word(l.base.t.N, l.base.rows[-1], l.labels[-1]))
 
 
 @dataclass(frozen=True)
@@ -240,7 +293,4 @@ def last_row_step(u: RingWord, boxes) -> RingWord:
     if len(boxes) < len(sources):
         raise ValueError("too few boxes to absorb all labels")
     labels, _, _ = _claim_labels(sources, boxes, t.n + 1)
-    sites = [VACANT] * N
-    for pos, label in zip(boxes, labels):
-        sites[pos] = label
-    return RingWord(tuple(sites))
+    return RingWord(_word(N, boxes, labels))

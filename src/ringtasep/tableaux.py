@@ -13,12 +13,11 @@ bijection from such queues to semistandard tableaux, and interlacing
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .core import TypeVector, binomial
 from .linalg import det_fraction_free
-from .mlq import DiscreteMLQ, LabeledMLQ
+from .mlq import DiscreteMLQ, LabeledMLQ, transfer
 
 
 # --- partitions -------------------------------------------------------------
@@ -107,12 +106,11 @@ def ssyt_count_hook_content(lam, t: int) -> int:
     lam = check_partition(lam)
     if t < 0:
         raise ValueError("need t >= 0")
-    out = Fraction(1)
-    for i, j, hook in _hooks(lam):
-        out *= Fraction(t + content(i, j), hook)
-    if out.denominator != 1:
+    hooks = list(_hooks(lam))
+    count, remainder = divmod(prod(t + content(i, j) for i, j, _ in hooks), prod(hook for _, _, hook in hooks))
+    if remainder:
         raise RuntimeError("hook-content product is not an integer")
-    return int(out)
+    return count
 
 
 def ssyt_count_jacobi_trudi(lam, t: int) -> int:
@@ -157,19 +155,15 @@ def ssyt_brute(lam, t: int) -> list[Tableau]:
 
 def ssyt_count_brute(lam, t: int) -> int:
     """Number of semistandard tableaux of shape lam with entries in [t],
-    by row transfer over the rows `ssyt_brute` lists: each row allowed
-    under the row above adds the count of the rows below it.  The count is
-    memoised on (row index, row above), so equal futures are counted once;
-    no formula of the other routes is used."""
+    by row transfer over the rows `ssyt_brute` lists: mlq.transfer steps
+    each row to every row allowed under it and merges equal rows, as the
+    row above alone bounds the rows below.  No formula of the other
+    routes is used."""
     lam = check_partition(lam)
-
-    @cache
-    def below(i, above):
-        if i == len(lam):
-            return 1
-        return sum(below(i + 1, row) for row in _weak_rows(lam[i], t, above))
-
-    return below(0, None)
+    states = {None: 1}
+    for length in lam:
+        states = transfer(states, lambda above: _weak_rows(length, t, above))
+    return sum(states.values())
 
 
 def _weak_rows(length, t, above):
@@ -191,13 +185,10 @@ def _weak_rows(length, t, above):
 def syt_count(lam) -> int:
     """Standard tableaux of shape lam, by the hook length formula."""
     lam = check_partition(lam)
-    size = sum(lam)
-    out = Fraction(factorial(size))
-    for _, _, hook in _hooks(lam):
-        out /= hook
-    if out.denominator != 1:
+    count, remainder = divmod(factorial(sum(lam)), prod(hook for _, _, hook in _hooks(lam)))
+    if remainder:
         raise RuntimeError("hook length formula gave a non-integer")
-    return int(out)
+    return count
 
 
 def syt_brute(lam) -> int:

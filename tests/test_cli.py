@@ -65,6 +65,7 @@ def test_continuum_pdist_refuses_n_below_one():
     r = run("continuum", "pdist", "--n", "0")
     assert r.exit_code == 1
     assert "need n >= 1" in r.output
+    assert "Usage: main continuum pdist [OPTIONS]" in r.output  # the failing command's usage
     assert isinstance(r.exception, SystemExit)  # a usage error, not a traceback
 
 
@@ -126,7 +127,10 @@ def test_verify_single_check_and_exit_codes():
 
 
 def test_verify_unknown_filter_is_usage_error():
-    assert run("verify", "nonexistent-*").exit_code == 1
+    r = run("verify", "nonexistent-*")
+    assert r.exit_code == 1
+    assert "Usage: main verify [OPTIONS] [PATTERN]" in r.output
+    assert "no checks match 'nonexistent-*'" in r.output
 
 
 def test_verify_list():

@@ -4,9 +4,9 @@ from math import comb, factorial
 
 import pytest
 
-from ringtasep import continuum
 from ringtasep.core import reverse_permutation, swap_values
 from ringtasep.continuum import (
+    EXACT_CAP,
     CorrTable,
     _census,
     _in_q,
@@ -48,8 +48,13 @@ def test_arrangement_counts():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        list(enumerate_arrangements(6))
+    # every exact entry point refuses n above the cap before any census call
+    entries = (lambda n: list(enumerate_arrangements(n)), permutation_distribution, adjacency_exact, density_gap_forms)
+    for entry in entries:
+        misses = _census.cache_info().misses
+        with pytest.raises(ValueError, match=f"above .*cap {EXACT_CAP}"):
+            entry(EXACT_CAP + 1)
+        assert _census.cache_info().misses == misses
 
 
 def test_permutation_distribution_small():
@@ -62,9 +67,10 @@ def test_permutation_distribution_small():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_permutation_distribution_refuses_n_below_one(n):
+    before = _census.cache_info().currsize
     with pytest.raises(ValueError, match="need n >= 1"):
         permutation_distribution(n)
-    assert n not in continuum._CENSUS
+    assert _census.cache_info().currsize == before  # nothing memoised
 
 
 def test_density_gap_forms_refuses_n_below_one():

@@ -399,6 +399,26 @@ def test_push_through_last_row_point_mass_is_pinned(word, digest):
     assert hashlib.sha256(repr(sorted(out.items())).encode()).hexdigest() == digest
 
 
+def test_push_through_last_row_of_nothing_is_nothing():
+    assert push_through_last_row({}) == {}
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ({(1, 0): Fraction(1, 2), (1, 0, 0): Fraction(1, 2)}, "differ in length or particle count"),
+        ({(1, 0, 0): Fraction(1, 2), (1, 1, 0): Fraction(1, 2)}, "differ in length or particle count"),
+        ({(1, -1, 0): Fraction(1)}, "VACANT .0. or positive"),
+        ({(2, 0, 3): Fraction(1)}, "classes 1..3 must all be present"),
+        ({(0, 0): Fraction(1)}, "empty word has no type"),
+    ],
+)
+def test_push_through_last_row_refuses_mixed_or_bad_words(dist, message):
+    # the whole distribution takes one row step, so its words must share a shape
+    with pytest.raises(ValueError, match=message):
+        push_through_last_row(dist)
+
+
 def test_mc_stationary_reproducible_and_close():
     t = TypeVector((1, 1), 4)
     a = mc_stationary(t, burn_in=200, samples=20000, seed=3, thin=8)
