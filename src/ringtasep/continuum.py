@@ -145,34 +145,55 @@ def permutation_distribution(n: int) -> dict[Perm, Fraction]:
 
 
 def _mc_word_chunk(args):
-    """Bottom-word counts of `samples` queues from random.Random(seed).  Row
-    r, r sorted uniforms, is labelled as drawn and kept as pos[label - 1]:
-    it holds exactly the labels 1..r, which claim in list order."""
+    """Bottom-word counts of `samples` queues from random.Random(seed).
+
+    Each sample draws its B uniforms as one list; row r is the slice of
+    its r draws, sorted, and is labelled as drawn and kept as
+    pos[label - 1]: it holds exactly the labels 1..r, which claim in list
+    order.  A label claims from free, the sorted row boxes not yet
+    claimed: the first of them weakly right of p, free[bisect_left(free,
+    p)], or free[0] past the end of the ring, which is the box the
+    Ferrari-Martin scan over claimed slots finds.  So a claim pops its
+    box, and the one box left starts label r.
+
+    In the last row the claim indices, taken % len(free), are the sample's
+    code: label t pops index i_t < n - t + 1, so codes and bottom words
+    are in bijection, and each code is turned into its word once, by
+    replaying the pops on range(n).  Codes and words are first met in the
+    same order, so the counts come out in the order of first sight.
+    """
     n, samples, seed = args
     rnd = random.Random(seed).random
-    counts: dict[Perm, int] = {}
-    rows = [(r, range(r)) for r in range(2, n + 1)]
+    B = comb(n + 1, 2)
+    draws_range, last = range(B), B - n
+    rows = [(r * (r - 1) // 2, r * (r + 1) // 2) for r in range(2, n)]
+    codes: dict[tuple[int, ...], int] = {}
     for _ in range(samples):
-        pos, labels = [rnd()], [1]
-        for r, draws in rows:
-            row = [rnd() for _ in draws]
-            row.sort()
-            labels, nxt, label = [0] * r, [], 0
+        draws = [rnd() for _ in draws_range]
+        pos = draws[:1]  # at n = 1 row 1 is also the last row, and codes as (0,)
+        for a, b in rows:
+            free = draws[a:b]
+            free.sort()
+            nxt = []
             for p in pos:
-                label += 1
-                i = bisect_left(row, p)
-                while i < r and labels[i]:
-                    i += 1
-                if i == r:
-                    i = labels.index(0)
-                labels[i] = label
-                nxt.append(row[i])
-            i = labels.index(0)  # the one unclaimed box starts label r
-            labels[i] = r
-            nxt.append(row[i])
+                nxt.append(free.pop(bisect_left(free, p) % len(free)))
+            nxt.append(free[0])
             pos = nxt
-        w = tuple(labels)
-        counts[w] = counts.get(w, 0) + 1
+        free = draws[last:]
+        free.sort()
+        code = []
+        for p in pos:
+            i = bisect_left(free, p) % len(free)
+            del free[i]
+            code.append(i)
+        code = tuple(code)
+        codes[code] = codes.get(code, 0) + 1
+    counts: dict[Perm, int] = {}
+    for code, c in codes.items():
+        free, word = list(range(n)), [n] * n  # the box left unclaimed gets label n
+        for label, i in enumerate(code, 1):
+            word[free.pop(i)] = label
+        counts[tuple(word)] = c
     return counts
 
 

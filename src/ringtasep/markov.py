@@ -406,32 +406,41 @@ def mc_stationary(t: TypeVector, burn_in: int, samples: int, seed: int, thin: in
     Runs a single chain, records every `thin`-th state after burn-in, and
     reports per-state frequencies with naive binomial standard errors.
     Reproducible for a fixed (seed, thin).  The word and its sorted
-    occupied sites are updated in place; a step moves occupied[randrange(K)].
+    occupied sites are updated in place; a step moves occupied[k] for a
+    k drawn as random.Random.randrange(K) draws it: getrandbits of K's bit
+    length, drawn again until below K.  Burn-in and sampling run as one
+    loop, with a countdown to the next recorded state; with thin = 0 every
+    record is the state after burn-in.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
-    randrange = random.Random(seed).randrange
+    if burn_in < 0 or thin < 0:
+        raise ValueError("need burn_in >= 0 and thin >= 0")
+    getrandbits = random.Random(seed).getrandbits
     sites = _content(t)  # the first word of enumerate_states(t)
     occupied = [i for i, x in enumerate(sites) if x != VACANT]
     K, last = t.particles, t.N - 1
-
-    def advance(steps):
-        for _ in range(steps):
-            k = randrange(K)
-            site = occupied[k]
-            mover, neighbor = sites[site], sites[site - 1]  # sites[-1] is left of site 0
-            if neighbor == VACANT or neighbor > mover:
-                sites[site - 1], sites[site] = mover, neighbor
-                if neighbor == VACANT and site:
-                    occupied[k] = site - 1
-                elif neighbor == VACANT:  # from site 0 (k == 0) to the last site
-                    del occupied[0]
-                    occupied.append(last)
-
-    advance(burn_in)
+    bits = K.bit_length()
     counts: dict[tuple, int] = {}
-    for _ in range(samples):
-        advance(thin)
-        state = tuple(sites)
-        counts[state] = counts.get(state, 0) + 1
+    wait = burn_in + thin  # steps to the next recorded state
+    for _ in range(burn_in + samples * thin):
+        k = getrandbits(bits)
+        while k >= K:
+            k = getrandbits(bits)
+        site = occupied[k]
+        mover, neighbor = sites[site], sites[site - 1]  # sites[-1] is left of site 0
+        if neighbor == VACANT or neighbor > mover:
+            sites[site - 1], sites[site] = mover, neighbor
+            if neighbor == VACANT and site:
+                occupied[k] = site - 1
+            elif neighbor == VACANT:  # from site 0 (k == 0) to the last site
+                del occupied[0]
+                occupied.append(last)
+        wait -= 1
+        if not wait:
+            state = tuple(sites)
+            counts[state] = counts.get(state, 0) + 1
+            wait = thin
+    if not thin:
+        counts = {tuple(sites): samples}
     return _estimates(counts, samples, "freq")

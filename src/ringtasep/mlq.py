@@ -18,8 +18,11 @@ once per (labelled row, spread of the next row over its gaps),
 last_row_step for single words, and _row_successors, the discrete row
 step, which count._transfer takes for each row of a queue and
 markov.push_through_last_row for a whole distribution of words.  Only
-the Monte Carlo sampler of continuum.py inlines the same step for float
-rows.  Every census merges through the one driver transfer: the two
+the Monte Carlo sampler of continuum.py claims otherwise, on float rows:
+each label pops, from the sorted boxes of the row not yet claimed, the
+first at or after it, or the first of all past the end of the ring.
+That is the box the scan over claimed boxes above finds, so it is the
+same claim.  Every census merges through the one driver transfer: the two
 above, the continuum census, and the tableau oracle
 tableaux.ssyt_count_brute.
 """

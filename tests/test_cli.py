@@ -23,6 +23,13 @@ def test_tasep_stationary_mc_reproducible():
     assert a.output == b.output
 
 
+def test_tasep_stationary_mc_refuses_negative_burn_in():
+    r = run("tasep", "stationary", "--m", "1,1", "--N", "4", "--mc", "--burn-in", "-5")
+    assert r.exit_code == 1
+    assert "need burn_in >= 0" in r.output
+    assert isinstance(r.exception, SystemExit)
+
+
 def test_mlq_count_routes_agree():
     census = json.loads(run("mlq", "count", "--pi", "2,1", "--b", "0,2", "--N", "5").output)
     formula = json.loads(

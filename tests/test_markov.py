@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -450,6 +452,36 @@ def test_mc_stationary_wraps_at_site_zero():
     for burn_in in range(9):
         [w] = mc_stationary(t, burn_in=burn_in, samples=1, seed=0)
         assert w.index(1) == (2 - burn_in) % 4
+
+
+@pytest.mark.parametrize(
+    "m, N", [((1,), 3), ((1, 1), 4), ((2, 1), 4), ((1, 1, 2), 6), ((2, 1, 1, 1), 7)]
+)  # K = 1, 2, 3, 4 and 5 particles
+@pytest.mark.parametrize("thin", [0, 1, 3])
+def test_mc_stationary_replays_randrange(m, N, thin):
+    # the chain draws its particle as randrange(K) does, so replaying
+    # randrange through tasep_step gives the same tallies
+    t, burn_in, samples, seed = TypeVector(m, N), 7, 60, 5
+    randrange = random.Random(seed).randrange
+    w, tally = RingWord(enumerate_states(t)[0]), Counter()
+
+    def advance(steps):
+        nonlocal w
+        for _ in range(steps):
+            w = tasep_step(w, w.particles()[randrange(t.particles)][0])
+
+    advance(burn_in)
+    for _ in range(samples):
+        advance(thin)
+        tally[w.sites] += 1
+    est = mc_stationary(t, burn_in, samples, seed, thin=thin)
+    assert {word: e["count"] for word, e in est.items()} == tally
+
+
+@pytest.mark.parametrize("burn_in, thin", [(-5, 1), (0, -2), (-5, -2)])
+def test_mc_stationary_refuses_negative_steps(burn_in, thin):
+    with pytest.raises(ValueError, match="need burn_in >= 0 and thin >= 0"):
+        mc_stationary(TypeVector((1, 1), 4), burn_in, 3, 0, thin=thin)
 
 
 def test_mc_stationary_single_particle_uniform():
