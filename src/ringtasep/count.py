@@ -2,9 +2,11 @@
 formulas for bottom-row counts.
 
 The census side is a row-transfer census: it counts queues row by row,
-keeping each labelled row once with the number of queue prefixes that
-reach it (mlq.transfer over the row step mlq._row_successors; transfer
-says why the merge is exact).  The closed-form side evaluates the
+keeping one labelled row per rotation class with the number of queue
+prefixes that reach the class (mlq.transfer over the row step
+mlq._row_successors; transfer and _transfer say why the merges are
+exact), and spreads each class over its rotations at the end.  The
+closed-form side evaluates the
 determinant/product expressions for the number of queues whose bottom
 row is the reverse permutation, the reverse with two adjacent values
 swapped, or a commuting product of such swaps (the last is a
@@ -14,6 +16,7 @@ oracle for the determinant route.
 """
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -56,12 +59,60 @@ def enumerate_mlqs(t: TypeVector):
 
 
 def _transfer(N: int, sizes) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Row-transfer census over rows of the given sizes on N sites: maps
-    (positions, labels) of the last row to its number of queues."""
+    """Row-transfer census over rows of the given sizes on N sites, the
+    first row nonempty: maps (positions, labels) of the last row to its
+    number of queues.
+
+    The census runs on rotation classes.  Rotating every row of a queue by
+    s rotates each labelled row by s, since a claim looks only to the
+    cyclic right.  So each labelled row is kept as rep(O), the least
+    rotation of it that puts a label-1 box at site 0, with T(O), the
+    number of queue prefixes that reach any row of its class O.  The merge
+    is exact whatever the stabilisers: rotating the box sets shows that
+    every row of O has as many successors in a class O' as rep(O) has, so
+
+        T'(O') = sum over O of T(O) * #{successors of rep(O) in O'},
+
+    which is mlq.transfer over the representatives once each successor of
+    mlq._row_successors is replaced by the representative of its class.
+    The empty row above row 1 is rotation invariant, so every row of a
+    class has the same count, and the last step spreads T(O) evenly over
+    the distinct rotations of rep(O): N of them when m1 = 1, fewer when a
+    rotation fixes the row ({0, 2} on N = 4).  Each box set's positions
+    tuple is built once and shared by every row on it.
+    """
+    single = sizes[0] == 1  # one label-1 box per row
     states = {((), ()): 1}
     for i, size in enumerate(sizes):
-        states = transfer(states, _row_successors(N, size, i + 1))
-    return states
+        sets = {b: b for b in itertools.combinations(range(N), size)}
+        # turns[b][k]: the box set b rotated to put its box k at site 0
+        turns = {
+            b: [sets[tuple(p - s for p in b[k:]) + tuple(p - s + N for p in b[:k])] for k, s in enumerate(b)]
+            for b in sets
+        }
+
+        def canonical(row):
+            positions, labels = row
+            turn = turns[positions]
+            if single:
+                k = labels.index(1)
+                return turn[k], labels[k:] + labels[:k]
+            return min((turn[k], labels[k:] + labels[:k]) for k, label in enumerate(labels) if label == 1)
+
+        step = _row_successors(N, size, i + 1)
+        states = transfer(states, lambda row: map(canonical, step(row)))
+    out = {}
+    for (positions, labels), total in states.items():
+        orbit = {}
+        for s in range(N):
+            k = bisect_left(positions, N - s)
+            rotated = tuple(p + s - N for p in positions[k:]) + tuple(p + s for p in positions[:k])
+            orbit[sets[rotated], labels[k:] + labels[:k]] = None
+        share, rest = divmod(total, len(orbit))
+        if rest:
+            raise RuntimeError(f"class of {positions, labels} does not spread evenly over its rotations")
+        out.update(dict.fromkeys(orbit, share))
+    return out
 
 
 def bottom_word_counts(t: TypeVector) -> dict[tuple[int, ...], int]:
@@ -73,8 +124,11 @@ def bottom_position_census(n: int, N: int) -> dict[tuple[Perm, tuple[int, ...]],
     """Counts of queues of type (1,...,1) by (bottom permutation, positions).
 
     One row-transfer census serves every permutation and position vector
-    at once; it is memoised per (n, N) in _position_census.
+    at once; it is memoised per (n, N) in _position_census.  Empty when
+    n > N.
     """
+    if n < 1 or N < 1:
+        raise ValueError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
     return _position_census(n, N)
 
 

@@ -16,13 +16,13 @@ Every exact labelling runs the one step _claim_labels: label_mlq (and so
 label_arrangement) row by row, the row insertion of continuum._census
 once per (labelled row, spread of the next row over its gaps),
 last_row_step for single words, and _row_successors, the discrete row
-step, which count._transfer takes for each row of a queue and
-markov.push_through_last_row for a whole distribution of words.  Only
-the Monte Carlo sampler of continuum.py claims otherwise, on float rows:
-each label pops, from the sorted boxes of the row not yet claimed, the
-first at or after it, or the first of all past the end of the ring.
-That is the box the scan over claimed boxes above finds, so it is the
-same claim.  Every census merges through the one driver transfer: the two
+step, which count._transfer takes for each row of a queue (on rotation
+classes) and markov.push_through_last_row for a whole distribution of
+words.  Every claim, exact or Monte Carlo, follows one rule: each label
+pops, from the boxes of the row not yet claimed, the first at or after
+it, or the first of all past the end of the ring.  _claim_labels pops
+target indices; the sampler of continuum.py pops float positions.  Every
+census merges through the one driver transfer: the two
 above, the continuum census, and the tableau oracle
 tableaux.ssyt_count_brute.
 """
@@ -42,33 +42,24 @@ def _claim_labels(sources, targets, fill):
     wrapped) where labels[k] is the label of targets[k], claims[j] is the
     target index claimed by sources[j], and wrapped[j] says whether that
     claim passed the end of the ring.
+
+    free lists the target indices not yet claimed, in order.  A source at
+    pos claims the first of them at or after bisect_left(targets, pos),
+    or free[0] when there is none (the claim wraps), and pops it.
     """
-    B = len(targets)
-    labels = [0] * B
+    free = list(range(len(targets)))
+    labels = [fill] * len(targets)
     claims = []
     wrapped = []
     for label, pos in sources:
-        start = bisect_left(targets, pos)
-        chosen = -1
-        wrap = False
-        for k in range(start, B):
-            if labels[k] == 0:
-                chosen = k
-                break
-        else:
-            wrap = True
-            for k in range(start):
-                if labels[k] == 0:
-                    chosen = k
-                    break
-        if chosen < 0:
+        if not free:
             raise ValueError("not enough boxes to absorb all labels")
-        labels[chosen] = label
-        claims.append(chosen)
+        j = bisect_left(free, bisect_left(targets, pos))
+        wrap = j == len(free)
+        k = free.pop(0 if wrap else j)
+        labels[k] = label
+        claims.append(k)
         wrapped.append(wrap)
-    for k in range(B):
-        if labels[k] == 0:
-            labels[k] = fill
     return labels, claims, wrapped
 
 

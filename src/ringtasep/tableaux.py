@@ -13,6 +13,7 @@ bijection from such queues to semistandard tableaux, and interlacing
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, prod
 
 from .core import TypeVector, binomial
@@ -155,15 +156,28 @@ def ssyt_brute(lam, t: int) -> list[Tableau]:
 
 def ssyt_count_brute(lam, t: int) -> int:
     """Number of semistandard tableaux of shape lam with entries in [t],
-    by row transfer over the rows `ssyt_brute` lists: mlq.transfer steps
-    each row to every row allowed under it and merges equal rows, as the
-    row above alone bounds the rows below.  No formula of the other
-    routes is used."""
+    by row transfer: mlq.transfer steps each row to every row allowed
+    under it and merges equal rows, as the row above alone bounds the rows
+    below.  The rows under a row are listed once per process, by
+    _rows_under, apart from the listing of `ssyt_brute`.  No formula of
+    the other routes is used."""
     lam = check_partition(lam)
     states = {None: 1}
     for length in lam:
-        states = transfer(states, lambda above: _weak_rows(length, t, above))
+        states = transfer(states, lambda above: _rows_under(length, t, above and above[:length]))
     return sum(states.values())
+
+
+@cache
+def _rows_under(length, t, above):
+    """Weakly increasing rows of `length` entries in [t], in lexicographic
+    order, strictly below `above` columnwise (any row when above is None).
+    Memoised so that shapes share them.  Only the first `length` entries
+    of `above` bound a row, so callers key on those; each list filters the
+    one with no row above, and so shares its tuples."""
+    if above is None:
+        return tuple(itertools.combinations_with_replacement(range(1, t + 1), length))
+    return tuple(row for row in _rows_under(length, t, None) if all(a < b for a, b in zip(above, row)))
 
 
 def _weak_rows(length, t, above):

@@ -10,6 +10,7 @@ from ringtasep.core import TypeVector, reverse_permutation, swap_values
 from ringtasep.count import (
     PathFamilySpec,
     PositionVector,
+    _position_census,
     bottom_position_census,
     bottom_word_counts,
     check_swap_vector,
@@ -25,7 +26,7 @@ from ringtasep.count import (
     reverse_path_spec,
     total_mlq_count,
 )
-from ringtasep.mlq import bottom_word, label_mlq
+from ringtasep.mlq import DiscreteMLQ, bottom_word, label_mlq
 
 
 def test_total_count_examples():
@@ -72,6 +73,45 @@ def test_transfer_position_census_matches_oracle(n, N):
         key = (label_mlq(q).labels[-1], q.rows[-1])
         oracle[key] = oracle.get(key, 0) + 1
     assert bottom_position_census(n, N) == oracle
+
+
+@pytest.mark.parametrize("m, N", [((1, 1, 1), 5), ((2, 1), 5), ((1, 2), 5), ((2, 2), 5), ((3, 1), 6), ((2, 1, 1), 5)])
+def test_rotating_every_row_rotates_the_bottom_word(m, N):
+    # the premise of the census on rotation classes, also where rows have
+    # several label-1 boxes
+    t = TypeVector(m, N)
+    for q in enumerate_mlqs(t):
+        w = bottom_word(label_mlq(q)).sites
+        for s in range(1, N):
+            turned = DiscreteMLQ(t, tuple(tuple(sorted((p + s) % N for p in row)) for row in q.rows))
+            assert bottom_word(label_mlq(turned)).sites == w[-s:] + w[:-s]
+
+
+@pytest.mark.parametrize("m, N", [((2,), 4), ((2, 2), 6), ((3, 3), 6)])
+def test_transfer_matches_oracle_where_rotations_fix_rows(m, N):
+    # rows such as {0, 2} on N = 4 have fewer than N distinct rotations
+    t = TypeVector(m, N)
+    assert bottom_word_counts(t) == _oracle_word_counts(t)
+
+
+def test_census_refuses_empty_types():
+    before = _position_census.cache_info().currsize
+    for n, N in [(0, 3), (-1, 2), (2, 0), (1, -1)]:
+        with pytest.raises(ValueError, match="need n >= 1 and N >= 1"):
+            bottom_position_census(n, N)
+    with pytest.raises(ValueError, match="need n >= 1 and N >= 1"):
+        mlq_bottom_count((), (), 3)
+    assert _position_census.cache_info().currsize == before
+    assert bottom_position_census(4, 3) == {}
+
+
+def test_frontier_census_is_pinned():
+    # recorded by the census on full labelled rows: 20,160 words summing to
+    # 1,376,829,440 = C(8,1) C(8,2) ... C(8,6) queues
+    counts = bottom_word_counts(TypeVector((1,) * 6, 8))
+    assert len(counts) == 20160 and sum(counts.values()) == 1376829440
+    digest = hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest()
+    assert digest == "5e7927cc696741ec9c1bb627ea8cdf7fb9b2a6518f5d6c619b6d6188e3066641"
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -68,6 +69,48 @@ def test_equal_label_order_independence():
                     b, _, _ = claim_rightmost_first(cur, rows[r], r + 1)
                     assert a == b
                     cur = sorted(zip(a, rows[r]))
+
+
+def _scan_claim(sources, targets, fill):
+    """Reference claim step: scan the target slots for the first one
+    unclaimed at or after the source, then from the start of the ring."""
+    B = len(targets)
+    labels = [0] * B
+    claims, wrapped = [], []
+    for label, pos in sources:
+        start = bisect_left(targets, pos)
+        ahead = [k for k in range(start, B) if labels[k] == 0]
+        behind = [k for k in range(start) if labels[k] == 0]
+        if not ahead and not behind:
+            raise ValueError("not enough boxes to absorb all labels")
+        chosen = ahead[0] if ahead else behind[0]
+        labels[chosen] = label
+        claims.append(chosen)
+        wrapped.append(not ahead)
+    return [label or fill for label in labels], claims, wrapped
+
+
+def test_claim_labels_matches_scan_reference():
+    # every row of up to N = 6 sites with labels 1..3 above every row with
+    # at least as many boxes: 80,721 cases
+    cases = 0
+    for N in range(1, 7):
+        for size in range(N + 1):
+            for positions in itertools.combinations(range(N), size):
+                for labels in itertools.product((1, 2, 3), repeat=size):
+                    sources = sorted(zip(labels, positions))
+                    for count in range(size, N + 1):
+                        for targets in itertools.combinations(range(N), count):
+                            assert _claim_labels(sources, targets, 4) == _scan_claim(sources, targets, 4)
+                            cases += 1
+    assert cases == 80721
+
+
+def test_claim_labels_refuses_too_few_boxes():
+    with pytest.raises(ValueError, match="not enough boxes"):
+        _claim_labels([(1, 0), (2, 1)], (3,), 3)
+    with pytest.raises(ValueError, match="not enough boxes"):
+        _claim_labels([(1, 2)], (), 2)
 
 
 def test_bottom_word_examples():
