@@ -19,13 +19,25 @@ closed communicating classes, found by one strongly connected component
 pass, the same pass that certifies a lift irreducible, and with one
 closed class any further component is transient.
 
-Every stationary distribution of the package, here and in `rs`, comes
-from one solver, `_certified_stationary`.  Given a rotation that commutes
-with the chain, it solves the chain on the rotation classes and shares
-each class's probability evenly over its orbit; without one it solves
-the full chain.  Either way the answer is certified on the full chain,
-by the flow equations and by strong connectivity of the chain graph, so
-it is the chain's unique stationary distribution.
+The TASEP needs no solve.  Ferrari and Martin, "Stationary distributions
+of multi-type totally asymmetric exclusion processes" (Ann. Probab. 35,
+2007), treat n-type TASEPs "on Z and on the cycle Z_N" and "show that
+the construction can be extended to give stationary measures for an
+n-TASEP": on the ring, the bottom row of a uniformly random multiline
+queue is stationary.  So the queue census `count.bottom_word_counts` is
+the stationary vector up to the total queue count.  `tasep_stationary`,
+and `k_tasep_stationary` for k < N, take that census and certify it on
+the full chain in integers; no elimination runs.
+
+Every other stationary distribution of the package, here and in `rs`,
+comes from one solver, `_certified_stationary`.  Given a rotation that
+commutes with the chain, it solves the chain on the rotation classes
+and shares each class's probability evenly over its orbit; without one
+it solves the full chain.  Either way the answer is certified on the
+full chain, by the flow equations and by strong connectivity of the
+chain graph, so it is the chain's unique stationary distribution.
+`verify` keeps the solve for the TASEP too, so its Ferrari-Martin
+checks compare two independent routes.
 """
 
 import itertools
@@ -36,6 +48,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .core import VACANT, RingWord, TypeVector, _estimates, _multiset_perms
+from .count import bottom_word_counts, total_mlq_count
 from .linalg import kernel_vector
 from .mlq import _row_successors, _word, transfer
 
@@ -212,36 +225,67 @@ def _certified_stationary(states, step_targets, rotate=None) -> dict:
 
 def _verify_stationary(dist: dict, step_targets):
     """Certify dist as the unique stationary distribution of the full chain
-    on its states, in integers.
-
-    dist scaled by the lcm of its denominators gives weights, and
-    sum_w weight_w #(w -> v) = D weight_v must hold for every state v, with
-    D the number of moves, which must be the same from every state.  The
-    weights must sum to the scale, and the chain graph must be strongly
-    connected: one pass of `_components` over the same targets finds a
-    single component.  A strongly connected chain has exactly one
-    stationary distribution, so dist is it.
-    """
-    states = list(dist)
-    index = {w: i for i, w in enumerate(states)}
+    on its states, in integers: dist scaled by the lcm of its denominators
+    gives weights that must sum to the scale, and `_certify_weights`
+    certifies them."""
     scale = lcm(*(p.denominator for p in dist.values()))
     weight = [p.numerator * (scale // p.denominator) for p in dist.values()]
     if sum(weight) != scale:
         raise RuntimeError("distribution does not sum to 1")
+    _certify_weights(list(dist), weight, step_targets)
+
+
+def _certify_weights(states, weights, step_targets):
+    """Certify integer weights on states as the full chain's unique
+    stationary vector, up to scale.
+
+    sum_w weight_w #(w -> v) = D weight_v must hold for every state v, with
+    D the number of moves, which must be the same from every state.  Every
+    move must stay in the states, and the chain graph must be strongly
+    connected: one pass of `_components` over the same targets finds a
+    single component.  A strongly connected chain has exactly one
+    stationary distribution, so the weights are it.
+    """
+    index = {w: i for i, w in enumerate(states)}
     D = sum(1 for _ in step_targets(states[0]))
     flow = [0] * len(states)
     succ = []
-    for w, c in zip(states, weight):
-        out = [index[target] for target in step_targets(w)]
+    for w, c in zip(states, weights):
+        targets = list(step_targets(w))
+        try:
+            out = [index[target] for target in targets]
+        except KeyError as e:
+            raise RuntimeError(f"a move from {w} leaves the states, to {e.args[0]}") from None
         if len(out) != D:
             raise ValueError(f"state {w} has {len(out)} moves, another has {D}")
         for j in out:
             flow[j] += c
         succ.append(out)
-    if any(f != D * c for f, c in zip(flow, weight)):
+    if any(f != D * c for f, c in zip(flow, weights)):
         raise RuntimeError("stationarity verification failed on the full chain")
     if any(_components(succ)):
         raise ValueError("chain is not strongly connected")
+
+
+def _certified_census(t: TypeVector, step_targets) -> dict[tuple[int, ...], Fraction]:
+    """The queue census of type t as the stationary distribution of the
+    chain on words of type t with the given moves, certified on the full
+    chain by `_certify_weights`.
+
+    The census must hold state_count(t) words, the least of them the sorted
+    letters of t, and sum to the total queue count Z.  Moves keep the
+    letters, so a certified census is a closed class of every word of
+    type t, hence all of them.  The words are sorted, which with VACANT = 0
+    is `enumerate_states` order, and the Fractions count / Z are formed
+    only for the returned distribution, once per distinct count.
+    """
+    states, weights = zip(*sorted(bottom_word_counts(t).items()))
+    Z = total_mlq_count(t)
+    if len(states) != state_count(t) or sorted(states[0]) != _content(t) or sum(weights) != Z:
+        raise RuntimeError(f"census of {t} is not a count of its {state_count(t)} words summing to {Z}")
+    _certify_weights(states, weights, step_targets)
+    prob = {c: Fraction(c, Z) for c in set(weights)}  # one Fraction per distinct count
+    return {w: prob[c] for w, c in zip(states, weights)}
 
 
 def _components(succ) -> list[int]:
@@ -303,9 +347,17 @@ def _particle_steps(w: tuple[int, ...]):
 
 
 def tasep_stationary(t: TypeVector) -> dict[tuple[int, ...], Fraction]:
-    """Exact stationary distribution of the TASEP, solved on the rotation
-    quotient and certified on the full chain."""
-    return _certified_stationary(enumerate_states(t), _particle_steps, _rotate)
+    """Exact stationary distribution of the TASEP, in `enumerate_states`
+    order: the queue census certified on the full chain, no solve.
+
+    Ferrari and Martin (Ann. Probab. 35, 2007) "show that the
+    construction can be extended to give stationary measures for an
+    n-TASEP": the bottom row of a uniformly random multiline queue is
+    stationary, so each word's probability is its number of queues over
+    the total.  The certificate of `_certified_census` proves it for this
+    t; a wrong census is refused, never answered.
+    """
+    return _certified_census(t, _particle_steps)
 
 
 def _rotate(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -365,13 +417,17 @@ def _subset_steps(N: int, k: int):
 def k_tasep_stationary(t: TypeVector, k: int) -> dict[tuple[int, ...], Fraction]:
     """Stationary distribution of the k-subset chain.
 
-    For k < N the dynamics commute with rotation and the quotient solver
-    applies; k = N breaks rotation covariance (the forced cut), so that
-    case is solved on the full state space.
+    For k < N the k-subset chain shares the TASEP's stationary
+    distribution, the Ferrari-Martin queue census (see `tasep_stationary`),
+    so that census is certified on the k-subset chain, with no solve.
+    k = N breaks rotation covariance (the forced cut), so that case is
+    solved on the full state space, and refused from its closed classes.
     """
     if not 1 <= k <= t.N:
         raise ValueError(f"need 1 <= k <= {t.N}")
-    return _certified_stationary(enumerate_states(t), _subset_steps(t.N, k), _rotate if k < t.N else None)
+    if k < t.N:
+        return _certified_census(t, _subset_steps(t.N, k))
+    return _certified_stationary(enumerate_states(t), _subset_steps(t.N, k))
 
 
 def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:

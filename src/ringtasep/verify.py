@@ -56,7 +56,14 @@ from .continuum import (
     syt_three_column_count,
     top_pair_adjacency_syt,
 )
-from .markov import k_tasep_stationary, push_through_last_row, tasep_stationary
+from .markov import (
+    _certified_stationary,
+    _particle_steps,
+    _rotate,
+    enumerate_states,
+    k_tasep_stationary,
+    push_through_last_row,
+)
 from .mlq import Arrangement, DiscreteMLQ, bottom_word, label_arrangement, label_mlq, last_row_step
 from .poly import (
     MultiPoly,
@@ -132,9 +139,13 @@ TABLE_N6 = {
 
 @functools.cache
 def _tasep(t: TypeVector):
-    """tasep_stationary(t), solved once per process and shared read-only
-    by every check that needs it."""
-    return MappingProxyType(tasep_stationary(t))
+    """The TASEP's stationary distribution, solved on the rotation quotient
+    once per process and shared read-only by every check that needs it.
+    `tasep_stationary` answers from the queue census, so the checks solve
+    the chain instead: the `fm-*` checks then compare two independent
+    routes, and `k-tasep-invariance` compares the solve with the census
+    certified on each k-subset chain."""
+    return MappingProxyType(_certified_stationary(enumerate_states(t), _particle_steps, _rotate))
 
 
 @functools.cache

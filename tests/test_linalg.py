@@ -11,7 +11,15 @@ from hypothesis import assume, given, settings, strategies as st
 from ringtasep import linalg
 from ringtasep.core import TypeVector
 from ringtasep.linalg import _PRIMES, det_fraction_free, kernel_vector
-from ringtasep.markov import _particle_steps, _verify_stationary, stationary_exact, tasep_stationary
+from ringtasep.markov import (
+    _certified_stationary,
+    _particle_steps,
+    _rotate,
+    _verify_stationary,
+    enumerate_states,
+    stationary_exact,
+    tasep_stationary,
+)
 from ringtasep.rs import apply_generator_set, rs_stationary, rs_transition_matrix
 
 
@@ -207,6 +215,19 @@ def test_real_chains_take_the_modular_path(monkeypatch):
     patterns, P = rs_transition_matrix(6, 2)
     assert len(patterns) == 132
     assert dict(zip(patterns, stationary_exact(P))) == dist
+
+
+def test_tasep_quotient_solve_takes_the_modular_path(monkeypatch):
+    # tasep_stationary answers from the queue census; the quotient solve
+    # that verify keeps still runs modular elimination, with no fallback
+    monkeypatch.setattr(linalg, "_bareiss_kernel", _no_fallback)
+    calls = []
+    kernel_mod = linalg._kernel_mod
+    monkeypatch.setattr(linalg, "_kernel_mod", lambda *a: calls.append(a[1]) or kernel_mod(*a))
+    t = TypeVector((1,) * 5, 7)
+    dist = _certified_stationary(enumerate_states(t), _particle_steps, _rotate)
+    assert calls and calls[0] == 360  # the 2,520 words' rotation classes
+    assert dist == tasep_stationary(t)
 
 
 _ENTRY = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))

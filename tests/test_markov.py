@@ -16,7 +16,9 @@ from ringtasep.markov import (
     _closed_classes,
     _components,
     _is_stochastic,
+    _certified_stationary,
     _particle_steps,
+    _rotate,
     _subset_steps,
     _verify_stationary,
     chain_matrix,
@@ -216,6 +218,96 @@ def test_verify_stationary_refuses_unnormalised_mass():
     dist = tasep_stationary(TypeVector((1, 1), 4))
     with pytest.raises(RuntimeError, match="does not sum to 1"):
         _verify_stationary({w: 2 * p for w, p in dist.items()}, _particle_steps)
+
+
+def test_verify_stationary_refuses_a_move_out_of_its_states():
+    # from (1, 0) the particle jumps to (0, 1), which dist does not hold
+    with pytest.raises(RuntimeError, match=r"leaves the states, to \(0, 1\)"):
+        _verify_stationary({(1, 0): Fraction(1)}, _particle_steps)
+
+
+def _quotient_solve(t):
+    return _certified_stationary(enumerate_states(t), _particle_steps, _rotate)
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("m", [m for K in range(1, 5) for m in _compositions(K)])
+def test_census_route_equals_the_quotient_solve(m):
+    for N in range(sum(m), 7):
+        t = TypeVector(m, N)
+        assert list(tasep_stationary(t).items()) == list(_quotient_solve(t).items())
+
+
+@pytest.mark.parametrize("N", range(2, 6))
+def test_k_census_route_equals_the_quotient_solve(N):
+    for n in range(1, N + 1):
+        t = TypeVector((1,) * n, N)
+        solve = list(_quotient_solve(t).items())
+        for k in range(1, N):
+            assert list(k_tasep_stationary(t, k).items()) == solve
+
+
+def test_census_route_frontier_is_pinned():
+    # recorded from the quotient solve, which takes seconds here
+    dist = tasep_stationary(TypeVector((1,) * 6, 8))
+    got = hashlib.sha256(repr(sorted(dist.items())).encode()).hexdigest()
+    assert got == "f83f2d425475487209d19b6b0a77508b5493703e685f30443fb9d5800b267b5a"
+
+
+def _tampered_census(monkeypatch, tamper):
+    census = markov.bottom_word_counts
+
+    def counts(t):
+        out = dict(census(t))
+        tamper(out)
+        return out
+
+    monkeypatch.setattr(markov, "bottom_word_counts", counts)
+
+
+@pytest.mark.parametrize("k", [None, 1, 2])
+def test_census_route_refuses_a_census_without_a_word(monkeypatch, k):
+    t = TypeVector((1, 1, 1), 4)
+
+    def drop(out):  # the dropped count goes to another word, so the sum is kept
+        out[min(out)] += out.pop(max(out))
+
+    _tampered_census(monkeypatch, drop)
+    with pytest.raises(RuntimeError, match="census"):
+        tasep_stationary(t) if k is None else k_tasep_stationary(t, k)
+
+
+@pytest.mark.parametrize("k", [None, 1, 2])
+def test_census_route_refuses_moved_counts(monkeypatch, k):
+    t = TypeVector((2, 1), 4)
+
+    def move(out):
+        a, b = min(out, key=out.get), max(out, key=out.get)
+        out[a] += 1
+        out[b] -= 1
+
+    _tampered_census(monkeypatch, move)
+    with pytest.raises(RuntimeError, match="full chain"):
+        tasep_stationary(t) if k is None else k_tasep_stationary(t, k)
+
+
+def test_census_route_refuses_words_of_another_type(monkeypatch):
+    # as many words, summing to the total, but of type (1, 1) in place of (2,)
+    t = TypeVector((2,), 4)
+    Z = sum(markov.bottom_word_counts(t).values())
+    words = enumerate_states(TypeVector((1, 1), 4))[: state_count(t)]
+    monkeypatch.setattr(markov, "bottom_word_counts", lambda t: dict.fromkeys(words, Z // len(words)))
+    assert len(words) * (Z // len(words)) == Z
+    with pytest.raises(RuntimeError, match="census"):
+        tasep_stationary(t)
 
 
 def test_stationary_exact_rejects_reducible():
