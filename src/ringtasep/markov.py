@@ -365,6 +365,13 @@ def _rotate(w: tuple[int, ...]) -> tuple[int, ...]:
     return w[1:] + w[:1]
 
 
+def _tasep_solve(t: TypeVector) -> dict[tuple[int, ...], Fraction]:
+    """The TASEP's stationary distribution solved on the rotation quotient
+    and certified on the full chain, with no use of the queue census, so
+    `verify` can compare it with `tasep_stationary`."""
+    return _certified_stationary(enumerate_states(t), _particle_steps, _rotate)
+
+
 def k_tasep_step(w: RingWord, S) -> RingWord:
     """Fire a TASEP bell at every position of S, deterministically.
 

@@ -50,12 +50,6 @@ class LinkingPattern:
         for (a, c), (b, d) in itertools.combinations(pairs, 2):
             if a < b < c < d:
                 raise ValueError(f"pairs {(a, c)} and {(b, d)} cross")
-        # the hash the dataclass would compute on every call, computed once:
-        # a chain's certificate hashes each pattern many times
-        object.__setattr__(self, "_hash", hash((pairs,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n(self) -> int:

@@ -56,14 +56,7 @@ from .continuum import (
     syt_three_column_count,
     top_pair_adjacency_syt,
 )
-from .markov import (
-    _certified_stationary,
-    _particle_steps,
-    _rotate,
-    enumerate_states,
-    k_tasep_stationary,
-    push_through_last_row,
-)
+from .markov import _tasep_solve, k_tasep_stationary, push_through_last_row
 from .mlq import Arrangement, DiscreteMLQ, bottom_word, label_arrangement, label_mlq, last_row_step
 from .poly import (
     MultiPoly,
@@ -145,7 +138,7 @@ def _tasep(t: TypeVector):
     the chain instead: the `fm-*` checks then compare two independent
     routes, and `k-tasep-invariance` compares the solve with the census
     certified on each k-subset chain."""
-    return MappingProxyType(_certified_stationary(enumerate_states(t), _particle_steps, _rotate))
+    return MappingProxyType(_tasep_solve(t))
 
 
 @functools.cache
@@ -564,8 +557,11 @@ def _check_k_invariance(params):
             t = TypeVector((1,) * n, N)
             base = _tasep(t)
             for k in range(1, N):
-                if k_tasep_stationary(t, k) != base:
-                    bad.append({"n": n, "N": N, "k": k})
+                try:
+                    if k_tasep_stationary(t, k) != base:
+                        bad.append({"n": n, "N": N, "k": k})
+                except (ValueError, RuntimeError) as e:  # the census refused on the k-chain
+                    bad.append({"n": n, "N": N, "k": k, "error": str(e)})
     return bad[:5], "k-subset chains share the stationary distribution, k < N"
 
 

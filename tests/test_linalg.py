@@ -11,15 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ringtasep import linalg
 from ringtasep.core import TypeVector
 from ringtasep.linalg import _PRIMES, det_fraction_free, kernel_vector
-from ringtasep.markov import (
-    _certified_stationary,
-    _particle_steps,
-    _rotate,
-    _verify_stationary,
-    enumerate_states,
-    stationary_exact,
-    tasep_stationary,
-)
+from ringtasep.markov import _particle_steps, _tasep_solve, _verify_stationary, stationary_exact, tasep_stationary
 from ringtasep.rs import apply_generator_set, rs_stationary, rs_transition_matrix
 
 
@@ -225,7 +217,7 @@ def test_tasep_quotient_solve_takes_the_modular_path(monkeypatch):
     kernel_mod = linalg._kernel_mod
     monkeypatch.setattr(linalg, "_kernel_mod", lambda *a: calls.append(a[1]) or kernel_mod(*a))
     t = TypeVector((1,) * 5, 7)
-    dist = _certified_stationary(enumerate_states(t), _particle_steps, _rotate)
+    dist = _tasep_solve(t)
     assert calls and calls[0] == 360  # the 2,520 words' rotation classes
     assert dist == tasep_stationary(t)
 

@@ -38,14 +38,6 @@ def test_pattern_validation():
         LinkingPattern(((1, 2),) * 2)
 
 
-def test_pattern_hash_is_the_field_hash():
-    # the hash is computed once per pattern, as the dataclass computes it
-    for L in enumerate_patterns(4):
-        same = LinkingPattern(tuple(reversed([(b, a) for a, b in L.pairs])))
-        assert same == L and hash(same) == hash(L) == hash((L.pairs,))
-        assert repr(same) == f"LinkingPattern(pairs={L.pairs!r})"
-
-
 def test_enumerate_counts_catalan():
     assert len(enumerate_patterns(1)) == 1
     assert len(enumerate_patterns(2)) == 2

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ringtasep import continuum, linalg, verify
+from ringtasep import continuum, linalg, markov, verify
 from ringtasep.verify import (
     CHECKS,
     CONJECTURE,
@@ -173,6 +173,23 @@ def test_reverse_det_product_reports_route_disagreement(monkeypatch):
     r = run_suite("reverse-det-product", overrides={"reverse-det-product": {"max_n": 2, "max_N": 3}})[0]
     assert (r.severity, r.status) == (THEOREM, MISMATCH)
     assert r.witnesses == [{"n": 2, "N": 3, "b": [0, 2], "error": "determinant/product routes disagree: 1 vs 2"}]
+    assert suite_exit_code([r]) == 2
+
+
+def test_k_invariance_reports_a_refused_k_chain(monkeypatch):
+    # the 2-subset chain mirrored: its particles jump left, so the census
+    # is refused on it, and the check reports that as a witness
+    real = markov._subset_steps
+
+    def mirrored(N, k):
+        steps = real(N, k)
+        return steps if k != 2 else lambda w: (v[::-1] for v in steps(w[::-1]))
+
+    monkeypatch.setattr(markov, "_subset_steps", mirrored)
+    r = run_suite("k-tasep-invariance", overrides={"k-tasep-invariance": {"max_N": 3}})[0]
+    error = "stationarity verification failed on the full chain"
+    assert (r.severity, r.status) == (THEOREM, MISMATCH)
+    assert r.witnesses == [{"n": n, "N": 3, "k": 2, "error": error} for n in (2, 3)]
     assert suite_exit_code([r]) == 2
 
 
