@@ -5,8 +5,9 @@ The census side is a row-transfer census: it counts queues row by row,
 keeping one labelled row per rotation class with the number of queue
 prefixes that reach the class (mlq.transfer over the row step
 mlq._row_successors; transfer and _transfer say why the merges are
-exact), and spreads each class over its rotations at the end.  The
-closed-form side evaluates the
+exact).  At the end it builds each class's bottom word once and
+spreads the class count evenly over the word's distinct rotations,
+taken as slices of the word.  The closed-form side evaluates the
 determinant/product expressions for the number of queues whose bottom
 row is the reverse permutation, the reverse with two adjacent values
 swapped, or a commuting product of such swaps (the last is a
@@ -16,7 +17,6 @@ oracle for the determinant route.
 """
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -58,10 +58,9 @@ def enumerate_mlqs(t: TypeVector):
         yield DiscreteMLQ(t, rows)
 
 
-def _transfer(N: int, sizes) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+def _transfer(N: int, sizes):
     """Row-transfer census over rows of the given sizes on N sites, the
-    first row nonempty: maps (positions, labels) of the last row to its
-    number of queues.
+    first row nonempty: yields each bottom word with its number of queues.
 
     The census runs on rotation classes.  Rotating every row of a queue by
     s rotates each labelled row by s, since a claim looks only to the
@@ -76,10 +75,10 @@ def _transfer(N: int, sizes) -> dict[tuple[tuple[int, ...], tuple[int, ...]], in
     which is mlq.transfer over the representatives once each successor of
     mlq._row_successors is replaced by the representative of its class.
     The empty row above row 1 is rotation invariant, so every row of a
-    class has the same count, and the last step spreads T(O) evenly over
-    the distinct rotations of rep(O): N of them when m1 = 1, fewer when a
-    rotation fixes the row ({0, 2} on N = 4).  Each box set's positions
-    tuple is built once and shared by every row on it.
+    class has the same count.  So the last step builds the word of rep(O)
+    once and spreads T(O) evenly over its distinct rotations, the slices
+    word[s:] + word[:s]: N of them when m1 = 1, fewer when a rotation
+    fixes the row ({0, 2} on N = 4).
     """
     single = sizes[0] == 1  # one label-1 box per row
     states = {((), ()): 1}
@@ -101,23 +100,19 @@ def _transfer(N: int, sizes) -> dict[tuple[tuple[int, ...], tuple[int, ...]], in
 
         step = _row_successors(N, size, i + 1)
         states = transfer(states, lambda row: map(canonical, step(row)))
-    out = {}
     for (positions, labels), total in states.items():
-        orbit = {}
-        for s in range(N):
-            k = bisect_left(positions, N - s)
-            rotated = tuple(p + s - N for p in positions[k:]) + tuple(p + s for p in positions[:k])
-            orbit[sets[rotated], labels[k:] + labels[:k]] = None
+        word = _word(N, positions, labels)
+        orbit = dict.fromkeys(word[s:] + word[:s] for s in range(N))
         share, rest = divmod(total, len(orbit))
         if rest:
             raise RuntimeError(f"class of {positions, labels} does not spread evenly over its rotations")
-        out.update(dict.fromkeys(orbit, share))
-    return out
+        for rotated in orbit:
+            yield rotated, share
 
 
 def bottom_word_counts(t: TypeVector) -> dict[tuple[int, ...], int]:
     """How many queues of the given type produce each bottom word."""
-    return {_word(t.N, *row): mult for row, mult in _transfer(t.N, t.M).items()}
+    return dict(_transfer(t.N, t.M))
 
 
 def bottom_position_census(n: int, N: int) -> dict[tuple[Perm, tuple[int, ...]], int]:
@@ -134,8 +129,13 @@ def bottom_position_census(n: int, N: int) -> dict[tuple[Perm, tuple[int, ...]],
 
 @cache
 def _position_census(n: int, N: int) -> dict[tuple[Perm, tuple[int, ...]], int]:
-    census = _transfer(N, range(1, n + 1))
-    return {(labels, positions): mult for (positions, labels), mult in census.items()}
+    sites = range(N)
+    shared = {}  # one positions tuple per box set, shared by its words
+    census = {}
+    for word, mult in _transfer(N, range(1, n + 1)):
+        positions = tuple(itertools.compress(sites, word))  # VACANT is 0
+        census[tuple(filter(None, word)), shared.setdefault(positions, positions)] = mult
+    return census
 
 
 def mlq_bottom_count(pi, b, N: int) -> int:

@@ -16,8 +16,7 @@ equations y C = D y; Fractions are formed only for the returned
 distribution.  A chain that is not irreducible is answered from its
 graph before any elimination: the kernel dimension is the number of its
 closed communicating classes, found by one strongly connected component
-pass, the same pass that certifies a lift irreducible, and with one
-closed class any further component is transient.
+pass, and with one closed class any further component is transient.
 
 The TASEP needs no solve.  Ferrari and Martin, "Stationary distributions
 of multi-type totally asymmetric exclusion processes" (Ann. Probab. 35,
@@ -36,6 +35,11 @@ and shares each class's probability evenly over its orbit; without one
 it solves the full chain.  Either way the answer is certified on the
 full chain, by the flow equations and by strong connectivity of the
 chain graph, so it is the chain's unique stationary distribution.
+Strong connectivity is certified by reachability, with no component
+pass: balanced weights that are all positive make every communicating
+class closed, since a stationary distribution puts no mass on transient
+states (Norris, section 1.7), so one forward pass from one state that
+reaches every state leaves a single class.
 `verify` keeps the solve for the TASEP too, so its Ferrari-Martin
 checks compare two independent routes.
 """
@@ -241,10 +245,19 @@ def _certify_weights(states, weights, step_targets):
 
     sum_w weight_w #(w -> v) = D weight_v must hold for every state v, with
     D the number of moves, which must be the same from every state.  Every
-    move must stay in the states, and the chain graph must be strongly
-    connected: one pass of `_components` over the same targets finds a
-    single component.  A strongly connected chain has exactly one
-    stationary distribution, so the weights are it.
+    move must stay in the states.  The chain graph must be strongly
+    connected, which is certified by reachability: every weight must be
+    positive (the callers' weights have a positive sum), and one forward
+    pass from states[0] must reach every state.  Balanced positive weights
+    scale to a stationary distribution with no zero entry, and a
+    stationary distribution puts no mass on transient states (Norris,
+    Markov Chains, 1997, section 1.7), so every communicating class is
+    closed and the class of states[0] holds every state it reaches: all
+    of them.  Conversely, on a strongly connected chain every balanced
+    vector is a multiple of the positive stationary vector, so a weight
+    <= 0 beside a positive sum shows the chain is not strongly connected.
+    A strongly connected chain has exactly one stationary distribution,
+    so the weights are it.
     """
     index = {w: i for i, w in enumerate(states)}
     D = sum(1 for _ in step_targets(states[0]))
@@ -263,7 +276,15 @@ def _certify_weights(states, weights, step_targets):
         succ.append(out)
     if any(f != D * c for f, c in zip(flow, weights)):
         raise RuntimeError("stationarity verification failed on the full chain")
-    if any(_components(succ)):
+    seen = [False] * len(states)
+    seen[0] = True
+    todo = [0]
+    while todo:
+        for j in succ[todo.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                todo.append(j)
+    if min(weights) <= 0 or not all(seen):
         raise ValueError("chain is not strongly connected")
 
 

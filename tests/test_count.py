@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ringtasep import count
 from ringtasep.core import TypeVector, reverse_permutation, swap_values
 from ringtasep.count import (
     PathFamilySpec,
@@ -26,7 +28,7 @@ from ringtasep.count import (
     reverse_path_spec,
     total_mlq_count,
 )
-from ringtasep.mlq import DiscreteMLQ, bottom_word, label_mlq
+from ringtasep.mlq import DiscreteMLQ, bottom_word, label_mlq, transfer
 
 
 def test_total_count_examples():
@@ -140,6 +142,32 @@ def test_large_census_is_pinned():
     assert sum(census.values()) == total_mlq_count(TypeVector((1,) * 5, 7))
     digest = hashlib.sha256(repr(sorted(census.items())).encode()).hexdigest()
     assert digest == "cf633929152872f9433a2750a59a1b5422b731e370b51a54e48c0f7e8e668436"
+
+
+@pytest.mark.parametrize("n, N", [(4, 7), (5, 8)])
+def test_position_census_shares_one_positions_tuple_per_box_set(n, N):
+    # every word on a box set keys the census with the same tuple object,
+    # which keeps the census's memory to one tuple per box set
+    census = bottom_position_census(n, N)
+    assert len({id(positions) for _, positions in census}) == comb(N, n)
+
+
+def test_transfer_refuses_a_class_that_does_not_spread_evenly(monkeypatch):
+    # with m1 = 1 every class has N distinct rotations, so one more queue
+    # in the last row's first class leaves a remainder
+    t = TypeVector((1, 1), 4)
+    rows = []
+
+    def miscount(states, successors):
+        out = transfer(states, successors)
+        rows.append(out)
+        if len(rows) == len(t.M):
+            out[next(iter(out))] += 1
+        return out
+
+    monkeypatch.setattr(count, "transfer", miscount)
+    with pytest.raises(RuntimeError, match="does not spread evenly"):
+        bottom_word_counts(t)
 
 
 def test_brute_counts_examples():

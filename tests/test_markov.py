@@ -213,6 +213,16 @@ def test_verify_stationary_refuses_disconnected_chain():
     _verify_stationary(dict.fromkeys(range(3), Fraction(1, 3)), lambda i: [(i + 1) % 3])
 
 
+def test_certificate_refuses_balanced_weights_with_a_nonpositive_entry():
+    # 0 -> {1, 3}, then the closed 2-cycles {1, 2} and {3, 4}: every state
+    # is reachable from 0, D = 2, and these weights satisfy every flow
+    # equation, but a balanced vector of a strongly connected chain has
+    # one sign throughout
+    succ = {0: [1, 3], 1: [2, 2], 2: [1, 1], 3: [4, 4], 4: [3, 3]}
+    with pytest.raises(ValueError, match="not strongly connected"):
+        markov._certify_weights(list(succ), [0, 2, 2, -1, -1], succ.__getitem__)
+
+
 def test_verify_stationary_refuses_unnormalised_mass():
     dist = tasep_stationary(TypeVector((1, 1), 4))
     with pytest.raises(RuntimeError, match="does not sum to 1"):
