@@ -198,31 +198,35 @@ def stationary_exact(P: CountMatrix) -> tuple[Fraction, ...]:
 
 def _certified_stationary(states, step_targets, rotate=None) -> dict:
     """The chain's unique stationary distribution, in states order, certified
-    on the full chain by `_verify_stationary`.
+    on the full chain by `_verify_stationary`.  states is any sequence of
+    distinct states.
 
     Without rotate the full chain is solved.  With rotate, a map that turns
-    a state by one step, each state not yet in a class represents a new
-    one, which walking rotate from it fills with the given state objects.
-    The chain is solved on the representatives, each target counted by its
-    class, and each class's probability is shared evenly over its orbit.
-    A rotate that does not commute with the chain is refused, by the
-    quotient solve or by the certificate, never answered.
+    a state by one step, classes are found by position in states: each
+    state not yet in a class represents a new one, which walking rotate
+    from it fills, and each state maps to the states entry at its
+    representative's position.  The chain is solved on the
+    representatives, each target counted by its class, and each class's
+    probability is shared evenly over its orbit.  A rotate that does not
+    commute with the chain is refused, by the quotient solve or by the
+    certificate, never answered.
     """
     if rotate is None:
         dist = dict(zip(states, stationary_exact(chain_matrix(states, step_targets))))
     else:
-        own = {s: s for s in states}
-        rep_of = {}
-        for s in states:
-            r = s
-            while r not in rep_of:
-                rep_of[r] = s
-                r = own[rotate(r)]
-        reps = [s for s in states if rep_of[s] is s]
-        pi = stationary_exact(chain_matrix(reps, step_targets, rep_of.__getitem__))
-        size = Counter(rep_of.values())
-        share = {r: p / size[r] for r, p in zip(reps, pi)}
-        dist = {s: share[rep_of[s]] for s in states}
+        index = {s: i for i, s in enumerate(states)}
+        first = [-1] * len(states)  # the position of each state's representative
+        for i in range(len(first)):
+            j = i
+            while first[j] < 0:
+                first[j] = i
+                j = index[rotate(states[j])]
+        rep_of = {s: states[r] for s, r in zip(states, first)}
+        heads = [i for i, r in enumerate(first) if r == i]
+        pi = stationary_exact(chain_matrix([states[i] for i in heads], step_targets, rep_of.__getitem__))
+        size = Counter(first)
+        share = {i: p / size[i] for i, p in zip(heads, pi)}
+        dist = {s: share[r] for s, r in zip(states, first)}
     _verify_stationary(dist, step_targets)
     return dist
 

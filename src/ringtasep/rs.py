@@ -6,20 +6,29 @@ and the old partners with each other.  The k-subset chain applies all
 generators of a uniformly random k-subset, firing the left generator of
 any adjacent pair first.
 
+e_i and the rotation have one implementation each, on partner tuples:
+p[x] is the partner of x on the 0-based points 0..2n-1 (`_join`,
+`_turn`).  `apply_generator` and `rotate` wrap them for validated
+`LinkingPattern`s.  The chain itself runs on pattern indices: `_rs_chain`
+lists `enumerate_patterns(n)` once and tabulates e_i and the rotation as
+integer lookup tables over the positions in that list, so a move walks
+its firing order through the tables and builds, hashes and validates no
+pattern.
+
 Rotation (each point i to i+1 mod 2n) conjugates e_i to e_{i+1}.  For
 k < 2n it maps the firing order of a subset to that of the rotated
 subset up to the order of its runs, and generators in different runs
 commute, so the chain commutes with rotation.  `rs_stationary` then
-hands the chain and `rotate` to the package's one stationary solver,
-`markov._certified_stationary`: it solves the chain on rotation
-classes, each represented by its first pattern in `enumerate_patterns`
-order, shares each class's probability evenly over its orbit, and
-certifies the lift on the full chain by its integer flow equations and
-strong connectivity, so it is the unique stationary distribution.
-k = 2n cuts the full cycle at index 1, which breaks rotation
-covariance, so that chain is solved whole.  It is not ergodic at any
-n >= 2 tried: n = 2 leaves a transient pattern, and from n = 3 on it
-has several closed classes.  `markov.stationary_exact` reads both off
+hands the index chain and its rotation table to the package's one
+stationary solver, `markov._certified_stationary`: it solves the chain
+on rotation classes, each represented by its first pattern in
+`enumerate_patterns` order, shares each class's probability evenly over
+its orbit, and certifies the lift on the full chain by its integer flow
+equations and strong connectivity, so it is the unique stationary
+distribution.  k = 2n cuts the full cycle at index 1, which breaks
+rotation covariance, so that chain is solved whole.  It is not ergodic
+at any n >= 2 tried: n = 2 leaves a transient pattern, and from n = 3 on
+it has several closed classes.  `markov.stationary_exact` reads both off
 the strongly connected components of the chain graph and refuses the
 chain before any elimination.
 """
@@ -27,7 +36,6 @@ chain before any elimination.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
 
 from .markov import _bell_order, _certified_stationary, chain_matrix
 
@@ -55,16 +63,12 @@ class LinkingPattern:
     def n(self) -> int:
         return len(self.pairs)
 
-    def as_map(self) -> dict[int, int]:
-        out = {}
-        for a, b in self.pairs:
-            out[a], out[b] = b, a
-        return out
-
 
 def enumerate_patterns(n: int) -> list[LinkingPattern]:
     """All non-crossing perfect matchings of {1..2n} (Catalan many), for
     n up to EXACT_CAP."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     if n > EXACT_CAP:
         raise ValueError(f"n={n} above cap {EXACT_CAP}")
 
@@ -83,22 +87,50 @@ def enumerate_patterns(n: int) -> list[LinkingPattern]:
     return [LinkingPattern(p) for p in rec(tuple(range(1, 2 * n + 1)))]
 
 
+def _partners(L: LinkingPattern) -> tuple[int, ...]:
+    """L as a partner tuple: p[x] is the partner of x, on 0-based points."""
+    p = [0] * (2 * L.n)
+    for a, b in L.pairs:
+        p[a - 1], p[b - 1] = b - 1, a - 1
+    return tuple(p)
+
+
+def _pattern(p: tuple[int, ...]) -> LinkingPattern:
+    """The validated linking pattern of a partner tuple."""
+    return LinkingPattern(tuple((x + 1, y + 1) for x, y in enumerate(p) if x < y))
+
+
+def _join(p: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """e_{i+1} on a partner tuple: join point i with i + 1 (0-based,
+    cyclic) and their former partners with each other.  p itself when i
+    and i + 1 are already joined, which is forced by e_i^2 = e_i."""
+    j = (i + 1) % len(p)
+    a, b = p[i], p[j]
+    if a == j:
+        return p
+    q = list(p)
+    q[i], q[j], q[a], q[b] = j, i, b, a
+    return tuple(q)
+
+
+def _turn(p: tuple[int, ...], s: int = 1) -> tuple[int, ...]:
+    """The partner tuple with every point x moved to x + s (cyclic)."""
+    m = len(p)
+    q = [0] * m
+    for x, y in enumerate(p):
+        q[(x + s) % m] = (y + s) % m
+    return tuple(q)
+
+
 def apply_generator(L: LinkingPattern, i: int) -> LinkingPattern:
     """e_i: join i with i+1 and their former partners with each other.
 
     Indices are cyclic (e_{2n} joins 2n with 1); when i and i+1 are
     already joined the pattern is fixed, which is forced by e_i^2 = e_i.
     """
-    m = 2 * L.n
-    i = (i - 1) % m + 1
-    j = i % m + 1
-    mapping = L.as_map()
-    if mapping[i] == j:
-        return L
-    a, b = mapping[i], mapping[j]
-    pairs = [p for p in L.pairs if i not in p and j not in p and a not in p and b not in p]
-    pairs += [(i, j), (a, b)]
-    return LinkingPattern(tuple(pairs))
+    p = _partners(L)
+    q = _join(p, (i - 1) % len(p))
+    return L if q is p else _pattern(q)
 
 
 def generator_order(S, m: int) -> list[int]:
@@ -125,49 +157,69 @@ def apply_generator_set(L: LinkingPattern, S) -> LinkingPattern:
 
 def rotate(L: LinkingPattern, s: int = 1) -> LinkingPattern:
     """The pattern with every point i moved to i + s (indices cyclic)."""
-    m = 2 * L.n
-    return LinkingPattern(tuple(((a + s - 1) % m + 1, (b + s - 1) % m + 1) for a, b in L.pairs))
+    return _pattern(_turn(_partners(L), s))
 
 
 def _rs_chain(n: int, k: int):
-    """The patterns of the k-subset chain and its step_targets function.
+    """The k-subset chain on pattern indices: the `enumerate_patterns(n)`
+    list, whose positions are the states; the step_targets function on
+    those positions; and the rotation table rot, where rot[s] is the
+    position of pattern s turned by one step.
 
-    Each generator subset's firing order is computed once, and e_i is
-    memoised on (pattern, i) for this one chain: every (pattern, subset)
-    move reuses the few distinct generator applications.  The memo holds
-    the chain's own pattern objects, not a copy per application.
+    Each pattern is held as its partner tuple, and gen[i][s] is the
+    position of e_{i+1} applied to pattern s, tabulated once for every i
+    and s.  Each generator subset's firing order is computed once, as the
+    rows of gen it walks.  A join or turn that leaves the listed patterns
+    is refused with a RuntimeError that names the pattern and the move.
     """
+    patterns = enumerate_patterns(n)
     m = 2 * n
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m}")
-    patterns = enumerate_patterns(n)
-    orders = [generator_order(S, m) for S in itertools.combinations(range(1, m + 1), k)]
-    canonical = {L: L for L in patterns}
-    step = cache(lambda L, i: canonical[apply_generator(L, i)])
+    partners = [_partners(L) for L in patterns]
+    index = {p: s for s, p in enumerate(partners)}
 
-    def targets(L):
+    def position(q, s, i=None):
+        """The position of partner tuple q, got from pattern s by e_{i+1},
+        or by the rotation when i is None."""
+        try:
+            return index[q]
+        except KeyError:
+            move = "the rotation" if i is None else f"e_{i + 1}"
+            raise RuntimeError(f"{move} takes {patterns[s]} to partner tuple {q}, not a listed pattern") from None
+
+    gen = [[position(_join(p, i), s, i) for s, p in enumerate(partners)] for i in range(m)]
+    rot = [position(_turn(p), s) for s, p in enumerate(partners)]
+    orders = [[gen[i - 1] for i in generator_order(S, m)] for S in itertools.combinations(range(1, m + 1), k)]
+
+    def targets(s):
         for order in orders:
-            yield reduce(step, order, L)
+            t = s
+            for row in order:
+                t = row[t]
+            yield t
 
-    return patterns, targets
+    return patterns, targets, rot
 
 
 def rs_transition_matrix(n: int, k: int):
     """Sparse move counts of the k-subset chain, with its pattern list: a
-    `markov.CountMatrix` with D = C(2n, k), one move per generator subset."""
-    patterns, targets = _rs_chain(n, k)
-    return patterns, chain_matrix(patterns, targets)
+    `markov.CountMatrix` with D = C(2n, k), one move per generator subset,
+    whose row s is the pattern at position s."""
+    patterns, targets, _ = _rs_chain(n, k)
+    return patterns, chain_matrix(range(len(patterns)), targets)
 
 
 def rs_stationary(n: int, k: int) -> dict[LinkingPattern, Fraction]:
-    """Exact stationary distribution of the k-subset chain, certified unique
-    by `markov._certified_stationary`.
+    """Exact stationary distribution of the k-subset chain, in
+    `enumerate_patterns` order, certified unique by
+    `markov._certified_stationary`.
 
-    For k < 2n it is solved on rotation classes and lifted; k = 2n is
+    The solver runs on pattern positions, with the chain's rotation table
+    for k < 2n, so it solves on rotation classes and lifts; k = 2n is
     solved whole, and refused from its closed classes when it is not
-    ergodic.
+    ergodic.  The result is keyed by the `enumerate_patterns` objects.
     """
-    if n > EXACT_CAP:
-        raise ValueError(f"n={n} above exact-solve cap {EXACT_CAP}")
-    patterns, targets = _rs_chain(n, k)
-    return _certified_stationary(patterns, targets, rotate if k < 2 * n else None)
+    patterns, targets, rot = _rs_chain(n, k)
+    dist = _certified_stationary(range(len(patterns)), targets, rot.__getitem__ if k < 2 * n else None)
+    return {patterns[s]: p for s, p in dist.items()}

@@ -126,6 +126,13 @@ def test_rs_stationary():
     assert set(data.values()) == {"1/2"}
 
 
+def test_rs_stationary_refuses_n_below_one():
+    r = run("rs", "stationary", "--n", "0", "--k", "1")
+    assert r.exit_code == 1
+    assert "need n >= 1" in r.output
+    assert isinstance(r.exception, SystemExit)
+
+
 def test_verify_single_check_and_exit_codes():
     r = run("verify", "queue-figures")
     assert r.exit_code == 0

@@ -13,6 +13,7 @@ from ringtasep.core import RingWord, TypeVector, VACANT
 from ringtasep.linalg import _bareiss_kernel, kernel_vector
 from ringtasep.markov import (
     CountMatrix,
+    _certified_stationary,
     _closed_classes,
     _components,
     _is_stochastic,
@@ -171,6 +172,20 @@ def test_stationary_exact_refuses_a_wrong_kernel_vector(monkeypatch):
     monkeypatch.setattr(markov, "kernel_vector", wrong)
     with pytest.raises(RuntimeError, match="^stationarity verification failed$"):
         stationary_exact(P)
+
+
+def test_certified_stationary_takes_any_sequence_of_states():
+    # classes are found by position, so a range, whose ints past 256 are
+    # fresh objects on every pass, gives what the list gives
+    def step(s):
+        return (s + 2) % 300, s ^ 1
+
+    def turn(s):
+        return s ^ 1
+
+    dist = _certified_stationary(list(range(300)), step, turn)
+    assert list(dist) == list(range(300)) and set(dist.values()) == {Fraction(1, 300)}
+    assert list(_certified_stationary(range(300), step, turn).items()) == list(dist.items())
 
 
 def test_verify_stationary_refuses_moved_mass():

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from ringtasep import markov
+from ringtasep import markov, rs
 from ringtasep.core import TypeVector
 from ringtasep.markov import (
     _certified_stationary,
@@ -197,21 +199,31 @@ def test_rotation_classes(monkeypatch):
         quotients.append((states, key))
         return real(states, step_targets, key)
 
+    listed = []  # the pattern lists the chain is built on
+    real_enumerate = rs.enumerate_patterns
+
+    def spy_enumerate(n):
+        listed.append(real_enumerate(n))
+        return listed[-1]
+
     monkeypatch.setattr(markov, "chain_matrix", spy)
+    monkeypatch.setattr(rs, "enumerate_patterns", spy_enumerate)
     counts = []
     for n in range(1, 7):
         quotients.clear()
-        patterns = list(rs_stationary(n, 1))
+        listed.clear()
+        dist = rs_stationary(n, 1)
         ((reps, key),) = quotients
-        # each class is a rotation orbit, represented by its first pattern
+        (patterns,) = listed
+        # the chain runs on pattern positions; each class is a rotation
+        # orbit, represented by its first member
+        assert key.__self__.keys() == set(range(len(patterns)))
         for rep in reps:
-            orbit = [L for L in patterns if key(L) is rep]
-            assert orbit[0] is rep
-            assert set(orbit) == {rotate(rep, s) for s in range(2 * n)}
-        # the classes hold the chain's own pattern objects, not copies
-        ids = {id(L) for L in patterns}
-        assert key.__self__.keys() == set(patterns)
-        assert all(id(L) in ids for L in key.__self__) and all(id(rep) in ids for rep in reps)
+            orbit = [s for s in range(len(patterns)) if key(s) == rep]
+            assert orbit[0] == rep
+            assert {patterns[s] for s in orbit} == {rotate(patterns[rep], s) for s in range(2 * n)}
+        # the returned keys are the enumerate_patterns objects themselves, in order
+        assert len(dist) == len(patterns) and all(L is M for L, M in zip(dist, patterns))
         counts.append(len(reps))
     assert counts == [1, 1, 2, 3, 6, 14]
 
@@ -219,14 +231,78 @@ def test_rotation_classes(monkeypatch):
 def test_lift_with_wrong_orbit_share_is_refused():
     # orbits of 2 and 3 patterns at n = 3: giving every member its class's
     # whole probability, renormalised, breaks the flow equations
-    patterns, targets = _rs_chain(3, 1)
-    lift = _certified_stationary(patterns, targets, rotate)
-    size = {L: len({rotate(L, s) for s in range(6)}) for L in patterns}
+    patterns, targets, rot = _rs_chain(3, 1)
+    states = list(range(len(patterns)))
+    lift = _certified_stationary(states, targets, rot.__getitem__)
+    size = {s: len({rotate(patterns[s], r) for r in range(6)}) for s in states}
     assert sorted(size.values()) == [2, 2, 3, 3, 3]
-    whole = {L: p * size[L] for L, p in lift.items()}
+    whole = {s: p * size[s] for s, p in lift.items()}
     total = sum(whole.values())
     with pytest.raises(RuntimeError, match="full chain"):
-        _verify_stationary({L: p / total for L, p in whole.items()}, targets)
+        _verify_stationary({s: p / total for s, p in whole.items()}, targets)
+
+
+def _pair_generator(L, i):
+    # e_i on sorted pairs, with no partner tuple: an independent oracle for
+    # the tables and the public wrappers
+    m = 2 * L.n
+    i = (i - 1) % m + 1
+    j = i % m + 1
+    mapping = {}
+    for a, b in L.pairs:
+        mapping[a], mapping[b] = b, a
+    if mapping[i] == j:
+        return L
+    a, b = mapping[i], mapping[j]
+    pairs = [p for p in L.pairs if i not in p and j not in p and a not in p and b not in p]
+    return LinkingPattern(tuple(pairs + [(i, j), (a, b)]))
+
+
+def _pair_rotate(L, s=1):
+    m = 2 * L.n
+    return LinkingPattern(tuple(((a + s - 1) % m + 1, (b + s - 1) % m + 1) for a, b in L.pairs))
+
+
+def test_tables_match_the_pair_based_generators():
+    # at k = 1 the s-th target of a pattern is e_s applied to it, one
+    # generator subset {s} per move, in order
+    for n in range(1, 7):
+        m = 2 * n
+        patterns, targets, rot = _rs_chain(n, 1)
+        assert patterns == enumerate_patterns(n)
+        for s, L in enumerate(patterns):
+            assert [patterns[t] for t in targets(s)] == [_pair_generator(L, i) for i in range(1, m + 1)]
+            assert patterns[rot[s]] == _pair_rotate(L)
+            for i in range(1, m + 1):
+                assert apply_generator(L, i) == _pair_generator(L, i)
+                assert rotate(L, i) == _pair_rotate(L, i)
+
+
+def test_rs_stationary_n8_is_pinned():
+    dist = rs_stationary(8, 1)
+    assert list(dist) == enumerate_patterns(8)
+    lines = sorted(" ".join(f"{a}-{b}" for a, b in L.pairs) + f"\t{p.numerator}/{p.denominator}" for L, p in dist.items())
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == "b11afaac02721e35e76182e11a80f6e0c98ffc171e567de7ad556569cf536890"
+
+
+def test_a_join_off_the_listed_patterns_is_refused(monkeypatch):
+    # one corrupted table entry: e_3 of the figure's pattern leaves the list
+    real = rs._join
+    target = (3, 2, 1, 0, 5, 4)  # FIG_PATTERN as a partner tuple
+    monkeypatch.setattr(rs, "_join", lambda p, i: (0,) * len(p) if (p, i) == (target, 2) else real(p, i))
+    message = re.escape(f"e_3 takes {FIG_PATTERN} to partner tuple (0, 0, 0, 0, 0, 0), not a listed pattern")
+    with pytest.raises(RuntimeError, match=message):
+        _rs_chain(3, 1)
+    with pytest.raises(RuntimeError, match=message):
+        rs_stationary(3, 2)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_n_below_one_is_refused(n):
+    for call in (lambda: enumerate_patterns(n), lambda: rs_stationary(n, 1), lambda: rs_transition_matrix(n, 1)):
+        with pytest.raises(ValueError, match=r"^need n >= 1$"):
+            call()
 
 
 def test_rotation_the_chain_does_not_commute_with_is_refused():

@@ -193,6 +193,23 @@ def test_k_invariance_reports_a_refused_k_chain(monkeypatch):
     assert suite_exit_code([r]) == 2
 
 
+def test_k_invariance_reports_a_refused_census(monkeypatch):
+    # one census serves every k-chain of an (n, N), so a census refused on
+    # the TASEP is a witness for each k
+    real = markov.bottom_word_counts
+
+    def bumped(t):
+        census = dict(real(t))
+        census[min(census)] += 1
+        return census
+
+    monkeypatch.setattr(markov, "bottom_word_counts", bumped)
+    r = run_suite("k-tasep-invariance", overrides={"k-tasep-invariance": {"max_N": 3}})[0]
+    assert (r.severity, r.status) == (THEOREM, MISMATCH)
+    assert [(w["n"], w["N"], w["k"]) for w in r.witnesses] == [(1, 2, 1), (2, 2, 1), (1, 3, 1), (1, 3, 2), (2, 3, 1)]
+    assert all(w["error"].startswith("census of ") for w in r.witnesses)
+
+
 def test_census_checks_report_their_witnesses(monkeypatch):
     swap, multi = verify.count_bottom_reverse_swap, verify.count_bottom_reverse_multi_swap
     monkeypatch.setattr(verify, "count_bottom_reverse_swap", lambda k, b, N: swap(k, b, N) + 1)
