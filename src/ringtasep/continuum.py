@@ -377,16 +377,19 @@ def top_pair_adjacency_syt(n: int) -> Fraction:
 
 @cache
 def density_gap_forms(n: int) -> dict[Perm, MultiPoly]:
-    """Position densities g_pi written in the cyclic gaps L_0..L_{n-1}.
+    """Position densities g_pi written in the cyclic gaps L_0..L_{n-1}, in
+    divided powers, with integer coefficients.
 
     Conditioning on the bottom boxes at the q's, the upper boxes land in
     the n cyclic gaps; a gap of length L holding k boxes in a fixed
-    relative order contributes L^k / k!.  The census weighs each
-    (pi, gap counts c) by the interleavings that realize it, and
-    normalizing by the box-count multinomial gives
-    G_pi = n! * prod_{i<n} i! * sum_c w(pi, c) * prod_g L_g^{c_g} / c_g!,
-    homogeneous of degree B - n, with sum_pi integral(g_pi) = 1.  Variable
-    g is L_g = q_{g+2} - q_{g+1}, and L_{n-1} = 1 - q_n + q1 (see poly).
+    relative order contributes L^k / k!, the divided power L^[k].  The
+    census weighs each (pi, gap counts c) by the interleavings that
+    realize it, and normalizing by the box-count multinomial gives
+    G_pi = n! * prod_{i<n} i! * sum_c w(pi, c) * L^[c],
+    homogeneous of degree B - n, with sum_pi integral(g_pi) = 1.  So the
+    coefficient at c is the integer n! * prod_{i<n} i! * w(pi, c).
+    Variable g is L_g = q_{g+2} - q_{g+1}, and L_{n-1} = 1 - q_n + q1
+    (see poly); `_in_q` expands a form in q.
     """
     if n > EXACT_CAP:
         raise ValueError(f"n={n} above exact cap {EXACT_CAP}")
@@ -396,16 +399,14 @@ def density_gap_forms(n: int) -> dict[Perm, MultiPoly]:
         prefactor *= factorial(i)
     terms: dict[Perm, dict] = {}
     for (w, cvec), mult in weights.items():
-        denom = 1
-        for c in cvec:
-            denom *= factorial(c)
-        terms.setdefault(w, {})[cvec] = Fraction(prefactor * mult, denom)
-    return {w: MultiPoly(n, t) for w, t in sorted(terms.items())}
+        terms.setdefault(w, {})[cvec] = prefactor * mult
+    return {w: MultiPoly._of(n, t) for w, t in sorted(terms.items())}
 
 
 def _in_q(forms: dict) -> dict:
-    """Expand gap forms in q1..qn, for output; each gap monomial is
-    expanded once for all of the forms."""
+    """Expand divided-power gap forms in q1..qn, for output; each gap
+    monomial L^[c] is expanded once for all of the forms.  This is where
+    the 1 / c_g! of the basis is divided out, as L_g^[k] = L_g^[k-1] L_g / k."""
     n = next(iter(forms.values())).nvars
     q = MultiPoly.variable
     gaps = [q(n, g + 1) - q(n, g) for g in range(n - 1)] + [MultiPoly.one(n) - q(n, n - 1) + q(n, 0)]
@@ -416,10 +417,10 @@ def _in_q(forms: dict) -> dict:
         acc: dict = {}
         for cvec, coef in form.terms.items():
             if cvec not in monomials:
-                mono = MultiPoly.one(n)
+                mono = MultiPoly.constant(n, Fraction(1))  # so every q coefficient is a Fraction
                 for g, c in enumerate(cvec):
                     while len(powers[g]) <= c:
-                        powers[g].append(powers[g][-1] * gaps[g])
+                        powers[g].append(powers[g][-1] * gaps[g] * Fraction(1, len(powers[g])))
                     mono = mono * powers[g][c]
                 monomials[cvec] = mono
             for e, v in monomials[cvec].terms.items():

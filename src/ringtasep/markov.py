@@ -209,7 +209,7 @@ def _certified_stationary(states, step_targets, rotate=None) -> dict:
     representatives, each target counted by its class, and each class's
     probability is shared evenly over its orbit.  A rotate that does not
     commute with the chain is refused, by the quotient solve or by the
-    certificate, never answered.
+    certificate, never answered, and so is a rotate that leaves the states.
     """
     if rotate is None:
         dist = dict(zip(states, stationary_exact(chain_matrix(states, step_targets))))
@@ -220,7 +220,10 @@ def _certified_stationary(states, step_targets, rotate=None) -> dict:
             j = i
             while first[j] < 0:
                 first[j] = i
-                j = index[rotate(states[j])]
+                turned = rotate(states[j])
+                if turned not in index:
+                    raise RuntimeError(f"the rotation takes {states[j]} out of the states, to {turned}")
+                j = index[turned]
         rep_of = {s: states[r] for s, r in zip(states, first)}
         heads = [i for i, r in enumerate(first) if r == i]
         pi = stationary_exact(chain_matrix([states[i] for i in heads], step_targets, rep_of.__getitem__))

@@ -1,28 +1,42 @@
 """Sparse multivariate polynomials over the rationals.
 
 Polynomials live in a fixed number of variables q1..qn, stored as a map
-from exponent vectors to nonzero Fraction coefficients.  Enough calculus
-is provided for the density-function work: partial derivatives, the
-Laplacian, linear constant-coefficient differential operators, and exact
-integration over intervals and over the ordered simplex
-0 < q1 < ... < qn < 1.
+from exponent vectors to nonzero coefficients: an int stays an int and
+any other number becomes a Fraction, and every division goes through
+Fraction, so no coefficient is ever a float.  Enough calculus is provided
+for the density-function work: partial derivatives, the Laplacian, linear
+constant-coefficient differential operators, and exact integration over
+intervals and over the ordered simplex 0 < q1 < ... < qn < 1.
 
 The densities are kept in the cyclic gaps instead: variable g of a gap
 form is L_g = q_{g+2} - q_{g+1} for g < n-1, and L_{n-1} = 1 - q_n + q1,
-so the gaps sum to 1.  A density is a homogeneous gap form, and two
-homogeneous forms of one degree agree on sum L = 1 only if they are
-equal, so their exponent dicts compare exactly.  The gap_* functions and
-OperatorExpr.apply_gaps do the density calculus on that side:
-d/dq_i acts as d/dL_{i-1} - d/dL_i (indices mod n), the top q-degree part
-sets L_{n-1} = -(L_0 + ... + L_{n-2}), and the ordered-simplex integral
-is a Dirichlet integral.
+so the gaps sum to 1.  A gap form is held in divided powers: the
+coefficient at exponent c is that of L^[c] = prod_g L_g^{c_g} / c_g!, so
+the census densities have integer coefficients.  A density is a
+homogeneous gap form, and two homogeneous forms of one degree agree on
+sum L = 1 only if they are equal, so their exponent dicts compare
+exactly.  The gap_* functions and OperatorExpr.apply_gaps do the density
+calculus on that side, in integers where the operator's are:
+- d/dq_i acts as d/dL_{i-1} - d/dL_i (indices mod n), and d/dL_g is an
+  index shift, L^[c] to L^[c - e_g] with coefficient 1;
+- a gap multiplies by the product rule L_g L^[c] = (c_g + 1) L^[c + e_g];
+- the top q-degree part sets L_{n-1} = -(L_0 + ... + L_{n-2});
+- the ordered-simplex integral is a Dirichlet integral, with weight
+  (c_{n-1} + 1) / (|c| + n)! on L^[c].
+Only `MultiPoly`'s linear operations (+, -, scaling, ==) act on gap
+forms; its product is the product in the ordinary basis.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial
 
 from .core import rat_str, parse_rat
+
+
+def _coef(c):
+    """An int coefficient as it is; any other number as a Fraction."""
+    return c if type(c) is int else Fraction(c)
 
 
 class MultiPoly:
@@ -34,7 +48,7 @@ class MultiPoly:
         self.nvars = nvars
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _coef(c)
             if c == 0:
                 continue
             exps = tuple(exps)
@@ -42,6 +56,16 @@ class MultiPoly:
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
             clean[exps] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """The polynomial of terms built inside the package, with int or
+        Fraction coefficients over exponent tuples: zero coefficients are
+        dropped and nothing is re-validated."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
 
     # -- constructors --------------------------------------------------------
 
@@ -51,7 +75,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
@@ -62,7 +86,7 @@ class MultiPoly:
         """The monomial q_{i+1} (0-based variable index)."""
         exps = [0] * nvars
         exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     # -- ring operations -----------------------------------------------------
 
@@ -76,31 +100,31 @@ class MultiPoly:
         self._check_arity(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, terms)
+            terms[e] = terms.get(e, 0) + c
+        return MultiPoly._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly) else MultiPoly.constant(self.nvars, -Fraction(other)))
+        return self + (-other if isinstance(other, MultiPoly) else -_coef(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = Fraction(other)
-            return MultiPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
+            c = _coef(other)
+            return MultiPoly._of(self.nvars, {e: k * c for e, k in self.terms.items()})
         self._check_arity(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return MultiPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -156,8 +180,8 @@ class MultiPoly:
                 if k == 0:
                     continue
                 e2 = e[:var] + (k - 1,) + e[var + 1 :]
-                out[e2] = out.get(e2, Fraction(0)) + c * k
-            p = MultiPoly(self.nvars, out)
+                out[e2] = out.get(e2, 0) + c * k
+            p = MultiPoly._of(self.nvars, out)
         return p
 
     def antiderivative(self, var: int) -> "MultiPoly":
@@ -165,8 +189,8 @@ class MultiPoly:
         for e, c in self.terms.items():
             k = e[var]
             e2 = e[:var] + (k + 1,) + e[var + 1 :]
-            out[e2] = c / (k + 1)
-        return MultiPoly(self.nvars, out)
+            out[e2] = Fraction(c, k + 1)
+        return MultiPoly._of(self.nvars, out)
 
     def subs_var_equal(self, src: int, dst: int) -> "MultiPoly":
         """Substitute q_src := q_dst (exponents fold onto dst)."""
@@ -178,18 +202,18 @@ class MultiPoly:
             e2[dst] += e2[src]
             e2[src] = 0
             e2 = tuple(e2)
-            out[e2] = out.get(e2, Fraction(0)) + c
-        return MultiPoly(self.nvars, out)
+            out[e2] = out.get(e2, 0) + c
+        return MultiPoly._of(self.nvars, out)
 
     def subs_value(self, var: int, value) -> "MultiPoly":
         """Substitute a rational constant for one variable."""
-        value = Fraction(value)
+        value = _coef(value)
         out = {}
         for e, c in self.terms.items():
             c2 = c * value ** e[var]
             e2 = e[:var] + (0,) + e[var + 1 :]
-            out[e2] = out.get(e2, Fraction(0)) + c2
-        return MultiPoly(self.nvars, out)
+            out[e2] = out.get(e2, 0) + c2
+        return MultiPoly._of(self.nvars, out)
 
     # -- display / serialization ---------------------------------------------
 
@@ -242,9 +266,16 @@ def laplacian(p: MultiPoly) -> MultiPoly:
     return out
 
 
-def _gap_sum(n: int, lo: int, hi: int) -> MultiPoly:
-    """L_lo + ... + L_{hi-1} in n gap variables."""
-    return MultiPoly(n, {tuple(int(g == k) for g in range(n)): 1 for k in range(lo, hi)})
+def _gap_times(terms: dict, lo: int, hi: int) -> dict:
+    """(L_lo + ... + L_{hi-1}) times the divided-power form of terms, as
+    terms, by the product rule L_g L^[c] = (c_g + 1) L^[c + e_g]."""
+    out: dict = {}
+    for e, c in terms.items():
+        for g in range(lo, hi):
+            k = e[g] + 1
+            e2 = e[:g] + (k,) + e[g + 1 :]
+            out[e2] = out.get(e2, 0) + k * c
+    return out
 
 
 def _gap_symbol(orders) -> MultiPoly:
@@ -258,20 +289,23 @@ def _gap_symbol(orders) -> MultiPoly:
     return p
 
 
-def _apply_symbol(symbol: MultiPoly, p: MultiPoly) -> MultiPoly:
-    """sum over the monomials x^b of the symbol of its coefficient times d^b p / dL^b."""
+def _apply_symbol(symbol: MultiPoly, p: MultiPoly) -> dict:
+    """sum over the monomials x^b of the symbol of its coefficient times
+    d^b p / dL^b, as terms: d^b L^[e] is L^[e - b], or 0 if e - b < 0.
+    Each b shifts only its nonzero places."""
     out: dict = {}
     for b, s in symbol.terms.items():
+        shift = [(g, y) for g, y in enumerate(b) if y]
         for e, c in p.terms.items():
-            scale = 1
-            for x, y in zip(e, b):
-                if x < y:
+            key = list(e)
+            for g, y in shift:
+                key[g] -= y
+                if key[g] < 0:
                     break
-                scale *= perm(x, y)
             else:
-                key = tuple(x - y for x, y in zip(e, b))
-                out[key] = out.get(key, 0) + s * c * scale
-    return MultiPoly(p.nvars, out)
+                key = tuple(key)
+                out[key] = out.get(key, 0) + s * c
+    return out
 
 
 def gap_laplacian(p: MultiPoly) -> MultiPoly:
@@ -282,22 +316,40 @@ def gap_laplacian(p: MultiPoly) -> MultiPoly:
     symbol = MultiPoly.zero(n)
     for i in range(n):
         symbol = symbol + _gap_symbol(tuple(2 * (g == i) for g in range(n)))
-    return _apply_symbol(symbol, p)
+    return MultiPoly._of(n, _apply_symbol(symbol, p))
 
 
 def gap_leading_part(p: MultiPoly) -> MultiPoly:
     """The top q-degree part of a homogeneous gap form: L_{n-1}, whose q-side
-    is 1 - q_n + q1, becomes its linear part -(L_0 + ... + L_{n-2}).  Horner's
-    rule in L_{n-1} multiplies by that linear form once per power."""
+    is 1 - q_n + q1, becomes its linear part X = -(L_0 + ... + L_{n-2}).
+
+    p is sum_k A_k L_{n-1}^k / k! with A_k free of L_{n-1}, so the part is
+    sum_k A_k X^k / k!.  Horner's rule runs on K! times it, with K the top
+    power, in the coefficients' own arithmetic: each step multiplies by
+    L_0 + ... + L_{n-2} and adds (-1)^k K!/k! A_k.  The division by K! at
+    the end is exact for integer forms, since X^k / k! has integer
+    coefficients in divided powers; a coefficient it leaves a remainder on
+    is refused with a RuntimeError, never rounded.
+    """
     n = p.nvars
-    linear = -_gap_sum(n, 0, n - 1)
     by_power: dict[int, dict] = {}
     for e, c in p.terms.items():
         by_power.setdefault(e[-1], {})[e[:-1] + (0,)] = c
-    out = MultiPoly.zero(n)
-    for k in range(max(by_power, default=-1), -1, -1):
-        out = out * linear + MultiPoly(n, by_power.get(k, {}))
-    return out
+    top = max(by_power, default=0)
+    out: dict = {}
+    scale = (-1) ** top  # (-1)^k top! / k!
+    for k in range(top, -1, -1):
+        out = _gap_times(out, 0, n - 1)
+        for e, c in by_power.get(k, {}).items():
+            out[e] = out.get(e, 0) + scale * c
+        scale *= -k
+    whole = factorial(top)
+    part = {}
+    for e, c in out.items():
+        part[e], rest = divmod(c, whole)
+        if rest:
+            raise RuntimeError(f"leading part: coefficient {c} of L^[{e}] is not a multiple of {top}!")
+    return MultiPoly._of(n, part)
 
 
 def vandermonde(n: int) -> MultiPoly:
@@ -316,11 +368,11 @@ def gap_vandermonde(n: int) -> MultiPoly:
     L_k + ... + L_{l-1}."""
     if n < 1:
         raise ValueError("need n >= 1")
-    p = MultiPoly.one(n)
+    terms = {(0,) * n: 1}
     for k in range(n):
         for l in range(k + 1, n):
-            p = p * _gap_sum(n, k, l)
-    return p
+            terms = _gap_times(terms, k, l)
+    return MultiPoly._of(n, terms)
 
 
 @dataclass(frozen=True)
@@ -381,13 +433,17 @@ class OperatorExpr:
         total order k is multiplied by (L_0 + ... + L_{n-1})^k, which is 1
         on the gaps' simplex, so the image has p's degree and compares
         exactly with another gap form of that degree."""
-        if p.nvars != self.nvars:
+        n = self.nvars
+        if p.nvars != n:
             raise ValueError("arity mismatch")
-        total = _gap_sum(p.nvars, 0, p.nvars)
-        out = MultiPoly.zero(p.nvars)
+        out: dict = {}
         for c, orders in self.terms:
-            out = out + _apply_symbol(_gap_symbol(orders), p) * total ** sum(orders) * c
-        return out
+            image = _apply_symbol(_gap_symbol(orders), p)
+            for _ in range(sum(orders)):
+                image = _gap_times(image, 0, n)
+            for e, v in image.items():
+                out[e] = out.get(e, 0) + c * v
+        return MultiPoly._of(n, out)
 
 
 def integrate_interval(p: MultiPoly, lo, hi) -> Fraction:
@@ -419,13 +475,14 @@ def integrate_gap_simplex(p: MultiPoly) -> Fraction:
     """integrate_ordered_simplex of a gap form, as a Dirichlet integral.
 
     Over q1 in (0, L_{n-1}) and the gaps on their simplex, L^c integrates
-    to prod_{g<n-1} c_g! * (c_{n-1} + 1)! / (sum c + n)!.
+    to prod_{g<n-1} c_g! * (c_{n-1} + 1)! / (|c| + n)!, so L^[c] integrates
+    to (c_{n-1} + 1) / (|c| + n)!.  The weights are summed in the
+    coefficients' own arithmetic per degree |c|, and each degree's sum is
+    divided once.
     """
     n = p.nvars
-    total = Fraction(0)
+    by_degree: dict = {}
     for e, c in p.terms.items():
-        num = factorial(e[-1] + 1)
-        for x in e[:-1]:
-            num *= factorial(x)
-        total += c * Fraction(num, factorial(sum(e) + n))
-    return total
+        d = sum(e)
+        by_degree[d] = by_degree.get(d, 0) + c * (e[-1] + 1)
+    return sum((Fraction(v, factorial(d + n)) for d, v in by_degree.items()), Fraction(0))

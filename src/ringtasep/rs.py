@@ -9,11 +9,12 @@ any adjacent pair first.
 e_i and the rotation have one implementation each, on partner tuples:
 p[x] is the partner of x on the 0-based points 0..2n-1 (`_join`,
 `_turn`).  `apply_generator` and `rotate` wrap them for validated
-`LinkingPattern`s.  The chain itself runs on pattern indices: `_rs_chain`
+`LinkingPattern`s.  The chain itself runs on pattern indices: `_tables`
 lists `enumerate_patterns(n)` once and tabulates e_i and the rotation as
-integer lookup tables over the positions in that list, so a move walks
-its firing order through the tables and builds, hashes and validates no
-pattern.
+integer lookup tables over the positions in that list, so a move of
+`_rs_chain` walks its firing order through the tables and builds, hashes
+and validates no pattern.  The generator-relation check of `verify`
+reads the same e_i tables.
 
 Rotation (each point i to i+1 mod 2n) conjugates e_i to e_{i+1}.  For
 k < 2n it maps the firing order of a subset to that of the rotated
@@ -160,22 +161,17 @@ def rotate(L: LinkingPattern, s: int = 1) -> LinkingPattern:
     return _pattern(_turn(_partners(L), s))
 
 
-def _rs_chain(n: int, k: int):
-    """The k-subset chain on pattern indices: the `enumerate_patterns(n)`
-    list, whose positions are the states; the step_targets function on
-    those positions; and the rotation table rot, where rot[s] is the
-    position of pattern s turned by one step.
+def _tables(n: int):
+    """e_i and the rotation as lookup tables on pattern positions: the
+    `enumerate_patterns(n)` list; gen, where gen[i][s] is the position of
+    e_{i+1} applied to pattern s; and rot, where rot[s] is the position of
+    pattern s turned by one step.
 
-    Each pattern is held as its partner tuple, and gen[i][s] is the
-    position of e_{i+1} applied to pattern s, tabulated once for every i
-    and s.  Each generator subset's firing order is computed once, as the
-    rows of gen it walks.  A join or turn that leaves the listed patterns
-    is refused with a RuntimeError that names the pattern and the move.
+    Each pattern is held as its partner tuple, and every entry is
+    tabulated once.  A join or turn that leaves the listed patterns is
+    refused with a RuntimeError that names the pattern and the move.
     """
     patterns = enumerate_patterns(n)
-    m = 2 * n
-    if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= {m}")
     partners = [_partners(L) for L in patterns]
     index = {p: s for s, p in enumerate(partners)}
 
@@ -188,8 +184,23 @@ def _rs_chain(n: int, k: int):
             move = "the rotation" if i is None else f"e_{i + 1}"
             raise RuntimeError(f"{move} takes {patterns[s]} to partner tuple {q}, not a listed pattern") from None
 
-    gen = [[position(_join(p, i), s, i) for s, p in enumerate(partners)] for i in range(m)]
+    gen = [[position(_join(p, i), s, i) for s, p in enumerate(partners)] for i in range(2 * n)]
     rot = [position(_turn(p), s) for s, p in enumerate(partners)]
+    return patterns, gen, rot
+
+
+def _rs_chain(n: int, k: int):
+    """The k-subset chain on pattern indices: the `enumerate_patterns(n)`
+    list, whose positions are the states; the step_targets function on
+    those positions; and the rotation table rot of `_tables`.
+
+    Each generator subset's firing order is computed once, as the rows of
+    the `_tables` gen it walks, so a move builds no pattern.
+    """
+    patterns, gen, rot = _tables(n)
+    m = 2 * n
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= {m}")
     orders = [[gen[i - 1] for i in generator_order(S, m)] for S in itertools.combinations(range(1, m + 1), k)]
 
     def targets(s):

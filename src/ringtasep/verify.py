@@ -68,7 +68,7 @@ from .poly import (
     integrate_gap_simplex,
     integrate_interval,
 )
-from .rs import LinkingPattern, apply_generator, enumerate_patterns, rs_stationary
+from .rs import LinkingPattern, _tables, apply_generator, rs_stationary
 from .tableaux import (
     conjugate_partition,
     descending_prefix_probability,
@@ -603,21 +603,23 @@ def _check_rs_relations(params):
     bad = []
     for n in range(1, params.get("max_n", 4) + 1):
         m = 2 * n
-        for L in enumerate_patterns(n):
+        _, gen, _ = _tables(n)  # gen[i - 1][s]: the position of e_i applied to pattern s
+        for s in range(len(gen[0])):
             for i in range(1, m + 1):
-                ei = apply_generator(L, i)
+                e = gen[i - 1]
+                ei = e[s]
                 ip1 = i % m + 1
                 im1 = m if i == 1 else i - 1
-                if apply_generator(apply_generator(ei, ip1), i) != ei:
+                if e[gen[ip1 - 1][ei]] != ei:
                     bad.append({"n": n, "rel": "A+", "i": i})
-                if apply_generator(apply_generator(ei, im1), i) != ei:
+                if e[gen[im1 - 1][ei]] != ei:
                     bad.append({"n": n, "rel": "A-", "i": i})
-                if apply_generator(ei, i) != ei:
+                if e[ei] != ei:
                     bad.append({"n": n, "rel": "B", "i": i})
                 for j in range(1, m + 1):
                     if j in (i, ip1, im1):
                         continue
-                    if apply_generator(ei, j) != apply_generator(apply_generator(L, j), i):
+                    if gen[j - 1][ei] != e[gen[j - 1][s]]:
                         bad.append({"n": n, "rel": "C", "i": i, "j": j})
     return bad[:5], "generator relations hold exhaustively"
 

@@ -367,3 +367,16 @@ def test_operator_identities_agree_across_routes():
         matches.append(op.apply(g[base]) == g[target])
         assert check_operator_identity(target, op, base)["match"] == matches[-1]
     assert matches == [True] * (len(cases) - 1) + [False]
+
+
+def test_density_gap_forms_have_int_coefficients():
+    for n in (1, 2, 3, 4):
+        assert all(type(c) is int for form in density_gap_forms(n).values() for c in form.terms.values())
+
+
+def test_gap_leading_part_refuses_an_inexact_division():
+    # (1/2) L_1^[2] has leading part (1/2) L_0^[2]: Horner gives 1 at L_0^[2], and 2! does not divide it
+    with pytest.raises(RuntimeError, match=r"coefficient 1 of L\^\[\(2, 0\)\] is not a multiple of 2!"):
+        gap_leading_part(MultiPoly(2, {(0, 2): Fraction(1, 2)}))
+    # the same form times 2 is integral, and its part is X^2 / 2! = L_0^[2]
+    assert gap_leading_part(MultiPoly(2, {(0, 2): 1})) == MultiPoly(2, {(2, 0): 1})

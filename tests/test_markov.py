@@ -250,6 +250,11 @@ def test_verify_stationary_refuses_a_move_out_of_its_states():
         _verify_stationary({(1, 0): Fraction(1)}, _particle_steps)
 
 
+def test_certified_stationary_refuses_a_rotation_out_of_its_states():
+    with pytest.raises(RuntimeError, match=r"the rotation takes 0 out of the states, to 5"):
+        _certified_stationary([0, 1], lambda s: (1 - s,), lambda s: s + 5)
+
+
 def _compositions(total):
     if total == 0:
         yield ()

@@ -28,6 +28,41 @@ def sparse_polys(draw, nvars=3, max_terms=6, max_exp=4):
     return MultiPoly(nvars, terms)
 
 
+exact_numbers = st.one_of(
+    st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=7)
+)
+
+
+@st.composite
+def exact_polys(draw, nvars=2):
+    keys = st.tuples(*[st.integers(0, 3)] * nvars)
+    return MultiPoly(nvars, draw(st.dictionaries(keys, exact_numbers, max_size=5)))
+
+
+def _is_exact(x):
+    return type(x) in (int, Fraction)
+
+
+@given(exact_polys(), exact_polys(), exact_numbers)
+def test_exact_inputs_never_yield_floats(a, b, x):
+    results = [a + b, a - b, a * b, a + x, x + a, a - x, x - a, a * x, x * a, -a]
+    results += [a.derivative(0), a.derivative(1, 2), a.antiderivative(0), a.subs_value(1, x)]
+    assert all(_is_exact(c) for r in results for c in r.terms.values())
+    assert _is_exact(a.evaluate([x, 1]))
+    assert _is_exact(integrate_ordered_simplex(a))
+
+
+def test_int_coefficients_stay_ints():
+    p = (q(2, 0) * 3 - q(2, 1)) ** 2 + 5
+    assert all(type(c) is int for c in p.terms.values())
+    assert all(type(c) is int for c in p.derivative(0).terms.values())
+
+
+def test_integrate_interval_of_int_polynomial_is_a_fraction():
+    v = integrate_interval(MultiPoly(1, {(1,): 1}), 0, 1)
+    assert v == Fraction(1, 2) and type(v) is Fraction
+
+
 def test_product_of_conjugates():
     p = (q(2, 1) - q(2, 0)) * (q(2, 1) + q(2, 0))
     assert p == q(2, 1) ** 2 - q(2, 0) ** 2

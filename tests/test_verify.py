@@ -293,3 +293,24 @@ def test_base_solves_are_shared_read_only():
     assert verify._rs(3, 1) is verify._rs(3, 1)
     with pytest.raises(TypeError):
         verify._rs(3, 1)[next(iter(verify._rs(3, 1)))] = 0
+
+
+def test_rs_relations_read_the_generator_tables(monkeypatch):
+    # the relations are checked on rs._tables' integer e_i rows; no pattern
+    # is built per relation, and a broken row is reported as witnesses
+    def refuse(L, i):
+        raise AssertionError("rs-relations built a pattern through apply_generator")
+
+    monkeypatch.setattr(verify, "apply_generator", refuse)
+    r = run_suite("rs-relations")[0]
+    assert (r.severity, r.status, r.witnesses) == (THEOREM, PROVED_MATCH, [])
+    real = verify._tables
+
+    def e1_is_identity(n):
+        patterns, gen, rot = real(n)
+        return patterns, [list(range(len(patterns)))] + gen[1:], rot
+
+    monkeypatch.setattr(verify, "_tables", e1_is_identity)
+    r = run_suite("rs-relations", overrides={"rs-relations": {"max_n": 2}})[0]
+    # at n = 1 the one pattern is fixed by every e_i, so only n = 2 breaks
+    assert (r.status, r.witnesses) == (MISMATCH, [{"n": 2, "rel": "A+", "i": 1}, {"n": 2, "rel": "A-", "i": 1}])
