@@ -222,10 +222,7 @@ def continuum_pdist_cmd(ctx, n, mc, samples):
     """Probability of each bottom permutation, exact or sampled."""
     if mc:
         res = permutation_distribution_mc(n, int(float(samples)), ctx.obj["seed"] or 0, jobs=ctx.obj["jobs"])
-        data = {
-            "".join(map(str, w)) if n <= 9 else ",".join(map(str, w)): e
-            for w, e in res["words"].items()
-        }
+        data = {word_string(w): e for w, e in res["words"].items()}
         _emit(
             {"n": n, "samples": res["samples"], "words": data},
             ctx.obj["fmt"],
@@ -234,7 +231,7 @@ def continuum_pdist_cmd(ctx, n, mc, samples):
         )
         return
     dist = permutation_distribution(n)
-    data = {"".join(map(str, w)): rat_str(p) for w, p in dist.items()}
+    data = {word_string(w): rat_str(p) for w, p in dist.items()}
     _emit(data, ctx.obj["fmt"], csv_rows=sorted(data.items()), csv_header=("permutation", "probability"))
 
 

@@ -5,18 +5,19 @@ and lets it try to jump left (into a vacancy, or swapping with a strictly
 larger label).  Everything here is exact.
 
 Every chain here picks one of D equally likely moves, and D is the same
-from every state: one of K particles, or one of C(N, k) subsets of sites.
-A step function yields only the targets of those moves.  A chain is
-held as its move counts C, the targets counted per column in integers,
-with P = C / D; the chain layer stays in integers from the step
-functions to the certificate.  A stationary vector y comes from the
-certified kernel solve of `linalg.kernel_vector` (modular, with exact
-elimination as the fallback) and is certified by the integer flow
-equations y C = D y; Fractions are formed only for the returned
-distribution.  A chain that is not irreducible is answered from its
-graph before any elimination: the kernel dimension is the number of its
-closed communicating classes, found by one strongly connected component
-pass, and with one closed class any further component is transient.
+from every state: one of K particles, or one of C(N, k) subsets of
+sites.  A step function yields only the targets of those moves; `_moves`
+reads them once per state, as positions, and checks D.  A chain is held
+as its move counts C, the targets counted per column in integers, with
+P = C / D; the chain layer stays in integers from the step functions to
+the certificate.  A stationary vector y comes from the certified kernel
+solve of `linalg.kernel_vector` (modular, with exact elimination as the
+fallback) and is certified by the integer flow equations y C = D y;
+Fractions are formed only for the returned distribution.  A chain that
+is not irreducible is answered from its graph before any elimination:
+the kernel dimension is the number of its closed communicating classes,
+found by one strongly connected component pass, and with one closed
+class any further component is transient.
 
 The TASEP needs no solve.  Ferrari and Martin, "Stationary distributions
 of multi-type totally asymmetric exclusion processes" (Ann. Probab. 35,
@@ -29,19 +30,14 @@ and `k_tasep_stationary` for k < N, take that census and certify it on
 the full chain in integers; no elimination runs.
 
 Every other stationary distribution of the package, here and in `rs`,
-comes from one solver, `_certified_stationary`.  Given a rotation that
-commutes with the chain, it solves the chain on the rotation classes
-and shares each class's probability evenly over its orbit; without one
-it solves the full chain.  Either way the answer is certified on the
-full chain, by the flow equations and by strong connectivity of the
-chain graph, so it is the chain's unique stationary distribution.
-Strong connectivity is certified by reachability, with no component
-pass: balanced weights that are all positive make every communicating
-class closed, since a stationary distribution puts no mass on transient
-states (Norris, section 1.7), so one forward pass from one state that
-reaches every state leaves a single class.
-`verify` keeps the solve for the TASEP too, so its Ferrari-Martin
-checks compare two independent routes.
+comes from one solver, `_certified_stationary`.  It solves the chain on
+classes, the orbits of a rotation that commutes with the chain or else
+single states, lifts each class's probability evenly over its orbit to
+integer weights, and certifies them on the full chain, by the flow
+equations and by strong connectivity of the chain graph, read by one
+forward pass (`_certify_weights`), so they are the chain's unique
+stationary distribution.  `verify` keeps the solve for the TASEP too,
+so its Ferrari-Martin checks compare two independent routes.
 """
 
 import itertools
@@ -79,19 +75,29 @@ def _is_stochastic(C: tuple[dict[int, int], ...], D: int) -> bool:
     return D > 0 and all(sum(r.values()) == D and all(c > 0 and 0 <= j < n for j, c in r.items()) for r in C)
 
 
-def chain_matrix(states, step_targets, key=None) -> CountMatrix:
-    """Move counts with one row per state.  step_targets(state) yields the
-    targets of the state's equally likely moves; they are counted in
-    integers by the column of the state key(target) (the target itself by
-    default).  Every state must yield the same number D of moves."""
+def _moves(states, step_targets) -> list[list[int]]:
+    """Every state's move targets as positions in states, reading each state
+    once: step_targets(state) yields the targets of its equally likely moves,
+    each one of the states, and every state must yield the same number D."""
     index = {s: i for i, s in enumerate(states)}
-    column = index.__getitem__ if key is None else lambda w: index[key(w)]
-    rows = tuple(Counter(map(column, step_targets(s))) for s in states)
-    D = rows[0].total() if rows else 0
-    for s, counts in zip(states, rows):
-        if counts.total() != D:
-            raise ValueError(f"state {s} has {counts.total()} moves, another has {D}")
-    return CountMatrix(rows, D)
+    succ = []
+    for s in states:
+        targets = list(step_targets(s))
+        try:
+            out = [index[v] for v in targets]
+        except KeyError as e:
+            raise RuntimeError(f"a move from {s} leaves the states, to {e.args[0]}") from None
+        if succ and len(out) != len(succ[0]):
+            raise ValueError(f"state {s} has {len(out)} moves, another has {len(succ[0])}")
+        succ.append(out)
+    return succ
+
+
+def chain_matrix(states, step_targets) -> CountMatrix:
+    """Move counts with one row per state: the targets of `_moves` counted
+    in integers by column."""
+    succ = _moves(states, step_targets)
+    return CountMatrix(tuple(map(Counter, succ)), len(succ[0]) if succ else 0)
 
 
 def _content(t: TypeVector) -> list[int]:
@@ -196,94 +202,76 @@ def stationary_exact(P: CountMatrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, total) for v in y)
 
 
+def _classes(states, rotate) -> list[int]:
+    """The position in states of each state's class representative: every
+    state alone without rotate, else the rotation orbits, each represented
+    by its first member.  A rotate that leaves the states is refused."""
+    if rotate is None:
+        return list(range(len(states)))
+    index = {s: i for i, s in enumerate(states)}
+    first = [-1] * len(states)
+    for i in range(len(first)):
+        j = i
+        while first[j] < 0:
+            first[j] = i
+            turned = rotate(states[j])
+            if turned not in index:
+                raise RuntimeError(f"the rotation takes {states[j]} out of the states, to {turned}")
+            j = index[turned]
+    return first
+
+
 def _certified_stationary(states, step_targets, rotate=None) -> dict:
     """The chain's unique stationary distribution, in states order, certified
-    on the full chain by `_verify_stationary`.  states is any sequence of
-    distinct states.
+    on the full chain.  states is any sequence of distinct states.
 
-    Without rotate the full chain is solved.  With rotate, a map that turns
-    a state by one step, classes are found by position in states: each
-    state not yet in a class represents a new one, which walking rotate
-    from it fills, and each state maps to the states entry at its
-    representative's position.  The chain is solved on the
-    representatives, each target counted by its class, and each class's
-    probability is shared evenly over its orbit.  A rotate that does not
-    commute with the chain is refused, by the quotient solve or by the
-    certificate, never answered, and so is a rotate that leaves the states.
+    The moves are read once, by `_moves`, and the classes are those of
+    `_classes`.  The quotient chain, each target counted by its class, is
+    counted from the representatives' moves and solved by `stationary_exact`.
+    Each class's probability p_c is shared evenly over its orbit as the
+    integer weight p_c L / size_c, with L one lcm, and `_certified`
+    certifies the weights on the full chain.  A rotate that does not
+    commute with the chain is refused, by the solve or by the certificate.
     """
-    if rotate is None:
-        dist = dict(zip(states, stationary_exact(chain_matrix(states, step_targets))))
-    else:
-        index = {s: i for i, s in enumerate(states)}
-        first = [-1] * len(states)  # the position of each state's representative
-        for i in range(len(first)):
-            j = i
-            while first[j] < 0:
-                first[j] = i
-                turned = rotate(states[j])
-                if turned not in index:
-                    raise RuntimeError(f"the rotation takes {states[j]} out of the states, to {turned}")
-                j = index[turned]
-        rep_of = {s: states[r] for s, r in zip(states, first)}
-        heads = [i for i, r in enumerate(first) if r == i]
-        pi = stationary_exact(chain_matrix([states[i] for i in heads], step_targets, rep_of.__getitem__))
-        size = Counter(first)
-        share = {i: p / size[i] for i, p in zip(heads, pi)}
-        dist = {s: share[r] for s, r in zip(states, first)}
-    _verify_stationary(dist, step_targets)
-    return dist
+    succ = _moves(states, step_targets)
+    first = _classes(states, rotate)
+    column = {r: c for c, r in enumerate(dict.fromkeys(first))}  # each representative's class
+    cls = [column[r] for r in first]
+    Q = CountMatrix(tuple(Counter(cls[j] for j in succ[r]) for r in column), len(succ[0]) if succ else 0)
+    size = Counter(cls)
+    share = [p / size[c] for c, p in enumerate(stationary_exact(Q))]
+    L = lcm(*(q.denominator for q in share))
+    weight = [q.numerator * (L // q.denominator) for q in share]
+    return _certified(states, succ, [weight[c] for c in cls])
 
 
-def _verify_stationary(dist: dict, step_targets):
-    """Certify dist as the unique stationary distribution of the full chain
-    on its states, in integers: dist scaled by the lcm of its denominators
-    gives weights that must sum to the scale, and `_certify_weights`
-    certifies them."""
-    scale = lcm(*(p.denominator for p in dist.values()))
-    weight = [p.numerator * (scale // p.denominator) for p in dist.values()]
-    if sum(weight) != scale:
-        raise RuntimeError("distribution does not sum to 1")
-    _certify_weights(list(dist), weight, step_targets)
-
-
-def _certify_weights(states, weights, step_targets):
-    """Certify integer weights on states as the full chain's unique
-    stationary vector, up to scale.
+def _certify_weights(succ, weights):
+    """Certify integer weights as the unique stationary vector, up to
+    scale, of the chain whose state i moves to the positions succ[i].
 
     sum_w weight_w #(w -> v) = D weight_v must hold for every state v, with
-    D the number of moves, which must be the same from every state.  Every
-    move must stay in the states.  The chain graph must be strongly
-    connected, which is certified by reachability: every weight must be
-    positive (the callers' weights have a positive sum), and one forward
-    pass from states[0] must reach every state.  Balanced positive weights
-    scale to a stationary distribution with no zero entry, and a
+    D the number of moves from each state.  The chain graph must be
+    strongly connected, which is certified by reachability: every weight
+    must be positive (the callers' weights have a positive sum), and one
+    forward pass from state 0 must reach every state.  Balanced positive
+    weights scale to a stationary distribution with no zero entry, and a
     stationary distribution puts no mass on transient states (Norris,
     Markov Chains, 1997, section 1.7), so every communicating class is
-    closed and the class of states[0] holds every state it reaches: all
-    of them.  Conversely, on a strongly connected chain every balanced
-    vector is a multiple of the positive stationary vector, so a weight
-    <= 0 beside a positive sum shows the chain is not strongly connected.
-    A strongly connected chain has exactly one stationary distribution,
-    so the weights are it.
+    closed and the class of state 0 holds every state it reaches: all of
+    them.  Conversely, on a strongly connected chain every balanced vector
+    is a multiple of the positive stationary vector, so a weight <= 0
+    beside a positive sum shows the chain is not strongly connected.  A
+    strongly connected chain has exactly one stationary distribution, so
+    the weights are it.
     """
-    index = {w: i for i, w in enumerate(states)}
-    D = sum(1 for _ in step_targets(states[0]))
-    flow = [0] * len(states)
-    succ = []
-    for w, c in zip(states, weights):
-        targets = list(step_targets(w))
-        try:
-            out = [index[target] for target in targets]
-        except KeyError as e:
-            raise RuntimeError(f"a move from {w} leaves the states, to {e.args[0]}") from None
-        if len(out) != D:
-            raise ValueError(f"state {w} has {len(out)} moves, another has {D}")
+    D = len(succ[0])
+    flow = [0] * len(succ)
+    for out, c in zip(succ, weights):
         for j in out:
             flow[j] += c
-        succ.append(out)
     if any(f != D * c for f, c in zip(flow, weights)):
         raise RuntimeError("stationarity verification failed on the full chain")
-    seen = [False] * len(states)
+    seen = [False] * len(succ)
     seen[0] = True
     todo = [0]
     while todo:
@@ -295,25 +283,31 @@ def _certify_weights(states, weights, step_targets):
         raise ValueError("chain is not strongly connected")
 
 
+def _certified(states, succ, weights) -> dict:
+    """weight / sum(weights) on states, once `_certify_weights` certifies the
+    weights on the chain of succ; one Fraction per distinct weight."""
+    _certify_weights(succ, weights)
+    total = sum(weights)
+    prob = {c: Fraction(c, total) for c in set(weights)}
+    return {s: prob[c] for s, c in zip(states, weights)}
+
+
 def _certified_census(t: TypeVector, step_targets) -> dict[tuple[int, ...], Fraction]:
     """The queue census of type t as the stationary distribution of the
     chain on words of type t with the given moves, certified on the full
-    chain by `_certify_weights`.
+    chain by `_certified`.
 
     The census must hold state_count(t) words, the least of them the sorted
     letters of t, and sum to the total queue count Z.  Moves keep the
     letters, so a certified census is a closed class of every word of
     type t, hence all of them.  The words are sorted, which with VACANT = 0
-    is `enumerate_states` order, and the Fractions count / Z are formed
-    only for the returned distribution, once per distinct count.
+    is `enumerate_states` order.
     """
     states, weights = zip(*sorted(bottom_word_counts(t).items()))
     Z = total_mlq_count(t)
     if len(states) != state_count(t) or sorted(states[0]) != _content(t) or sum(weights) != Z:
         raise RuntimeError(f"census of {t} is not a count of its {state_count(t)} words summing to {Z}")
-    _certify_weights(states, weights, step_targets)
-    prob = {c: Fraction(c, Z) for c in set(weights)}  # one Fraction per distinct count
-    return {w: prob[c] for w, c in zip(states, weights)}
+    return _certified(states, _moves(states, step_targets), weights)
 
 
 def _components(succ) -> list[int]:

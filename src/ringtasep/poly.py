@@ -29,6 +29,7 @@ forms; its product is the product in the ordinary basis.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .core import rat_str, parse_rat
@@ -312,11 +313,13 @@ def gap_laplacian(p: MultiPoly) -> MultiPoly:
     """The Laplacian in q of a gap form, sum_i (d/dL_{i-1} - d/dL_i)^2, in one
     pass over p.  It is homogeneous, so it is zero exactly when the q-side
     Laplacian is."""
-    n = p.nvars
-    symbol = MultiPoly.zero(n)
-    for i in range(n):
-        symbol = symbol + _gap_symbol(tuple(2 * (g == i) for g in range(n)))
-    return MultiPoly._of(n, _apply_symbol(symbol, p))
+    return MultiPoly._of(p.nvars, _apply_symbol(_laplacian_symbol(p.nvars), p))
+
+
+@cache
+def _laplacian_symbol(n: int) -> MultiPoly:
+    """sum_i (d/dL_{i-1} - d/dL_i)^2 as a `_gap_symbol` polynomial, one per n."""
+    return sum((_gap_symbol(tuple(2 * (g == i) for g in range(n))) for i in range(n)), MultiPoly.zero(n))
 
 
 def gap_leading_part(p: MultiPoly) -> MultiPoly:

@@ -101,12 +101,18 @@ def is_ssyt(tab: Tableau, bound: int | None = None) -> bool:
     return True
 
 
-def ssyt_count_hook_content(lam, t: int) -> int:
-    """Number of semistandard tableaux of shape lam with entries in [t],
-    by the hook-content product."""
+def _check_bound(lam, t: int) -> tuple[int, ...]:
+    """lam as a checked partition; every tableau route refuses t < 0."""
     lam = check_partition(lam)
     if t < 0:
         raise ValueError("need t >= 0")
+    return lam
+
+
+def ssyt_count_hook_content(lam, t: int) -> int:
+    """Number of semistandard tableaux of shape lam with entries in [t],
+    by the hook-content product."""
+    lam = _check_bound(lam, t)
     hooks = list(_hooks(lam))
     count, remainder = divmod(prod(t + content(i, j) for i, j, _ in hooks), prod(hook for _, _, hook in hooks))
     if remainder:
@@ -117,7 +123,7 @@ def ssyt_count_hook_content(lam, t: int) -> int:
 def ssyt_count_jacobi_trudi(lam, t: int) -> int:
     """Same count by both dual Jacobi-Trudi determinants; all three
     routes (including hook-content) must agree exactly."""
-    lam = check_partition(lam)
+    lam = _check_bound(lam, t)
     if not lam:
         return 1
     lamc = conjugate_partition(lam)
@@ -136,7 +142,7 @@ def ssyt_count_jacobi_trudi(lam, t: int) -> int:
 
 def ssyt_brute(lam, t: int) -> list[Tableau]:
     """Exhaustive list of semistandard tableaux of shape lam, entries in [t]."""
-    lam = check_partition(lam)
+    lam = _check_bound(lam, t)
     if not lam:
         return [Tableau(())]
 
@@ -161,7 +167,7 @@ def ssyt_count_brute(lam, t: int) -> int:
     below.  The rows under a row are listed once per process, by
     _rows_under, apart from the listing of `ssyt_brute`.  No formula of
     the other routes is used."""
-    lam = check_partition(lam)
+    lam = _check_bound(lam, t)
     states = {None: 1}
     for length in lam:
         states = transfer(states, lambda above: _rows_under(length, t, above and above[:length]))

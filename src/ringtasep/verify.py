@@ -553,7 +553,7 @@ def _check_last_row_invariance(params):
 
 def _check_k_invariance(params):
     # one census per (n, N), certified on the TASEP, compared once with the
-    # solve and then certified on each k-chain; a refusal is a witness
+    # solve and then certified on each k-chain in integers; a refusal is a witness
     bad = []
     for N in range(2, params.get("max_N", 5) + 1):
         for n in range(1, N + 1):
@@ -564,9 +564,11 @@ def _check_k_invariance(params):
                 bad.extend({"n": n, "N": N, "k": k, "error": str(e)} for k in range(1, N))
                 continue
             same = census == _tasep(t)
+            Z = total_mlq_count(t)
+            weights = [p.numerator * (Z // p.denominator) for p in census.values()]
             for k in range(1, N):
                 try:
-                    markov._verify_stationary(census, markov._subset_steps(N, k))
+                    markov._certify_weights(markov._moves(list(census), markov._subset_steps(N, k)), weights)
                     if not same:
                         bad.append({"n": n, "N": N, "k": k})
                 except (ValueError, RuntimeError) as e:  # the census refused on the k-chain
@@ -793,7 +795,7 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run every check whose id matches the glob pattern.
 
-    `overrides` maps check ids (or "*") to parameter updates.  With a
+    `overrides` maps check ids to parameter updates.  With a
     cache directory, previously computed reports are reused when the
     check, its parameters and the package sources are unchanged; a seeded
     5% sample of cache hits is recomputed and compared.
@@ -816,10 +818,7 @@ def run_suite(
     reports = []
     for cid in selected:
         severity, fn, defaults = CHECKS[cid]
-        params = dict(defaults)
-        for key in ("*", cid):
-            if overrides and key in overrides:
-                params.update(overrides[key])
+        params = {**defaults, **(overrides or {}).get(cid, {})}
         cache_path = os.path.join(cache_dir, _cache_key(cid, params) + ".json") if cache_dir else None
         cached = cache_path is not None and os.path.exists(cache_path)
         if cached:

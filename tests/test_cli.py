@@ -116,6 +116,24 @@ def test_tab_ssyt_count_routes():
         assert data["count"] == 8
 
 
+def test_tab_ssyt_count_refuses_negative_t_on_every_route():
+    for route in ("hook", "jt", "brute"):
+        for shape in ("2,1", "1"):
+            r = run("tab", "ssyt-count", "--shape", shape, "--t", "-1", "--route", route)
+            assert r.exit_code == 1, (route, shape)
+            assert "need t >= 0" in r.output
+
+
+def test_continuum_pdist_mc_keys():
+    # a permutation has no vacancy; its labels are comma separated only
+    # when one of them is over 9
+    for n, sep in [(3, ""), (10, ",")]:
+        data = json.loads(run("--seed", "1", "continuum", "pdist", "--n", str(n), "--mc", "--samples", "20").output)
+        assert data["samples"] == 20
+        for key in data["words"]:
+            assert sorted(map(int, key.split(",") if sep else key)) == list(range(1, n + 1))
+
+
 def test_tab_fw():
     data = json.loads(run("tab", "fw", "--m", "2,2,2,3", "--N", "13").output)
     assert data["count"] == 5336100

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ringtasep import linalg
 from ringtasep.core import TypeVector
 from ringtasep.linalg import _PRIMES, det_fraction_free, kernel_vector
-from ringtasep.markov import _particle_steps, _tasep_solve, _verify_stationary, stationary_exact, tasep_stationary
+from ringtasep.markov import _certified, _moves, _particle_steps, _tasep_solve, stationary_exact, tasep_stationary
 from ringtasep.rs import apply_generator_set, rs_stationary, rs_transition_matrix
 
 
@@ -190,6 +190,14 @@ def _rs_targets(n, k):
     return targets
 
 
+def _recertify(dist, step_targets):
+    # dist, scaled to integer weights, certified on the full chain of
+    # step_targets, gives back dist
+    den = lcm(*(p.denominator for p in dist.values()))
+    weights = [p.numerator * (den // p.denominator) for p in dist.values()]
+    assert _certified(list(dist), _moves(list(dist), step_targets), weights) == dist
+
+
 def test_real_chains_take_the_modular_path(monkeypatch):
     # linalg works in integers alone: it binds nothing from fractions
     bound = [k for k, v in vars(linalg).items() if v is fractions or getattr(v, "__module__", "") == "fractions"]
@@ -198,10 +206,10 @@ def test_real_chains_take_the_modular_path(monkeypatch):
     t = TypeVector((1, 1, 1, 1, 1), 7)
     dist = tasep_stationary(t)
     assert sum(dist.values()) == 1
-    _verify_stationary(dist, _particle_steps)
+    _recertify(dist, _particle_steps)
     dist = rs_stationary(6, 2)
     assert sum(dist.values()) == 1 and min(dist.values()) > 0
-    _verify_stationary(dist, _rs_targets(6, 2))
+    _recertify(dist, _rs_targets(6, 2))
     # rs_stationary(6, 2) solves only its 14 rotation classes; the full
     # 132-pattern chain is solved here
     patterns, P = rs_transition_matrix(6, 2)

@@ -14,13 +14,15 @@ from ringtasep.linalg import _bareiss_kernel, kernel_vector
 from ringtasep.markov import (
     CountMatrix,
     _certified_stationary,
+    _certify_weights,
     _closed_classes,
     _components,
     _is_stochastic,
+    _moves,
     _particle_steps,
+    _rotate,
     _subset_steps,
     _tasep_solve,
-    _verify_stationary,
     chain_matrix,
     enumerate_states,
     k_tasep_stationary,
@@ -188,22 +190,29 @@ def test_certified_stationary_takes_any_sequence_of_states():
     assert list(_certified_stationary(range(300), step, turn).items()) == list(dist.items())
 
 
+def _weights(dist):
+    # dist as integer weights, scaled by the lcm of its denominators
+    den = lcm(*(p.denominator for p in dist.values()))
+    return [p.numerator * (den // p.denominator) for p in dist.values()]
+
+
 def test_verify_stationary_refuses_moved_mass():
     t = TypeVector((1, 1, 1), 5)
     dist = tasep_stationary(t)
-    _verify_stationary(dist, _particle_steps)
-    den = lcm(*(p.denominator for p in dist.values()))
-    a, b = min(dist, key=dist.get), max(dist, key=dist.get)
-    dist[a] += Fraction(1, den)
-    dist[b] -= Fraction(1, den)
+    succ = _moves(list(dist), _particle_steps)
+    weights = _weights(dist)
+    _certify_weights(succ, weights)
+    a, b = weights.index(min(weights)), weights.index(max(weights))
+    weights[a] += 1
+    weights[b] -= 1
     with pytest.raises(RuntimeError, match="full chain"):
-        _verify_stationary(dist, _particle_steps)
+        _certify_weights(succ, weights)
 
 
 def test_verify_stationary_refuses_unequal_move_counts():
     t = TypeVector((1, 1), 4)
-    dist = tasep_stationary(t)
-    odd = sorted(dist)[5]
+    states = enumerate_states(t)
+    odd = states[5]
 
     def targets(w):
         yield from _particle_steps(w)
@@ -211,21 +220,21 @@ def test_verify_stationary_refuses_unequal_move_counts():
             yield w
 
     with pytest.raises(ValueError, match="3 moves, another has 2"):
-        _verify_stationary(dist, targets)
+        _moves(states, targets)
+    with pytest.raises(ValueError, match="3 moves, another has 2"):
+        _certified_stationary(states, targets)
 
 
 def test_verify_stationary_refuses_disconnected_chain():
     # two disjoint 2-cycles: the uniform vector satisfies every flow
     # equation, but so does any mix of the two cycles
-    targets = {0: [1], 1: [0], 2: [3], 3: [2]}.__getitem__
     with pytest.raises(ValueError, match="not strongly connected"):
-        _verify_stationary(dict.fromkeys(range(4), Fraction(1, 4)), targets)
+        _certify_weights([[1], [0], [3], [2]], [1, 1, 1, 1])
     # a transient state: 0 -> 1 <-> 2 leaves 0 unreachable, with mass 0
-    targets = {0: [1], 1: [2], 2: [1]}.__getitem__
     with pytest.raises(ValueError, match="not strongly connected"):
-        _verify_stationary({0: Fraction(0), 1: Fraction(1, 2), 2: Fraction(1, 2)}, targets)
+        _certify_weights([[1], [2], [1]], [0, 1, 1])
     # one cycle passes
-    _verify_stationary(dict.fromkeys(range(3), Fraction(1, 3)), lambda i: [(i + 1) % 3])
+    _certify_weights([[1], [2], [0]], [1, 1, 1])
 
 
 def test_certificate_refuses_balanced_weights_with_a_nonpositive_entry():
@@ -235,19 +244,39 @@ def test_certificate_refuses_balanced_weights_with_a_nonpositive_entry():
     # one sign throughout
     succ = {0: [1, 3], 1: [2, 2], 2: [1, 1], 3: [4, 4], 4: [3, 3]}
     with pytest.raises(ValueError, match="not strongly connected"):
-        markov._certify_weights(list(succ), [0, 2, 2, -1, -1], succ.__getitem__)
-
-
-def test_verify_stationary_refuses_unnormalised_mass():
-    dist = tasep_stationary(TypeVector((1, 1), 4))
-    with pytest.raises(RuntimeError, match="does not sum to 1"):
-        _verify_stationary({w: 2 * p for w, p in dist.items()}, _particle_steps)
+        _certify_weights(_moves(list(succ), succ.__getitem__), [0, 2, 2, -1, -1])
 
 
 def test_verify_stationary_refuses_a_move_out_of_its_states():
-    # from (1, 0) the particle jumps to (0, 1), which dist does not hold
-    with pytest.raises(RuntimeError, match=r"leaves the states, to \(0, 1\)"):
-        _verify_stationary({(1, 0): Fraction(1)}, _particle_steps)
+    # from (1, 0) the particle jumps to (0, 1), which the states do not hold
+    with pytest.raises(RuntimeError, match=r"^a move from \(1, 0\) leaves the states, to \(0, 1\)$"):
+        _moves([(1, 0)], _particle_steps)
+
+
+@pytest.mark.parametrize("rotate", [None, lambda s: 1 - s])
+def test_a_move_out_of_the_states_is_refused_not_a_key_error(rotate):
+    def targets(s):
+        return 1 - s, 5
+
+    message = r"^a move from 0 leaves the states, to 5$"
+    with pytest.raises(RuntimeError, match=message):
+        chain_matrix([0, 1], targets)
+    with pytest.raises(RuntimeError, match=message):
+        _certified_stationary([0, 1], targets, rotate)
+
+
+@pytest.mark.parametrize("rotate", [None, _rotate])
+def test_certified_stationary_reads_each_state_once(rotate):
+    t = TypeVector((1, 1, 1), 5)
+    states = enumerate_states(t)
+    calls = Counter()
+
+    def targets(w):
+        calls[w] += 1
+        return _particle_steps(w)
+
+    assert _certified_stationary(states, targets, rotate) == tasep_stationary(t)
+    assert len(states) == 60 and calls == Counter(states)
 
 
 def test_certified_stationary_refuses_a_rotation_out_of_its_states():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,9 +11,10 @@ from ringtasep.core import TypeVector
 from ringtasep.markov import (
     _certified_stationary,
     _is_stochastic,
+    _certify_weights,
+    _moves,
     _rotate,
     _subset_steps,
-    _verify_stationary,
     enumerate_states,
     stationary_exact,
 )
@@ -192,12 +194,17 @@ def test_rs_quotient_matches_full_chain():
 def test_rotation_classes(monkeypatch):
     assert rotate(FIG_PATTERN) == LinkingPattern(((2, 5), (3, 4), (6, 1)))
     assert rotate(FIG_PATTERN, 6) == FIG_PATTERN
-    quotients = []  # the representatives and class map the solver solves on
-    real = markov.chain_matrix
+    classes = []  # the class map the solver finds, and the chains it solves
+    solved = []
+    real_classes, real_solve = markov._classes, markov.stationary_exact
 
-    def spy(states, step_targets, key=None):
-        quotients.append((states, key))
-        return real(states, step_targets, key)
+    def spy_classes(states, rotate):
+        classes.append(real_classes(states, rotate))
+        return classes[-1]
+
+    def spy_solve(P):
+        solved.append(P.n_rows)
+        return real_solve(P)
 
     listed = []  # the pattern lists the chain is built on
     real_enumerate = rs.enumerate_patterns
@@ -206,22 +213,27 @@ def test_rotation_classes(monkeypatch):
         listed.append(real_enumerate(n))
         return listed[-1]
 
-    monkeypatch.setattr(markov, "chain_matrix", spy)
+    monkeypatch.setattr(markov, "_classes", spy_classes)
+    monkeypatch.setattr(markov, "stationary_exact", spy_solve)
     monkeypatch.setattr(rs, "enumerate_patterns", spy_enumerate)
     counts = []
     for n in range(1, 7):
-        quotients.clear()
+        classes.clear()
+        solved.clear()
         listed.clear()
         dist = rs_stationary(n, 1)
-        ((reps, key),) = quotients
+        (first,) = classes
         (patterns,) = listed
         # the chain runs on pattern positions; each class is a rotation
         # orbit, represented by its first member
-        assert key.__self__.keys() == set(range(len(patterns)))
+        assert len(first) == len(patterns)
+        reps = sorted(set(first))
         for rep in reps:
-            orbit = [s for s in range(len(patterns)) if key(s) == rep]
+            orbit = [s for s in range(len(patterns)) if first[s] == rep]
             assert orbit[0] == rep
             assert {patterns[s] for s in orbit} == {rotate(patterns[rep], s) for s in range(2 * n)}
+        # one solve, on the classes
+        assert solved == [len(reps)]
         # the returned keys are the enumerate_patterns objects themselves, in order
         assert len(dist) == len(patterns) and all(L is M for L, M in zip(dist, patterns))
         counts.append(len(reps))
@@ -236,10 +248,11 @@ def test_lift_with_wrong_orbit_share_is_refused():
     lift = _certified_stationary(states, targets, rot.__getitem__)
     size = {s: len({rotate(patterns[s], r) for r in range(6)}) for s in states}
     assert sorted(size.values()) == [2, 2, 3, 3, 3]
-    whole = {s: p * size[s] for s, p in lift.items()}
-    total = sum(whole.values())
+    whole = [p * size[s] for s, p in lift.items()]
+    den = lcm(*(p.denominator for p in whole))
+    weights = [p.numerator * (den // p.denominator) for p in whole]
     with pytest.raises(RuntimeError, match="full chain"):
-        _verify_stationary({s: p / total for s, p in whole.items()}, targets)
+        _certify_weights(_moves(states, targets), weights)
 
 
 def _pair_generator(L, i):

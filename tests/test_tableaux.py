@@ -83,6 +83,13 @@ def test_ssyt_brute_examples():
     assert len(ssyt_brute((2, 2), 2)) == 1
 
 
+@pytest.mark.parametrize("route", [ssyt_count_hook_content, ssyt_count_jacobi_trudi, ssyt_count_brute, ssyt_brute])
+@pytest.mark.parametrize("lam", [(2, 1), (1,), ()])
+def test_every_route_refuses_negative_t(route, lam):
+    with pytest.raises(ValueError, match=r"^need t >= 0$"):
+        route(lam, -1)
+
+
 def test_three_route_agreement_box_sweep():
     shapes = {()} | {
         tuple(sorted(c, reverse=True))
