@@ -2,43 +2,23 @@
 
 Kernels take integer rows, kept sparse as {column: int} maps; the chain
 layer hands them over as counts, so no rational is formed on the way.
-Determinants take dense integer rows.
+They are solved by one sparse Gaussian elimination in exact integers.
+Its pivots follow a Markowitz count (Markowitz 1957, "The elimination
+form of the inverse"): the live column with the fewest live rows, and in
+it the row with the fewest entries, to limit fill-in.  Each update is
+fraction-free, and each updated row is divided by the gcd of its
+entries.  A column left with no live rows is free, and the number of
+free columns is the exact kernel dimension.
 
-Kernels are solved modulo word-size primes first.  Sparse Gaussian
-elimination mod p gives the rank mod p and, when that is n - 1, a kernel
-vector mod p.  Its pivots follow a Markowitz count (Markowitz 1957, "The
-elimination form of the inverse"): the live column with the fewest live
-rows, and in it the row with the fewest entries, to limit fill-in.  The
-vectors of successive primes are combined by the Chinese remainder
-theorem, and a primitive integer vector is recovered by rational
-reconstruction (Wang, Guy & Davenport 1982; the multi-modular
-scheme of Dixon 1982, "Exact solution of linear equations using p-adic
-expansions").  It is returned only if it passes an exact certificate:
-it is nonzero and M y = 0 holds in integers.  Rank n - 1 mod p bounds the
-rank over Q from below, so a certified vector spans the kernel.
-
-Determinants, and kernels the modular solve cannot certify (a rank drop
-mod p, or too few primes), use fraction-free elimination after Bareiss
-(1968), "Sylvester's identity and multistep integer-preserving Gaussian
-elimination": every update divides exactly by the previous pivot, so
-entries stay integers: each is a minor of the input.
+Determinants take dense integer rows and use fraction-free elimination
+after Bareiss (1968), "Sylvester's identity and multistep
+integer-preserving Gaussian elimination": every update divides exactly
+by the previous pivot, so entries stay integers: each is a minor of the
+input.
 """
 
 import heapq
-from math import gcd, isqrt
-
-# The largest primes below 2^61, 2^62 and 2^63.
-_PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
-
-
-def _dense(rows: list[dict[int, int]], n_cols: int) -> list[list[int]]:
-    out = []
-    for sparse in rows:
-        row = [0] * n_cols
-        for c, v in sparse.items():
-            row[c] = v
-        out.append(row)
-    return out
+from math import gcd
 
 
 def _eliminate(m: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
@@ -87,42 +67,26 @@ def det_fraction_free(M) -> int:
     return sign * m[-1][-1] if len(pivots) == n else 0
 
 
-def _bareiss_kernel(m: list[list[int]], n_cols: int) -> list[int]:
-    """Kernel vector of a dense integer matrix by fraction-free
-    elimination; raises if the kernel is not one-dimensional.
+def kernel_vector(rows, n_cols: int) -> list[int]:
+    """Primitive integer vector spanning the kernel of a matrix given as
+    sparse {column: int} rows; raises if the kernel is not one-dimensional.
 
-    Back substitution is scaled by the last pivot, the minor on the pivot
-    rows and columns, so by Cramer's rule every division is exact.
-    """
-    pivots, _ = _eliminate(m)
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(n_cols) if c not in pivot_cols]
-    if len(free) != 1:
-        raise ValueError(f"kernel dimension is {len(free)}, expected 1 (chain reducible?)")
-    x = [0] * n_cols
-    x[free[0]] = m[pivots[-1][0]][pivots[-1][1]] if pivots else 1
-    for r, c in reversed(pivots):
-        row = m[r]
-        x[c] = -sum(row[k] * x[k] for k in range(c + 1, n_cols) if row[k]) // row[c]
-    return x
-
-
-def _kernel_mod(rows: list[dict[int, int]], n_cols: int, p: int) -> list[int] | None:
-    """Kernel vector mod p of sparse integer rows, with its free entry set
-    to 1; None unless exactly one column is left unpivoted, that is, unless
-    the rank mod p is n_cols - 1.
-
-    Sparse Gaussian elimination with Markowitz pivoting: each step pivots
-    on the live column with the fewest live rows, and in it on the row
-    with the fewest entries, which limits fill-in.  Only the columns of
-    the pivot row change their counts, so a heap of (count, column) with
-    stale entries skipped finds the next pivot column.  A column with no
-    live rows never gains one and is free.
+    Sparse Gaussian elimination in integers with Markowitz pivoting: each
+    step pivots on the live column with the fewest live rows, and in it on
+    the row with the fewest entries, which limits fill-in.  Only the
+    columns of the pivot row change their counts, so a heap of (count,
+    column) with stale entries skipped finds the next pivot column.  A row
+    with entry f in the pivot column becomes (a/g) row - (f/g) top, for
+    pivot a and g = gcd(a, f), and is then divided by the gcd of its
+    entries.  A column with no live rows never gains one and is free.
+    Back substitution stays in integers, from 1 on the free column: where
+    a pivot does not divide its sum, the vector found so far is scaled up,
+    so the free column's entry stays positive.
     """
     live = {}
     where = [set() for _ in range(n_cols)]  # column -> live rows nonzero there
     for i, row in enumerate(rows):
-        live[i] = {c: v % p for c, v in row.items() if v % p}
+        live[i] = {c: v for c, v in row.items() if v}
         for c in live[i]:
             where[c].add(i)
     heap = [(len(w), c) for c, w in enumerate(where)]
@@ -134,20 +98,21 @@ def _kernel_mod(rows: list[dict[int, int]], n_cols: int, p: int) -> list[int] | 
             continue
         if not count:
             free.append(col)
-            if len(free) > 1:
-                return None
             continue
         i = min(where[col], key=lambda i: len(live[i]))
         top = live.pop(i)
-        inv = pow(top[col], -1, p)
-        top = {c: v * inv % p for c, v in top.items()}
+        a = top[col]
         for c in top:
             where[c].discard(i)
         for j in list(where[col]):
             row = live[j]
             f = row[col]
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            for c in row:
+                row[c] *= s
             for c, v in top.items():
-                new = (row.get(c, 0) - f * v) % p
+                new = row.get(c, 0) - t * v
                 if new:
                     if c not in row:
                         where[c].add(j)
@@ -155,78 +120,25 @@ def _kernel_mod(rows: list[dict[int, int]], n_cols: int, p: int) -> list[int] | 
                 elif c in row:
                     del row[c]
                     where[c].discard(j)
+            h = gcd(*row.values())
+            if h > 1:
+                for c in row:
+                    row[c] //= h
         for c in top:
             if c != col:
                 heapq.heappush(heap, (len(where[c]), c))
         pivots.append((col, top))
-    if not free:
-        return None
+    if len(free) != 1:
+        raise ValueError(f"kernel dimension is {len(free)}, expected 1 (chain reducible?)")
     x = [0] * n_cols
     x[free[0]] = 1
     for col, top in reversed(pivots):
-        x[col] = -sum(v * x[c] for c, v in top.items() if c != col) % p
-    return x
-
-
-def _rational_reconstruction(t: int, m: int, bound: int) -> tuple[int, int] | None:
-    """(a, b) with a = b t (mod m), |a| <= bound and 0 < b <= bound, by the
-    half-extended Euclidean algorithm; None if the remainders give none."""
-    r0, r1, s0, s1 = m, t, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    return (r1, s1) if s1 <= bound else None
-
-
-def _reconstruct(x: list[int], m: int) -> list[int] | None:
-    """Primitive integer vector proportional to a rational vector given by
-    its image x mod m, with x[c] = 1 for some c; None if reconstruction
-    fails.  A running common denominator d is carried, so each entry is
-    reconstructed from d x[i], which is integral once d is complete."""
-    bound = isqrt(m // 2)
-    d, y = 1, []
-    for t in x:
-        found = _rational_reconstruction(d * t % m, m, bound)
-        if found is None:
-            return None
-        a, b = found
-        if b != 1:
-            d *= b
-            if d > bound:  # also keeps the entry where x is 1, d itself, nonzero
-                return None
-            y = [v * b for v in y]
-        y.append(a)
-    g = gcd(*y)
-    return [v // g for v in y]
-
-
-def kernel_vector(rows, n_cols: int) -> list[int]:
-    """Integer vector spanning the kernel of a matrix given as sparse
-    {column: int} rows; raises if the kernel is not one-dimensional.
-
-    Solved mod each of _PRIMES in turn: the kernel vectors, normalised on
-    one column, are combined by CRT, and after each prime a primitive
-    integer vector y is reconstructed and returned if y is nonzero and
-    M y = 0 holds exactly.  If the rank mod a prime is not n_cols - 1, or
-    no prime gives a certified y, the kernel is found by fraction-free
-    elimination instead, which also reports the kernel dimension.
-    """
-    modulus, acc, col = 1, [0] * n_cols, None
-    for p in _PRIMES:
-        x = _kernel_mod(rows, n_cols, p)
-        if x is None:
-            break
-        if col is None:
-            col = next(c for c, v in enumerate(x) if v)
-        elif x[col] == 0:  # p divides the denominator of the normalised vector
-            break
-        inv = pow(x[col], -1, p)
-        k = pow(modulus, -1, p)
-        acc = [a + modulus * ((v * inv - a) * k % p) for a, v in zip(acc, x)]
-        modulus *= p
-        y = _reconstruct(acc, modulus)
-        if y is not None and any(y) and all(sum(v * y[c] for c, v in row.items()) == 0 for row in rows):
-            return y
-    return _bareiss_kernel(_dense(rows, n_cols), n_cols)
+        a = top.pop(col)
+        s = -sum(v * x[c] for c, v in top.items())
+        if s % a:
+            scale = abs(a) // gcd(s, a)
+            x = [v * scale for v in x]
+            s *= scale
+        x[col] = s // a
+    g = gcd(*x)
+    return [v // g for v in x]

@@ -10,14 +10,13 @@ sites.  A step function yields only the targets of those moves; `_moves`
 reads them once per state, as positions, and checks D.  A chain is held
 as its move counts C, the targets counted per column in integers, with
 P = C / D; the chain layer stays in integers from the step functions to
-the certificate.  A stationary vector y comes from the certified kernel
-solve of `linalg.kernel_vector` (modular, with exact elimination as the
-fallback) and is certified by the integer flow equations y C = D y;
-Fractions are formed only for the returned distribution.  A chain that
-is not irreducible is answered from its graph before any elimination:
-the kernel dimension is the number of its closed communicating classes,
-found by one strongly connected component pass, and with one closed
-class any further component is transient.
+the certificate.  A stationary vector y comes from the sparse integer
+elimination of `linalg.kernel_vector` and is certified by the integer
+flow equations y C = D y; Fractions are formed only for the returned
+distribution.  A chain that is not irreducible is answered from its
+graph before any elimination: the kernel dimension is the number of its
+closed communicating classes, found by one strongly connected component
+pass, and with one closed class any further component is transient.
 
 The TASEP needs no solve.  Ferrari and Martin, "Stationary distributions
 of multi-type totally asymmetric exclusion processes" (Ann. Probab. 35,
@@ -168,9 +167,10 @@ def stationary_exact(P: CountMatrix) -> tuple[Fraction, ...]:
     refused with that count as the kernel dimension, read off the chain
     graph, and a chain whose one closed class leaves transient states, as
     not strictly positive.  Otherwise y solves y C = D y through the
-    certified kernel of C^T - D I (`linalg.kernel_vector`).  Before the
-    Fractions y_i / sum(y) are formed, y must be strictly positive and
-    y C = D y must hold in integers.
+    kernel of C^T - D I, found by exact sparse elimination
+    (`linalg.kernel_vector`).  Before the Fractions y_i / sum(y) are
+    formed, y must be strictly positive and y C = D y must hold in
+    integers: that check is the solve's certificate.
     """
     C, D = P.rows, P.D
     if not _is_stochastic(C, D):
@@ -468,7 +468,7 @@ def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[i
     The whole distribution takes one row step, mlq.transfer over
     mlq._row_successors, so its words must share their length N and
     particle count K; the probabilities reaching a new word over the
-    C(N, K) box sets are summed, then divided by C(N, K).
+    C(N, K) box sets are summed, then divided by C(N, K) as a Fraction.
     """
     if not dist:
         return {}
@@ -482,7 +482,7 @@ def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[i
         u.type_vector()  # refuses an empty word or a missing class
         states[tuple(zip(*u.particles()))] = prob
     rows = transfer(states, _row_successors(N, K, VACANT))  # K labels claim all K boxes
-    return {_word(N, *row): prob / comb(N, K) for row, prob in rows.items()}
+    return {_word(N, *row): Fraction(prob, comb(N, K)) for row, prob in rows.items()}
 
 
 def mc_stationary(t: TypeVector, burn_in: int, samples: int, seed: int, thin: int = 1):

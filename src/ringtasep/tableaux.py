@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
 
-from .core import TypeVector, binomial
+from .core import TypeVector, binomial, word_string
 from .linalg import det_fraction_free
 from .mlq import DiscreteMLQ, LabeledMLQ, transfer
 
@@ -81,7 +81,7 @@ class Tableau:
         return tuple(r[j] for r in self.rows if len(r) > j)
 
     def __repr__(self):
-        return "/".join("".join(map(str, r)) if all(v <= 9 for v in r) else ",".join(map(str, r)) for r in self.rows)
+        return "/".join(map(word_string, self.rows))
 
 
 def is_ssyt(tab: Tableau, bound: int | None = None) -> bool:

@@ -2,15 +2,14 @@ import fractions
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
-from unittest import mock
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ringtasep import linalg
+from ringtasep import linalg, markov
 from ringtasep.core import TypeVector
-from ringtasep.linalg import _PRIMES, det_fraction_free, kernel_vector
+from ringtasep.linalg import det_fraction_free, kernel_vector
 from ringtasep.markov import _certified, _moves, _particle_steps, _tasep_solve, stationary_exact, tasep_stationary
 from ringtasep.rs import apply_generator_set, rs_stationary, rs_transition_matrix
 
@@ -66,106 +65,18 @@ def test_kernel_of_full_rank_matrix_raises():
             kernel_vector([dict(enumerate(row)) for row in m], n)
 
 
-def _no_fallback(*args):
-    raise AssertionError("the Bareiss fallback was used")
-
-
-def _count_fallbacks(monkeypatch):
-    calls = []
-    bareiss = linalg._bareiss_kernel
-    monkeypatch.setattr(linalg, "_bareiss_kernel", lambda *a: calls.append(1) or bareiss(*a))
-    return calls
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin: bases 2..37 decide every n < 3.3e24."""
-    if n < 2:
-        return False
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in bases:
-        return True
-    if any(n % a == 0 for a in bases):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_modular_primes_are_prime():
-    assert [_is_prime(n) for n in (561, 2**61 + 1, 2**62 - 55, 3215031751)] == [False] * 4
-    assert len(_PRIMES) == len(set(_PRIMES)) >= 1
-    for p in _PRIMES:
-        assert _is_prime(p) and p < 2**64
-
-
-def test_rank_drop_mod_first_prime_falls_back(monkeypatch):
-    calls = _count_fallbacks(monkeypatch)
-    p = _PRIMES[0]
-    rows = [{0: p}, {1: 1, 2: -1}]  # rank 2 over Q, rank 1 mod p
-    x = kernel_vector(rows, 3)
-    assert calls == [1]
-    assert x[0] == 0 and x[1] == x[2] != 0
-
-
-def test_large_kernel_is_recovered_by_crt(monkeypatch):
-    monkeypatch.setattr(linalg, "_bareiss_kernel", _no_fallback)
-    calls = []
-    kernel_mod = linalg._kernel_mod
-    monkeypatch.setattr(linalg, "_kernel_mod", lambda *a: calls.append(1) or kernel_mod(*a))
-    y = [2**40 + 15, -(2**37 + 9), 3**25, 2**31 + 11]
-    rows = [{0: y[1], 1: -y[0]}, {0: y[2], 2: -y[0]}, {0: y[3], 3: -y[0]}]
-    x = kernel_vector(rows, 4)
-    assert len(calls) >= 2  # one prime alone cannot hold 40-bit numerators and denominators
-    assert x in (y, [-v for v in y])
-
-
-@pytest.mark.parametrize(
-    "rows, y",
-    [
-        ([{0: _PRIMES[0], 1: 3}], [3, -_PRIMES[0]]),  # mod the first prime column 0 is free, (1, 0)
-        ([{0: _PRIMES[0] + 1, 1: -1}], [1, _PRIMES[0] + 1]),  # mod the first prime (1, 1)
-    ],
-)
-def test_kernel_whose_first_image_misleads_needs_a_second_prime(monkeypatch, rows, y):
-    monkeypatch.setattr(linalg, "_bareiss_kernel", _no_fallback)
-    assert kernel_vector(rows, 2) == y
-
-
-def test_prime_dividing_the_normalised_denominator_falls_back(monkeypatch):
-    # y = (p2, -3): mod p2 the image is (0, 1), zero on the column the
-    # first prime normalised; the fallback gives the kernel.
-    calls = _count_fallbacks(monkeypatch)
-    x = kernel_vector([{0: 3, 1: _PRIMES[1]}], 2)
-    assert calls == [1]
-    assert x[0] * -3 == x[1] * _PRIMES[1]
-
-
 def test_kernel_of_dimension_two_raises():
     with pytest.raises(ValueError, match="kernel dimension is 2"):
         kernel_vector([{0: 1}, {0: -1}], 3)
+    # column 3 has no rows; column 1 loses its last live row once row 1 is
+    # eliminated by row 0, so two columns are left unpivoted
+    with pytest.raises(ValueError, match="kernel dimension is 2"):
+        kernel_vector([{0: 1, 1: 1}, {0: 1, 1: 1}, {2: 1}], 4)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_trivial_kernels(n):
     assert kernel_vector([{}] * (n - 1) + [{c: 1 for c in range(1, n)}], n) == [1] + [0] * (n - 1)
-
-
-def test_kernel_mod_of_rank_two_below_full_is_none():
-    # column 3 has no rows; column 1 loses its last live row once row 1 is
-    # eliminated by row 0, so two columns are left unpivoted
-    rows = [{0: 1, 1: 1}, {0: 1, 1: 1}, {2: 1}]
-    assert linalg._kernel_mod(rows, 4, _PRIMES[0]) is None
 
 
 @pytest.mark.parametrize(
@@ -175,9 +86,30 @@ def test_kernel_mod_of_rank_two_below_full_is_none():
         ([{0: 1, 1: 1}, {0: 2, 1: 2, 2: 1}], [-1, 1, 0]),  # column 1 loses its rows
     ],
 )
-def test_kernel_mod_free_column_has_no_live_rows(rows, x):
-    p = _PRIMES[0]
-    assert linalg._kernel_mod(rows, 3, p) == [v % p for v in x]
+def test_kernel_free_column_has_no_live_rows(rows, x):
+    # the free column's entry is positive
+    assert kernel_vector(rows, 3) == x
+
+
+def test_large_kernel_is_exact():
+    y = [2**40 + 15, -(2**37 + 9), 3**25, 2**31 + 11]
+    rows = [{0: y[1], 1: -y[0]}, {0: y[2], 2: -y[0]}, {0: y[3], 3: -y[0]}]
+    assert kernel_vector(rows, 4) in (y, [-v for v in y])
+
+
+@pytest.mark.parametrize(
+    "rows, y",
+    [
+        ([{0: 2**61 - 1, 1: 3}], [3, -(2**61 - 1)]),
+        ([{0: 2**61, 1: -1}], [1, 2**61]),
+        ([{0: 3, 1: 2**62 - 57}], [2**62 - 57, -3]),
+        ([{0: 2**61 - 1}, {1: 1, 2: -1}], [0, 1, 1]),  # a 61-bit pivot alone in its row
+    ],
+)
+def test_kernel_with_word_size_entries(rows, y):
+    # in the first three the pivot does not divide the back substitution's
+    # sum, so the vector is scaled by it
+    assert kernel_vector(rows, len(y)) in (y, [-v for v in y])
 
 
 def _rs_targets(n, k):
@@ -198,11 +130,10 @@ def _recertify(dist, step_targets):
     assert _certified(list(dist), _moves(list(dist), step_targets), weights) == dist
 
 
-def test_real_chains_take_the_modular_path(monkeypatch):
+def test_real_chains_take_the_modular_path():
     # linalg works in integers alone: it binds nothing from fractions
     bound = [k for k, v in vars(linalg).items() if v is fractions or getattr(v, "__module__", "") == "fractions"]
     assert not bound
-    monkeypatch.setattr(linalg, "_bareiss_kernel", _no_fallback)
     t = TypeVector((1, 1, 1, 1, 1), 7)
     dist = tasep_stationary(t)
     assert sum(dist.values()) == 1
@@ -219,11 +150,9 @@ def test_real_chains_take_the_modular_path(monkeypatch):
 
 def test_tasep_quotient_solve_takes_the_modular_path(monkeypatch):
     # tasep_stationary answers from the queue census; the quotient solve
-    # that verify keeps still runs modular elimination, with no fallback
-    monkeypatch.setattr(linalg, "_bareiss_kernel", _no_fallback)
+    # that verify keeps still runs the sparse elimination
     calls = []
-    kernel_mod = linalg._kernel_mod
-    monkeypatch.setattr(linalg, "_kernel_mod", lambda *a: calls.append(a[1]) or kernel_mod(*a))
+    monkeypatch.setattr(markov, "kernel_vector", lambda rows, n: calls.append(n) or kernel_vector(rows, n))
     t = TypeVector((1,) * 5, 7)
     dist = _tasep_solve(t)
     assert calls and calls[0] == 360  # the 2,520 words' rotation classes
@@ -254,16 +183,42 @@ def _sparse_rank_deficient(draw):
     return n, [_cleared(row) for row in draw(st.permutations(rows))]
 
 
+def _rank(rows, n):
+    """Rank over Q of sparse integer rows, by the dense fraction-free
+    elimination that determinants use."""
+    return len(linalg._eliminate([[row.get(c, 0) for c in range(n)] for row in rows])[0]) if rows else 0
+
+
+def _certified_kernel(rows, x):
+    # a primitive nonzero integer vector with M x = 0
+    assert any(x) and gcd(*x) == 1
+    assert all(sum(v * x[c] for c, v in row.items()) == 0 for row in rows)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_sparse_rank_deficient())
 def test_modular_kernel_matches_bareiss(case):
+    # rank n - 1, so a certified vector spans the kernel
     n, rows = case
-    try:
-        y = linalg._bareiss_kernel(linalg._dense(rows, n), n)
-    except ValueError:
-        assume(False)
-    with mock.patch.object(linalg, "_bareiss_kernel", _no_fallback):
-        x = kernel_vector(rows, n)
-    assert all(sum(v * x[c] for c, v in row.items()) == 0 for row in rows)
-    k = next(c for c in range(n) if y[c])
-    assert all(a * y[k] == b * x[k] for a, b in zip(x, y))
+    assume(_rank(rows, n) == n - 1)
+    _certified_kernel(rows, kernel_vector(rows, n))
+
+
+@st.composite
+def _sparse_rows(draw):
+    """Up to n + 1 random sparse integer rows of n columns: any rank."""
+    n = draw(st.integers(1, 7))
+    row = st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3), max_size=3)
+    return n, draw(st.lists(row, max_size=n + 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sparse_rows())
+def test_kernel_is_certified_or_names_its_dimension(case):
+    n, rows = case
+    d = n - _rank(rows, n)
+    if d == 1:
+        _certified_kernel(rows, kernel_vector(rows, n))
+    else:
+        with pytest.raises(ValueError, match=rf"^kernel dimension is {d}, expected 1 \(chain reducible\?\)$"):
+            kernel_vector(rows, n)

@@ -241,3 +241,14 @@ def test_tableau_helpers():
     assert is_ssyt(tab, 2)
     assert not is_ssyt(Tableau(((2, 1),)), 3)
     assert not is_ssyt(Tableau(((1, 1), (1,))), 3)
+
+
+@pytest.mark.parametrize(
+    "rows, text",
+    [
+        (((1, 2), (10,)), "12/10"),
+        (((1, 10, 10), (3,)), "1,10,10/3"),  # one entry above 9 puts commas in its own row only
+    ],
+)
+def test_tableau_repr_is_pinned(rows, text):
+    assert repr(Tableau(rows)) == text
