@@ -68,8 +68,12 @@ def test_kernel_of_full_rank_matrix_raises():
 def test_kernel_of_dimension_two_raises():
     with pytest.raises(ValueError, match="kernel dimension is 2"):
         kernel_vector([{0: 1}, {0: -1}], 3)
+
+
+def test_kernel_mod_of_rank_two_below_full_is_none():
     # column 3 has no rows; column 1 loses its last live row once row 1 is
-    # eliminated by row 0, so two columns are left unpivoted
+    # eliminated by row 0, so two columns are left unpivoted and no kernel
+    # vector is returned
     with pytest.raises(ValueError, match="kernel dimension is 2"):
         kernel_vector([{0: 1, 1: 1}, {0: 1, 1: 1}, {2: 1}], 4)
 
