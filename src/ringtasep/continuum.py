@@ -44,6 +44,7 @@ from .mlq import Arrangement, _claim_labels, transfer
 from .poly import MultiPoly, OperatorExpr
 
 EXACT_CAP = 5  # the largest n of the exact census routes
+MC_CHUNK = 10**6  # samples per seeded Monte Carlo stream; the chunks fix the samples, not jobs
 
 
 def arrangement_count(n: int) -> int:
@@ -198,22 +199,23 @@ def _mc_word_chunk(args):
 
 
 def _mc_counts(n: int, samples: int, seed: int, jobs: int) -> dict[Perm, int]:
-    """Bottom-word counts merged over `jobs` chunks of the samples.  Chunk
-    w runs as _mc_word_chunk((n, its samples, "{seed}:{w}")), in a process
-    pool when there is more than one chunk."""
+    """Bottom-word counts merged over chunks of at most MC_CHUNK samples.
+    Chunk c runs as _mc_word_chunk((n, its samples, "{seed}:{c}")), so the
+    counts depend on (n, samples, seed) alone; jobs only sizes the process
+    pool that runs the chunks when there is more than one of each."""
     if n < 1:
         raise ValueError("need n >= 1")
     if samples < 1:
         raise ValueError("need samples >= 1")
-    jobs = max(1, jobs)
-    split = [samples // jobs + (w < samples % jobs) for w in range(jobs)]
-    tasks = [(n, s, f"{seed}:{w}") for w, s in enumerate(split) if s > 0]
-    if len(tasks) == 1:
-        results = [_mc_word_chunk(tasks[0])]
+    starts = range(0, samples, MC_CHUNK)
+    tasks = [(n, min(MC_CHUNK, samples - start), f"{seed}:{c}") for c, start in enumerate(starts)]
+    workers = min(max(1, jobs), len(tasks))
+    if workers == 1:
+        results = map(_mc_word_chunk, tasks)
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(len(tasks)) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_mc_word_chunk, tasks)
     counts: dict[Perm, int] = {}
     for c in results:
@@ -333,8 +335,8 @@ def adjacency_mc(n: int, samples: int, seed: int, jobs: int = 1) -> dict:
     Entry (i, j) counts, over the sampled bottom words, the positions at
     which j cyclically follows i: n indicators per sample, so estimates
     are unbiased for the row-normalized table and rows sum to 1 exactly.
-    The samples, and so the streams "{seed}:{w}" of worker w, are those
-    of permutation_distribution_mc with the same (seed, jobs).
+    The samples, and so the streams "{seed}:{c}" of their chunks c, are
+    those of permutation_distribution_mc with the same seed, whatever jobs.
     """
     if n < 2:
         raise ValueError("need n >= 2")

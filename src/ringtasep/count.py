@@ -2,16 +2,16 @@
 formulas for bottom-row counts.
 
 The census side is a row-transfer census: it counts queues row by row,
-keeping one labelled row per rotation class with the number of queue
-prefixes that reach the class (mlq.transfer over the row step
+keeping one labelled row per rotation class, as a word, with the number
+of queue prefixes that reach the class (mlq.transfer over the word step
 mlq._row_successors; transfer and _transfer say why the merges are
-exact).  At the end it builds each class's bottom word once and
-spreads the class count evenly over the word's distinct rotations,
-taken as slices of the word.  The closed-form side evaluates the
-determinant/product expressions for the number of queues whose bottom
-row is the reverse permutation, the reverse with two adjacent values
-swapped, or a commuting product of such swaps (the last is a
-conjectured formula and is only ever *compared*, never assumed).
+exact).  At the end it spreads each class count evenly over the distinct
+rotations of its bottom word, taken as slices of the word.  The
+closed-form side evaluates the determinant/product expressions for the
+number of queues whose bottom row is the reverse permutation, the
+reverse with two adjacent values swapped, or a commuting product of such
+swaps (the last is a conjectured formula and is only ever *compared*,
+never assumed).
 Nonintersecting lattice-path counting is included as an independent
 oracle for the determinant route.
 """
@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .core import Perm, TypeVector, binomial, check_permutation
+from .core import VACANT, Perm, TypeVector, binomial, check_permutation
 from .linalg import det_fraction_free
-from .mlq import DiscreteMLQ, _row_successors, _word, transfer
+from .mlq import DiscreteMLQ, _box_sets, _row_successors, transfer
 from .tableaux import conjugate_partition
 
 
@@ -62,50 +62,55 @@ def _transfer(N: int, sizes):
     """Row-transfer census over rows of the given sizes on N sites, the
     first row nonempty: yields each bottom word with its number of queues.
 
-    The census runs on rotation classes.  Rotating every row of a queue by
-    s rotates each labelled row by s, since a claim looks only to the
-    cyclic right.  So each labelled row is kept as rep(O), the least
-    rotation of it that puts a label-1 box at site 0, with T(O), the
-    number of queue prefixes that reach any row of its class O.  The merge
-    is exact whatever the stabilisers: rotating the box sets shows that
-    every row of O has as many successors in a class O' as rep(O) has, so
+    The census runs on rotation classes of labelled rows, held as words.
+    Rotating every row of a queue by s rotates each labelled row by s,
+    since a claim looks only to the cyclic right.  So each labelled row is
+    kept as rep(O), the least rotation of its word that puts a label-1 box
+    at site 0, with T(O), the number of queue prefixes that reach any row
+    of its class O.  The merge is exact whatever the stabilisers: rotating
+    the box sets shows that every row of O has as many successors in a
+    class O' as rep(O) has, so
 
         T'(O') = sum over O of T(O) * #{successors of rep(O) in O'},
 
     which is mlq.transfer over the representatives once each successor of
     mlq._row_successors is replaced by the representative of its class.
+
+    When m1 = 1 that representative needs no search.  A row then holds one
+    label-1 box, so its class has one rotation with label 1 at site 0.
+    In rep(O) the one label 1 sits at site 0 and, as the least label, it
+    claims first: it takes b[0], the first box of the next row's box set
+    b.  Above row 1 no label claims, and row 1's one box b[0] takes label
+    1.  Either way the successor's label 1 sits at b[0], and its
+    representative is the successor rotated by b[0].
+
     The empty row above row 1 is rotation invariant, so every row of a
-    class has the same count.  So the last step builds the word of rep(O)
-    once and spreads T(O) evenly over its distinct rotations, the slices
-    word[s:] + word[:s]: N of them when m1 = 1, fewer when a rotation
-    fixes the row ({0, 2} on N = 4).
+    class has the same count.  So the last step spreads T(O) evenly over
+    the distinct rotations of rep(O), the slices word[s:] + word[:s]: N of
+    them when m1 = 1, fewer when a rotation fixes the row ({0, 2} on N = 4).
     """
-    single = sizes[0] == 1  # one label-1 box per row
-    states = {((), ()): 1}
+    states = {(VACANT,) * N: 1}
     for i, size in enumerate(sizes):
-        sets = {b: b for b in itertools.combinations(range(N), size)}
-        # turns[b][k]: the box set b rotated to put its box k at site 0
-        turns = {
-            b: [sets[tuple(p - s for p in b[k:]) + tuple(p - s + N for p in b[:k])] for k, s in enumerate(b)]
-            for b in sets
-        }
-
-        def canonical(row):
-            positions, labels = row
-            turn = turns[positions]
-            if single:
-                k = labels.index(1)
-                return turn[k], labels[k:] + labels[:k]
-            return min((turn[k], labels[k:] + labels[:k]) for k, label in enumerate(labels) if label == 1)
-
         step = _row_successors(N, size, i + 1)
-        states = transfer(states, lambda row: map(canonical, step(row)))
-    for (positions, labels), total in states.items():
-        word = _word(N, positions, labels)
+        if sizes[0] == 1:
+
+            def successors(word, step=step, box_sets=_box_sets(N, size)):
+                for boxes, row in zip(box_sets, step(word)):
+                    s = boxes[0]
+                    yield row[s:] + row[:s]
+
+        else:
+
+            def successors(word, step=step):
+                for row in step(word):
+                    yield min(row[s:] + row[:s] for s, label in enumerate(row) if label == 1)
+
+        states = transfer(states, successors)
+    for word, total in states.items():
         orbit = dict.fromkeys(word[s:] + word[:s] for s in range(N))
         share, rest = divmod(total, len(orbit))
         if rest:
-            raise RuntimeError(f"class of {positions, labels} does not spread evenly over its rotations")
+            raise RuntimeError(f"class of {word} does not spread evenly over its rotations")
         for rotated in orbit:
             yield rotated, share
 

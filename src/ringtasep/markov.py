@@ -7,9 +7,13 @@ larger label).  Everything here is exact.
 Every chain here picks one of D equally likely moves, and D is the same
 from every state: one of K particles, or one of C(N, k) subsets of
 sites.  A step function yields only the targets of those moves; `_moves`
-reads them once per state, as positions, and checks D.  A chain is held
-as its move counts C, the targets counted per column in integers, with
-P = C / D; the chain layer stays in integers from the step functions to
+reads them once per state, as positions, and checks D.  The particle
+chain's steps build words.  The k-subset chain's steps build none: one
+`_bell_table` per state list holds every single bell as a lookup row on
+positions, and a move walks its subset's firing order through those
+rows, as the pattern chain of `rs` walks its generator tables.  A chain
+is held as its move counts C, the targets counted per column in
+integers, with P = C / D; the chain layer stays in integers from the step functions to
 the certificate.  A stationary vector y comes from the sparse integer
 elimination of `linalg.kernel_vector` and is certified by the integer
 flow equations y C = D y; Fractions are formed only for the returned
@@ -49,7 +53,7 @@ from math import comb, lcm
 from .core import VACANT, RingWord, TypeVector, _estimates, _multiset_perms
 from .count import bottom_word_counts, total_mlq_count
 from .linalg import kernel_vector
-from .mlq import _row_successors, _word, transfer
+from .mlq import _row_successors, transfer
 
 
 @dataclass(frozen=True)
@@ -292,10 +296,11 @@ def _certified(states, succ, weights) -> dict:
     return {s: prob[c] for s, c in zip(states, weights)}
 
 
-def _certified_census(t: TypeVector, step_targets) -> dict[tuple[int, ...], Fraction]:
-    """The queue census of type t as the stationary distribution of the
-    chain on words of type t with the given moves, certified on the full
-    chain by `_certified`.
+def _certified_census(t: TypeVector, moves) -> dict[tuple[int, ...], Fraction]:
+    """The queue census of type t as the stationary distribution of a
+    chain on words of type t, certified on the full chain by `_certified`.
+    moves(states) gives the chain's move targets from each of the sorted
+    census words, as `_moves` reads them: positions in states.
 
     The census must hold state_count(t) words, the least of them the sorted
     letters of t, and sum to the total queue count Z.  Moves keep the
@@ -307,7 +312,7 @@ def _certified_census(t: TypeVector, step_targets) -> dict[tuple[int, ...], Frac
     Z = total_mlq_count(t)
     if len(states) != state_count(t) or sorted(states[0]) != _content(t) or sum(weights) != Z:
         raise RuntimeError(f"census of {t} is not a count of its {state_count(t)} words summing to {Z}")
-    return _certified(states, _moves(states, step_targets), weights)
+    return _certified(states, moves(states), weights)
 
 
 def _components(succ) -> list[int]:
@@ -379,7 +384,7 @@ def tasep_stationary(t: TypeVector) -> dict[tuple[int, ...], Fraction]:
     the total.  The certificate of `_certified_census` proves it for this
     t; a wrong census is refused, never answered.
     """
-    return _certified_census(t, _particle_steps)
+    return _certified_census(t, lambda states: _moves(states, _particle_steps))
 
 
 def _rotate(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -431,14 +436,54 @@ def _fire(sites: tuple[int, ...], order) -> tuple[int, ...]:
     return sites
 
 
-def _subset_steps(N: int, k: int):
-    """Targets of the C(N, k) equally likely moves: each k-subset of sites
-    fires its bells."""
-    orders = [_bell_order(set(S), N) for S in itertools.combinations(range(N), k)]
+def _bell_table(states) -> list[list[int | None]]:
+    """The TASEP bells as lookup tables on positions in states, distinct
+    words of one length N: row s, entry i is the position of states[i]
+    after the bell at site s rings.  The entry is i itself when the site
+    is vacant or the jump is blocked, and None when the word it rings to
+    is not one of the states.  On a full type class no entry is None."""
+    index = {w: i for i, w in enumerate(states)}
+    table = []
+    for site in range(len(states[0])):
+        row = list(range(len(states)))
+        for i, w in enumerate(states):
+            if w[site] != VACANT:
+                v = _step_tuple(w, site)
+                if v is not w:
+                    row[i] = index.get(v)
+        table.append(row)
+    return table
 
-    def targets(w: tuple[int, ...]):
-        for order in orders:
-            yield _fire(w, order)
+
+def _subset_steps(states, table, k: int):
+    """Targets of the C(N, k) equally likely moves of the k-subset chain on
+    positions in states, whose `_bell_table` is table: each k-subset of
+    sites fires its bells in `_bell_order`, composed on positions through
+    the table's rows, as `rs._rs_chain` composes its generators, so a move
+    builds no word.
+
+    A move that rings a word to one outside the states is fired on the
+    word by `_fire` instead; its target is refused, with the message
+    `_moves` gives a word move, when it is not one of the states."""
+    N = len(table)
+    orders = [_bell_order(set(S), N) for S in itertools.combinations(range(N), k)]
+    walks = [[table[site] for site in order] for order in orders]
+
+    def targets(i: int):
+        for order, walk in zip(orders, walks):
+            j = i
+            try:
+                for row in walk:
+                    j = row[j]
+            except TypeError:  # row[None]: a bell left the states before the last
+                j = None
+            if j is None:
+                w = states[i]
+                v = _fire(w, order)
+                if v not in states:
+                    raise RuntimeError(f"a move from {w} leaves the states, to {v}")
+                j = states.index(v)
+            yield j
 
     return targets
 
@@ -451,12 +496,19 @@ def k_tasep_stationary(t: TypeVector, k: int) -> dict[tuple[int, ...], Fraction]
     so that census is certified on the k-subset chain, with no solve.
     k = N breaks rotation covariance (the forced cut), so that case is
     solved on the full state space, and refused from its closed classes.
+    Both read the moves from one `_bell_table` of the states.
     """
     if not 1 <= k <= t.N:
         raise ValueError(f"need 1 <= k <= {t.N}")
+
+    def steps(states):  # the chain on positions in states
+        return _subset_steps(states, _bell_table(states), k)
+
     if k < t.N:
-        return _certified_census(t, _subset_steps(t.N, k))
-    return _certified_stationary(enumerate_states(t), _subset_steps(t.N, k))
+        return _certified_census(t, lambda states: _moves(range(len(states)), steps(states)))
+    states = enumerate_states(t)
+    dist = _certified_stationary(range(len(states)), steps(states))
+    return {states[i]: p for i, p in dist.items()}
 
 
 def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
@@ -480,9 +532,9 @@ def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[i
     for w, prob in dist.items():
         u = RingWord(w)
         u.type_vector()  # refuses an empty word or a missing class
-        states[tuple(zip(*u.particles()))] = prob
-    rows = transfer(states, _row_successors(N, K, VACANT))  # K labels claim all K boxes
-    return {_word(N, *row): Fraction(prob, comb(N, K)) for row, prob in rows.items()}
+        states[u.sites] = prob
+    words = transfer(states, _row_successors(N, K, VACANT))  # K labels claim all K boxes
+    return {w: Fraction(prob, comb(N, K)) for w, prob in words.items()}
 
 
 def mc_stationary(t: TypeVector, burn_in: int, samples: int, seed: int, thin: int = 1):

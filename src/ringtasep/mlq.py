@@ -12,23 +12,25 @@ the new label i+1.
 A continuous multiline queue keeps only the relative cyclic order of its
 box positions (an Arrangement); the labelling depends on nothing else.
 
-Every exact labelling runs the one step _claim_labels: label_mlq (and so
-label_arrangement) row by row, the row insertion of continuum._census
-once per (labelled row, spread of the next row over its gaps),
-last_row_step for single words, and _row_successors, the discrete row
-step, which count._transfer takes for each row of a queue (on rotation
-classes) and markov.push_through_last_row for a whole distribution of
-words.  Every claim, exact or Monte Carlo, follows one rule: each label
-pops, from the boxes of the row not yet claimed, the first at or after
-it, or the first of all past the end of the ring.  _claim_labels pops
-target indices; the sampler of continuum.py pops float positions.  Every
-census merges through the one driver transfer: the two
-above, the continuum census, and the tableau oracle
+Every claim, exact or Monte Carlo, follows one rule: each label pops,
+from the boxes of the row not yet claimed, the first at or after it, or
+the first of all past the end of the ring.  Two exact steps run it.
+_claim_labels pops target indices and reports the claims: label_mlq (and
+so label_arrangement) runs it row by row, the row insertion of
+continuum._census once per (labelled row, spread of the next row over
+its gaps), and last_row_step once per word.  _row_successors, the
+discrete row step, pops box positions on labelled words, as words, with
+no claim record: count._transfer takes it for each row of a queue (on
+rotation classes) and markov.push_through_last_row for a whole
+distribution of words.  The sampler of continuum.py pops float
+positions.  Every census merges through the one driver transfer: the
+two above, the continuum census, and the tableau oracle
 tableaux.ssyt_count_brute.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .core import VACANT, RingWord, TypeVector
@@ -88,19 +90,37 @@ def transfer(states: dict, successors) -> dict:
     return out
 
 
-def _row_successors(N: int, size: int, fill: int):
-    """The discrete row step for transfer: a labelled row, held as
-    (positions, labels) with positions increasing, goes to the labelled
-    row of every set of `size` boxes on N sites, once per set, the boxes
-    left unclaimed taking label fill.  The claim sources are sorted once
-    per state."""
-    box_sets = list(combinations(range(N), size))
+@cache
+def _box_sets(N: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Every set of `size` boxes on N sites, increasing, in the order of
+    itertools.combinations."""
+    return tuple(combinations(range(N), size))
 
-    def successors(state):
-        positions, labels = state
-        sources = sorted(zip(labels, positions))
+
+def _row_successors(N: int, size: int, fill: int):
+    """The discrete row step for transfer, on labelled words: a word of N
+    sites (VACANT where no box is) goes to the labelled row of every box
+    set of `_box_sets(N, size)`, once per set and in that order, as a
+    word; the boxes left unclaimed take label fill.
+
+    The word's sources are sorted once.  Each label then claims straight
+    on free, the positions of the boxes not yet claimed: the first at or
+    after its site, found by one bisect_left, or free[0] when none is.
+    That is the claim of _claim_labels, which tests hold it to."""
+    box_sets = _box_sets(N, size)
+
+    def successors(word):
+        sources = sorted((label, pos) for pos, label in enumerate(word) if label != VACANT)
+        if len(sources) > size:
+            raise ValueError("not enough boxes to absorb all labels")
         for boxes in box_sets:
-            yield boxes, tuple(_claim_labels(sources, boxes, fill)[0])
+            free = list(boxes)
+            row = [VACANT] * N
+            for label, pos in sources:
+                row[free.pop(bisect_left(free, pos) % len(free))] = label
+            for pos in free:
+                row[pos] = fill
+            yield tuple(row)
 
     return successors
 

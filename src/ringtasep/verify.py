@@ -566,9 +566,12 @@ def _check_k_invariance(params):
             same = census == _tasep(t)
             Z = total_mlq_count(t)
             weights = [p.numerator * (Z // p.denominator) for p in census.values()]
+            states = list(census)
+            table = markov._bell_table(states)  # one table, composed for every k
             for k in range(1, N):
                 try:
-                    markov._certify_weights(markov._moves(list(census), markov._subset_steps(N, k)), weights)
+                    steps = markov._subset_steps(states, table, k)
+                    markov._certify_weights(markov._moves(range(len(states)), steps), weights)
                     if not same:
                         bad.append({"n": n, "N": N, "k": k})
                 except (ValueError, RuntimeError) as e:  # the census refused on the k-chain
@@ -783,6 +786,8 @@ def _source_hash() -> str:
 
 
 def _cache_key(check_id: str, params: dict) -> str:
+    # jobs sizes a process pool and changes no result, so it keys no report
+    params = {k: v for k, v in params.items() if k != "jobs"}
     blob = json.dumps({"id": check_id, "params": params, "source": _source_hash()}, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 

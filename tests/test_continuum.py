@@ -4,12 +4,14 @@ from math import comb, factorial
 
 import pytest
 
+from ringtasep import continuum
 from ringtasep.core import reverse_permutation, swap_values
 from ringtasep.continuum import (
     EXACT_CAP,
     CorrTable,
     _census,
     _in_q,
+    _mc_counts,
     adjacency_conjecture,
     adjacency_exact,
     adjacency_mc,
@@ -230,6 +232,17 @@ def test_adjacency_mc_jobs_split_deterministic():
     assert a == b
 
 
+def test_mc_counts_do_not_depend_on_jobs(monkeypatch):
+    # 2,500 samples in chunks of 1,000: three seeded streams, whichever
+    # pool size runs them, and one of them the whole run at jobs=1
+    monkeypatch.setattr(continuum, "MC_CHUNK", 1_000)
+    runs = [_mc_counts(4, 2_500, 9, jobs) for jobs in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2] and sum(runs[0].values()) == 2_500
+    assert list(runs[0].items()) == list(runs[2].items())
+    monkeypatch.setattr(continuum, "MC_CHUNK", 10**6)
+    assert _mc_counts(4, 2_500, 9, 3) != runs[0]
+
+
 def test_permutation_distribution_mc():
     from ringtasep.continuum import permutation_distribution_mc
 
@@ -257,12 +270,13 @@ def _digest(d: dict) -> str:
 
 def test_mc_streams_are_pinned():
     # SHA-256 of the outputs as recorded with the samplers that drew all
-    # rows first and labelled them afterwards
+    # rows first and labelled them afterwards; one chunk of samples, so
+    # jobs=2 draws the stream of jobs=1
     assert _digest(adjacency_mc(6, 20_000, seed=5)) == (
         "6a0f223a991aa088e498a9b8e6cef182540c19314e55c98ad817ec21e57d011b"
     )
     assert _digest(adjacency_mc(6, 20_000, seed=5, jobs=2)) == (
-        "3fdc7209f530cff44e1c1e20b979b86be47ce0720f47a377dc749944b11eb1c8"
+        "6a0f223a991aa088e498a9b8e6cef182540c19314e55c98ad817ec21e57d011b"
     )
     assert _digest(permutation_distribution_mc(5, 20_000, seed=2)) == (
         "e7e9db8125ffe8a146741aa9263d325d1e68c357f9f8d4beb4b2c3a2030adbd7"

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -12,10 +13,13 @@ from ringtasep.core import RingWord, TypeVector, VACANT
 from ringtasep.linalg import _eliminate, kernel_vector
 from ringtasep.markov import (
     CountMatrix,
+    _bell_order,
+    _bell_table,
     _certified_stationary,
     _certify_weights,
     _closed_classes,
     _components,
+    _fire,
     _is_stochastic,
     _moves,
     _particle_steps,
@@ -390,7 +394,7 @@ def _kernel_dimension(P):
 
 def _full_ring_chain(n, N):
     states = enumerate_states(TypeVector((1,) * n, N))
-    return chain_matrix(states, _subset_steps(N, N))
+    return chain_matrix(range(len(states)), _subset_steps(states, _bell_table(states), N))
 
 
 @pytest.mark.parametrize(
@@ -515,6 +519,47 @@ def test_k_stationary_matches_base_small():
     base = tasep_stationary(t)
     for k in (1, 2, 3):
         assert k_tasep_stationary(t, k) == base
+
+
+def _fired(states, k):
+    # the k-subset moves of every word, fired bell by bell on the word
+    N = len(states[0])
+    orders = [_bell_order(set(S), N) for S in itertools.combinations(range(N), k)]
+    return lambda w: [_fire(w, order) for order in orders]
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_bell_table_moves_are_the_fired_words(N):
+    # every type on N sites and every k, the forced cut k = N included
+    for m in (m for K in range(1, N + 1) for m in _compositions(K)):
+        states = enumerate_states(TypeVector(m, N))
+        table = _bell_table(states)
+        assert all(None not in row for row in table)
+        for k in range(1, N + 1):
+            steps, fired = _subset_steps(states, table, k), _fired(states, k)
+            for i, w in enumerate(states):
+                assert [states[j] for j in steps(i)] == fired(w)
+
+
+@pytest.mark.parametrize("m, N", [((1, 1), 3), ((2, 1), 4), ((1, 1, 1), 4)])
+def test_bell_table_on_states_that_moves_leave(m, N):
+    # with one word left out, every k-chain gives the word chain's moves,
+    # through a bell that leaves the states and comes back too, or refuses
+    # the first move out of them with the word chain's exact message
+    full = enumerate_states(TypeVector(m, N))
+    for gone in range(len(full)):
+        states = full[:gone] + full[gone + 1 :]
+        table = _bell_table(states)
+        assert sum(row.count(None) for row in table) > 0
+        for k in range(1, N + 1):
+            try:
+                want = [[states[j] for j in out] for out in _moves(states, _fired(states, k))]
+            except RuntimeError as e:
+                with pytest.raises(RuntimeError, match=f"^{re.escape(str(e))}$"):
+                    _moves(range(len(states)), _subset_steps(states, table, k))
+                continue
+            got = _moves(range(len(states)), _subset_steps(states, table, k))
+            assert [[states[j] for j in out] for out in got] == want
 
 
 def test_full_ring_sweep_has_no_unique_stationary():

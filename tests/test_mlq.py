@@ -9,7 +9,10 @@ from ringtasep.core import RingWord, TypeVector, VACANT
 from ringtasep.mlq import (
     Arrangement,
     DiscreteMLQ,
+    _box_sets,
     _claim_labels,
+    _row_successors,
+    _word,
     bottom_word,
     label_arrangement,
     label_mlq,
@@ -111,6 +114,28 @@ def test_claim_labels_refuses_too_few_boxes():
         _claim_labels([(1, 0), (2, 1)], (3,), 3)
     with pytest.raises(ValueError, match="not enough boxes"):
         _claim_labels([(1, 2)], (), 2)
+
+
+def test_row_step_on_words_matches_claim_labels():
+    # random labelled words, up to three labels with repeats (so m1 >= 2
+    # too), stepped over every box set with room for their labels; the
+    # claim kernel _claim_labels is the oracle
+    rng = random.Random(11)
+    cases = 0
+    for N in range(1, 9):
+        for _ in range(40):
+            word = tuple(rng.choice((VACANT, VACANT, 1, 1, 2, 3)) for _ in range(N))
+            sources = sorted((label, pos) for pos, label in enumerate(word) if label != VACANT)
+            for size in range(len(sources), N + 1):
+                want = [_word(N, boxes, _claim_labels(sources, boxes, 4)[0]) for boxes in _box_sets(N, size)]
+                assert list(_row_successors(N, size, 4)(word)) == want
+                cases += len(want)
+    assert cases == 7132
+
+
+def test_row_step_refuses_too_few_boxes():
+    with pytest.raises(ValueError, match="not enough boxes"):
+        list(_row_successors(4, 1, 3)((1, 0, 2, 0)))
 
 
 def test_bottom_word_examples():

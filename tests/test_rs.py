@@ -9,6 +9,7 @@ import pytest
 from ringtasep import markov, rs
 from ringtasep.core import TypeVector
 from ringtasep.markov import (
+    _bell_table,
     _certified_stationary,
     _is_stochastic,
     _certify_weights,
@@ -326,8 +327,10 @@ def test_rotation_the_chain_does_not_commute_with_is_refused():
     cases.append(((1, 1), 4, ValueError, r"^kernel dimension is 3, expected 1 \(chain reducible\?\)$"))
     for m, N, error, text in cases:
         states = enumerate_states(TypeVector(m, N))
+        index = {w: i for i, w in enumerate(states)}
+        steps = _subset_steps(states, _bell_table(states), N)
         with pytest.raises(error, match=text):
-            _certified_stationary(states, _subset_steps(N, N), _rotate)
+            _certified_stationary(range(len(states)), steps, lambda i: index[_rotate(states[i])])
 
 
 def test_stationary_caps():

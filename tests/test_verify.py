@@ -72,6 +72,17 @@ def test_cache_is_keyed_on_the_sources(tmp_path, monkeypatch):
     assert not run_suite("rs-figure", cache_dir=str(tmp_path))[0].cached
 
 
+def test_cache_is_not_keyed_on_jobs(tmp_path):
+    # the samples do not depend on jobs, so one report serves every pool size
+    def run(jobs):
+        overrides = {"corr-mc-n6": {"samples": 2_000, "jobs": jobs}}
+        return run_suite("corr-mc-n6", overrides=overrides, cache_dir=str(tmp_path))[0]
+
+    assert not run(1).cached
+    hit = run(3)
+    assert hit.cached and hit.params["jobs"] == 3
+
+
 def test_report_json_shape():
     r = run_suite("queue-figures")[0]
     d = r.to_json_dict()
@@ -181,9 +192,13 @@ def test_k_invariance_reports_a_refused_k_chain(monkeypatch):
     # is refused on it, and the check reports that as a witness
     real = markov._subset_steps
 
-    def mirrored(N, k):
-        steps = real(N, k)
-        return steps if k != 2 else lambda w: (v[::-1] for v in steps(w[::-1]))
+    def mirrored(states, table, k):
+        steps = real(states, table, k)
+        if k != 2:
+            return steps
+        index = {w: i for i, w in enumerate(states)}
+        mirror = [index[w[::-1]] for w in states]  # the mirror image of each word, on positions
+        return lambda i: (mirror[j] for j in steps(mirror[i]))
 
     monkeypatch.setattr(markov, "_subset_steps", mirrored)
     r = run_suite("k-tasep-invariance", overrides={"k-tasep-invariance": {"max_N": 3}})[0]
