@@ -6,21 +6,25 @@ larger label).  Everything here is exact.
 
 Every chain here picks one of D equally likely moves, and D is the same
 from every state: one of K particles, or one of C(N, k) subsets of
-sites.  A step function yields only the targets of those moves; `_moves`
-reads them once per state, as positions, and checks D.  The particle
-chain's steps build words.  The k-subset chain's steps build none: one
-`_bell_table` per state list holds every single bell as a lookup row on
-positions, and a move walks its subset's firing order through those
-rows, as the pattern chain of `rs` walks its generator tables.  A chain
-is held as its move counts C, the targets counted per column in
-integers, with P = C / D; the chain layer stays in integers from the step functions to
-the certificate.  A stationary vector y comes from the sparse integer
-elimination of `linalg.kernel_vector` and is certified by the integer
-flow equations y C = D y; Fractions are formed only for the returned
-distribution.  A chain that is not irreducible is answered from its
-graph before any elimination: the kernel dimension is the number of its
-closed communicating classes, found by one strongly connected component
-pass, and with one closed class any further component is transient.
+sites.  A chain is passed around as its move lists on positions: succ[i]
+holds the position of the target of each move from state i.  `_moves`
+reads them from a step function once per state, checks D, and is the one
+place that refuses a move out of the states; the particle chain's steps
+build words.  A k-subset chain builds none: `_subset_moves` walks a
+generator table (row g, entry i: the position of state i after
+generator g) in each subset's `_bell_order`.  The TASEP bells give one
+such table per state list (`_bell_table`, read through `_moves`), and
+the e_i of `rs` another, so the ring and the pattern chain share one
+walker.  A chain is held as its move counts C, the targets counted per
+column in integers, with P = C / D; the chain layer stays in integers
+from the step functions to the certificate.  A stationary vector y comes
+from the sparse integer elimination of `linalg.kernel_vector` and is
+certified by the integer flow equations y C = D y; Fractions are formed
+only for the returned distribution.  A chain that is not irreducible is
+answered from its graph before any elimination: the kernel dimension is
+the number of its closed communicating classes, found by one strongly
+connected component pass, and with one closed class any further
+component is transient.
 
 The TASEP needs no solve.  Ferrari and Martin, "Stationary distributions
 of multi-type totally asymmetric exclusion processes" (Ann. Probab. 35,
@@ -33,12 +37,13 @@ and `k_tasep_stationary` for k < N, take that census and certify it on
 the full chain in integers; no elimination runs.
 
 Every other stationary distribution of the package, here and in `rs`,
-comes from one solver, `_certified_stationary`.  It solves the chain on
-classes, the orbits of a rotation that commutes with the chain or else
-single states, lifts each class's probability evenly over its orbit to
-integer weights, and certifies them on the full chain, by the flow
-equations and by strong connectivity of the chain graph, read by one
-forward pass (`_certify_weights`), so they are the chain's unique
+comes from one solver, `_certified_stationary`, which takes the states,
+their move lists and a rotation table on the same positions.  It solves
+the chain on classes, the orbits of a rotation that commutes with the
+chain or else single states, lifts each class's probability evenly over
+its orbit to integer weights, and certifies them on the full chain, by
+the flow equations and by strong connectivity of the chain graph, read
+by one forward pass (`_certify_weights`), so they are the chain's unique
 stationary distribution.  `verify` keeps the solve for the TASEP too,
 so its Ferrari-Martin checks compare two independent routes.
 """
@@ -96,10 +101,9 @@ def _moves(states, step_targets) -> list[list[int]]:
     return succ
 
 
-def chain_matrix(states, step_targets) -> CountMatrix:
-    """Move counts with one row per state: the targets of `_moves` counted
-    in integers by column."""
-    succ = _moves(states, step_targets)
+def chain_matrix(succ) -> CountMatrix:
+    """Move counts with one row per state: the move lists succ, as `_moves`
+    or `_subset_moves` give them, counted in integers by column."""
     return CountMatrix(tuple(map(Counter, succ)), len(succ[0]) if succ else 0)
 
 
@@ -158,7 +162,7 @@ def transition_matrix(t: TypeVector, cap: int = 2000):
     if size > cap:
         raise ValueError(f"state space has {size} states, above cap {cap}")
     states = enumerate_states(t)
-    return states, chain_matrix(states, _particle_steps)
+    return states, chain_matrix(_moves(states, _particle_steps))
 
 
 def stationary_exact(P: CountMatrix) -> tuple[Fraction, ...]:
@@ -206,42 +210,37 @@ def stationary_exact(P: CountMatrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, total) for v in y)
 
 
-def _classes(states, rotate) -> list[int]:
-    """The position in states of each state's class representative: every
-    state alone without rotate, else the rotation orbits, each represented
-    by its first member.  A rotate that leaves the states is refused."""
-    if rotate is None:
-        return list(range(len(states)))
-    index = {s: i for i, s in enumerate(states)}
-    first = [-1] * len(states)
+def _classes(rot) -> list[int]:
+    """Each position's class representative under the rotation table rot,
+    where rot[i] is the position of state i turned: the rotation orbits,
+    each represented by its first member."""
+    first = [-1] * len(rot)
     for i in range(len(first)):
         j = i
         while first[j] < 0:
             first[j] = i
-            turned = rotate(states[j])
-            if turned not in index:
-                raise RuntimeError(f"the rotation takes {states[j]} out of the states, to {turned}")
-            j = index[turned]
+            j = rot[j]
     return first
 
 
-def _certified_stationary(states, step_targets, rotate=None) -> dict:
+def _certified_stationary(states, succ, rot=None) -> dict:
     """The chain's unique stationary distribution, in states order, certified
-    on the full chain.  states is any sequence of distinct states.
+    on the full chain.  states is any sequence of distinct states, succ their
+    move lists on positions (`_moves`, `_subset_moves`), and rot, when given,
+    a rotation table on the same positions that commutes with the chain.
 
-    The moves are read once, by `_moves`, and the classes are those of
-    `_classes`.  The quotient chain, each target counted by its class, is
-    counted from the representatives' moves and solved by `stationary_exact`.
-    Each class's probability p_c is shared evenly over its orbit as the
-    integer weight p_c L / size_c, with L one lcm, and `_certified`
-    certifies the weights on the full chain.  A rotate that does not
-    commute with the chain is refused, by the solve or by the certificate.
+    The classes are the orbits of `_classes(rot)`, or single states without
+    rot.  The quotient chain, each target counted by its class, is counted
+    from the representatives' moves and solved by `stationary_exact`.  Each
+    class's probability p_c is shared evenly over its orbit as the integer
+    weight p_c L / size_c, with L one lcm, and `_certified` certifies the
+    weights on the full chain.  A rot that does not commute with the chain
+    is refused, by the solve or by the certificate.
     """
-    succ = _moves(states, step_targets)
-    first = _classes(states, rotate)
+    first = range(len(succ)) if rot is None else _classes(rot)
     column = {r: c for c, r in enumerate(dict.fromkeys(first))}  # each representative's class
     cls = [column[r] for r in first]
-    Q = CountMatrix(tuple(Counter(cls[j] for j in succ[r]) for r in column), len(succ[0]) if succ else 0)
+    Q = chain_matrix([[cls[j] for j in succ[r]] for r in column])
     size = Counter(cls)
     share = [p / size[c] for c, p in enumerate(stationary_exact(Q))]
     L = lcm(*(q.denominator for q in share))
@@ -299,8 +298,8 @@ def _certified(states, succ, weights) -> dict:
 def _certified_census(t: TypeVector, moves) -> dict[tuple[int, ...], Fraction]:
     """The queue census of type t as the stationary distribution of a
     chain on words of type t, certified on the full chain by `_certified`.
-    moves(states) gives the chain's move targets from each of the sorted
-    census words, as `_moves` reads them: positions in states.
+    moves(states) gives the move lists of the sorted census words, on
+    positions in states, as `_moves` or `_subset_moves` give them.
 
     The census must hold state_count(t) words, the least of them the sorted
     letters of t, and sum to the total queue count Z.  Moves keep the
@@ -396,7 +395,9 @@ def _tasep_solve(t: TypeVector) -> dict[tuple[int, ...], Fraction]:
     """The TASEP's stationary distribution solved on the rotation quotient
     and certified on the full chain, with no use of the queue census, so
     `verify` can compare it with `tasep_stationary`."""
-    return _certified_stationary(enumerate_states(t), _particle_steps, _rotate)
+    states = enumerate_states(t)
+    [rot] = zip(*_moves(states, lambda w: [_rotate(w)]))
+    return _certified_stationary(states, _moves(states, _particle_steps), rot)
 
 
 def k_tasep_step(w: RingWord, S) -> RingWord:
@@ -436,56 +437,34 @@ def _fire(sites: tuple[int, ...], order) -> tuple[int, ...]:
     return sites
 
 
-def _bell_table(states) -> list[list[int | None]]:
-    """The TASEP bells as lookup tables on positions in states, distinct
+def _bell_table(states) -> list[tuple[int, ...]]:
+    """The TASEP bells as a generator table on positions in states, distinct
     words of one length N: row s, entry i is the position of states[i]
-    after the bell at site s rings.  The entry is i itself when the site
-    is vacant or the jump is blocked, and None when the word it rings to
-    is not one of the states.  On a full type class no entry is None."""
-    index = {w: i for i, w in enumerate(states)}
-    table = []
-    for site in range(len(states[0])):
-        row = list(range(len(states)))
-        for i, w in enumerate(states):
-            if w[site] != VACANT:
-                v = _step_tuple(w, site)
-                if v is not w:
-                    row[i] = index.get(v)
-        table.append(row)
-    return table
+    after the bell at site s rings, i itself when the site is vacant or the
+    jump is blocked.  The rows are read through `_moves`, which refuses a
+    bell that rings a word out of the states."""
+    sites = range(len(states[0]))
+    return list(zip(*_moves(states, lambda w: [_fire(w, (s,)) for s in sites])))
 
 
-def _subset_steps(states, table, k: int):
-    """Targets of the C(N, k) equally likely moves of the k-subset chain on
-    positions in states, whose `_bell_table` is table: each k-subset of
-    sites fires its bells in `_bell_order`, composed on positions through
-    the table's rows, as `rs._rs_chain` composes its generators, so a move
-    builds no word.
-
-    A move that rings a word to one outside the states is fired on the
-    word by `_fire` instead; its target is refused, with the message
-    `_moves` gives a word move, when it is not one of the states."""
-    N = len(table)
-    orders = [_bell_order(set(S), N) for S in itertools.combinations(range(N), k)]
-    walks = [[table[site] for site in order] for order in orders]
-
-    def targets(i: int):
-        for order, walk in zip(orders, walks):
+def _subset_moves(table, k: int) -> list[list[int]]:
+    """Every state's move list in the k-subset chain of a generator table,
+    whose row g, entry i is the position of state i after generator g: each
+    of the C(m, k) k-subsets of the m rows fires its generators in
+    `_bell_order`, composed on positions, so a move builds no state.  The
+    TASEP bells (`_bell_table`) and the e_i of `rs` are such tables."""
+    m = len(table)
+    walks = [[table[g] for g in _bell_order(set(S), m)] for S in itertools.combinations(range(m), k)]
+    succ = []
+    for i in range(len(table[0])):
+        out = []
+        for walk in walks:
             j = i
-            try:
-                for row in walk:
-                    j = row[j]
-            except TypeError:  # row[None]: a bell left the states before the last
-                j = None
-            if j is None:
-                w = states[i]
-                v = _fire(w, order)
-                if v not in states:
-                    raise RuntimeError(f"a move from {w} leaves the states, to {v}")
-                j = states.index(v)
-            yield j
-
-    return targets
+            for row in walk:
+                j = row[j]
+            out.append(j)
+        succ.append(out)
+    return succ
 
 
 def k_tasep_stationary(t: TypeVector, k: int) -> dict[tuple[int, ...], Fraction]:
@@ -496,19 +475,18 @@ def k_tasep_stationary(t: TypeVector, k: int) -> dict[tuple[int, ...], Fraction]
     so that census is certified on the k-subset chain, with no solve.
     k = N breaks rotation covariance (the forced cut), so that case is
     solved on the full state space, and refused from its closed classes.
-    Both read the moves from one `_bell_table` of the states.
+    Both walk the `_bell_table` of the states through `_subset_moves`.
     """
     if not 1 <= k <= t.N:
         raise ValueError(f"need 1 <= k <= {t.N}")
 
-    def steps(states):  # the chain on positions in states
-        return _subset_steps(states, _bell_table(states), k)
+    def moves(states):
+        return _subset_moves(_bell_table(states), k)
 
     if k < t.N:
-        return _certified_census(t, lambda states: _moves(range(len(states)), steps(states)))
+        return _certified_census(t, moves)
     states = enumerate_states(t)
-    dist = _certified_stationary(range(len(states)), steps(states))
-    return {states[i]: p for i, p in dist.items()}
+    return _certified_stationary(states, moves(states))
 
 
 def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:

@@ -9,36 +9,37 @@ any adjacent pair first.
 e_i and the rotation have one implementation each, on partner tuples:
 p[x] is the partner of x on the 0-based points 0..2n-1 (`_join`,
 `_turn`).  `apply_generator` and `rotate` wrap them for validated
-`LinkingPattern`s.  The chain itself runs on pattern indices: `_tables`
+`LinkingPattern`s.  The chain itself runs on pattern positions: `_tables`
 lists `enumerate_patterns(n)` once and tabulates e_i and the rotation as
-integer lookup tables over the positions in that list, so a move of
-`_rs_chain` walks its firing order through the tables and builds, hashes
-and validates no pattern.  The generator-relation check of `verify`
-reads the same e_i tables.
+integer lookup tables over the positions in that list.  The e_i tables
+are a generator table of `markov._subset_moves`, the walker the TASEP's
+k-subset chain uses on its bell tables, so a move walks its firing order
+through the tables and builds, hashes and validates no pattern.  The
+generator-relation check of `verify` reads the same e_i tables.
 
 Rotation (each point i to i+1 mod 2n) conjugates e_i to e_{i+1}.  For
 k < 2n it maps the firing order of a subset to that of the rotated
 subset up to the order of its runs, and generators in different runs
 commute, so the chain commutes with rotation.  `rs_stationary` then
-hands the index chain and its rotation table to the package's one
-stationary solver, `markov._certified_stationary`: it solves the chain
-on rotation classes, each represented by its first pattern in
-`enumerate_patterns` order, shares each class's probability evenly over
-its orbit, and certifies the lift on the full chain by its integer flow
-equations and strong connectivity, so it is the unique stationary
-distribution.  k = 2n cuts the full cycle at index 1, which breaks
-rotation covariance, so that chain is solved whole.  It is not ergodic
-at any n >= 2 tried: n = 2 leaves a transient pattern, and from n = 3 on
-it has several closed classes.  `markov.stationary_exact` reads both off
-the strongly connected components of the chain graph and refuses the
-chain before any elimination.
+hands the patterns, their move lists and the rotation table to the
+package's one stationary solver, `markov._certified_stationary`: it
+solves the chain on rotation classes, each represented by its first
+pattern in `enumerate_patterns` order, shares each class's probability
+evenly over its orbit, and certifies the lift on the full chain by its
+integer flow equations and strong connectivity, so it is the unique
+stationary distribution.  k = 2n cuts the full cycle at index 1, which
+breaks rotation covariance, so that chain is solved whole.  It is not
+ergodic at any n >= 2 tried: n = 2 leaves a transient pattern, and from
+n = 3 on it has several closed classes.  `markov.stationary_exact`
+reads both off the strongly connected components of the chain graph and
+refuses the chain before any elimination.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .markov import _bell_order, _certified_stationary, chain_matrix
+from .markov import _bell_order, _certified_stationary, _subset_moves, chain_matrix
 
 EXACT_CAP = 8  # the largest n whose patterns are enumerated and whose chains are solved
 
@@ -190,35 +191,24 @@ def _tables(n: int):
 
 
 def _rs_chain(n: int, k: int):
-    """The k-subset chain on pattern indices: the `enumerate_patterns(n)`
-    list, whose positions are the states; the step_targets function on
-    those positions; and the rotation table rot of `_tables`.
-
-    Each generator subset's firing order is computed once, as the rows of
-    the `_tables` gen it walks, so a move builds no pattern.
-    """
-    patterns, gen, rot = _tables(n)
+    """The k-subset chain on pattern positions: the `enumerate_patterns(n)`
+    list, whose positions are the states; every pattern's move list, the
+    `_tables` gen walked by `markov._subset_moves`; and the rotation table
+    rot of `_tables`.  k is checked before any table is built; n < 1 and
+    n above the cap are refused by `enumerate_patterns`."""
     m = 2 * n
-    if not 1 <= k <= m:
+    if m > 0 and not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m}")
-    orders = [[gen[i - 1] for i in generator_order(S, m)] for S in itertools.combinations(range(1, m + 1), k)]
-
-    def targets(s):
-        for order in orders:
-            t = s
-            for row in order:
-                t = row[t]
-            yield t
-
-    return patterns, targets, rot
+    patterns, gen, rot = _tables(n)
+    return patterns, _subset_moves(gen, k), rot
 
 
 def rs_transition_matrix(n: int, k: int):
     """Sparse move counts of the k-subset chain, with its pattern list: a
     `markov.CountMatrix` with D = C(2n, k), one move per generator subset,
     whose row s is the pattern at position s."""
-    patterns, targets, _ = _rs_chain(n, k)
-    return patterns, chain_matrix(range(len(patterns)), targets)
+    patterns, succ, _ = _rs_chain(n, k)
+    return patterns, chain_matrix(succ)
 
 
 def rs_stationary(n: int, k: int) -> dict[LinkingPattern, Fraction]:
@@ -226,11 +216,11 @@ def rs_stationary(n: int, k: int) -> dict[LinkingPattern, Fraction]:
     `enumerate_patterns` order, certified unique by
     `markov._certified_stationary`.
 
-    The solver runs on pattern positions, with the chain's rotation table
-    for k < 2n, so it solves on rotation classes and lifts; k = 2n is
-    solved whole, and refused from its closed classes when it is not
-    ergodic.  The result is keyed by the `enumerate_patterns` objects.
+    The solver takes the patterns, their move lists on positions and, for
+    k < 2n, the chain's rotation table, so it solves on rotation classes
+    and lifts; k = 2n is solved whole, and refused from its closed classes
+    when it is not ergodic.  The result is keyed by the
+    `enumerate_patterns` objects.
     """
-    patterns, targets, rot = _rs_chain(n, k)
-    dist = _certified_stationary(range(len(patterns)), targets, rot.__getitem__ if k < 2 * n else None)
-    return {patterns[s]: p for s, p in dist.items()}
+    patterns, succ, rot = _rs_chain(n, k)
+    return _certified_stationary(patterns, succ, rot if k < 2 * n else None)

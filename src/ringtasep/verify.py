@@ -566,12 +566,10 @@ def _check_k_invariance(params):
             same = census == _tasep(t)
             Z = total_mlq_count(t)
             weights = [p.numerator * (Z // p.denominator) for p in census.values()]
-            states = list(census)
-            table = markov._bell_table(states)  # one table, composed for every k
+            table = markov._bell_table(list(census))  # one table, composed for every k
             for k in range(1, N):
                 try:
-                    steps = markov._subset_steps(states, table, k)
-                    markov._certify_weights(markov._moves(range(len(states)), steps), weights)
+                    markov._certify_weights(markov._subset_moves(table, k), weights)
                     if not same:
                         bad.append({"n": n, "N": N, "k": k})
                 except (ValueError, RuntimeError) as e:  # the census refused on the k-chain

@@ -134,7 +134,7 @@ def _recertify(dist, step_targets):
     assert _certified(list(dist), _moves(list(dist), step_targets), weights) == dist
 
 
-def test_real_chains_take_the_modular_path():
+def test_real_chains_solve_and_recertify_in_integers():
     # linalg works in integers alone: it binds nothing from fractions
     bound = [k for k, v in vars(linalg).items() if v is fractions or getattr(v, "__module__", "") == "fractions"]
     assert not bound
@@ -152,7 +152,7 @@ def test_real_chains_take_the_modular_path():
     assert dict(zip(patterns, stationary_exact(P))) == dist
 
 
-def test_tasep_quotient_solve_takes_the_modular_path(monkeypatch):
+def test_tasep_quotient_solve_takes_the_sparse_elimination(monkeypatch):
     # tasep_stationary answers from the queue census; the quotient solve
     # that verify keeps still runs the sparse elimination
     calls = []
@@ -201,7 +201,7 @@ def _certified_kernel(rows, x):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_sparse_rank_deficient())
-def test_modular_kernel_matches_bareiss(case):
+def test_kernel_of_rank_deficient_rows_is_certified(case):
     # rank n - 1, so a certified vector spans the kernel
     n, rows = case
     assume(_rank(rows, n) == n - 1)

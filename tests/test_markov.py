@@ -24,7 +24,7 @@ from ringtasep.markov import (
     _moves,
     _particle_steps,
     _rotate,
-    _subset_steps,
+    _subset_moves,
     _tasep_solve,
     chain_matrix,
     enumerate_states,
@@ -147,7 +147,9 @@ def _rs_moves(k):
         (lambda: rs_transition_matrix(3, 2), _rs_moves(2)),
         (lambda: rs_transition_matrix(4, 3), _rs_moves(3)),
         (lambda: transition_matrix(TypeVector((2, 1), 5)), _tasep_moves),
-    ],
+    ]
+    # the shared subset walker on every e_i table, the forced cut k = 2n included
+    + [(lambda n=n, k=k: rs_transition_matrix(n, k), _rs_moves(k)) for n in range(1, 5) for k in range(1, 2 * n + 1)],
 )
 def test_chain_matrix_counts_multiplicities(chain, moves):
     states, P = chain()
@@ -155,15 +157,15 @@ def test_chain_matrix_counts_multiplicities(chain, moves):
     for s, row, want in zip(states, P.rows, expected, strict=True):
         assert len(moves(s)) == P.D
         assert {j: Fraction(c, P.D) for j, c in row.items()} == want
-    # some state reaches one target by several moves: a count above 1
-    assert any(c > 1 for row in P.rows for c in row.values())
+    # with more than one move, some state reaches one target by several: a count above 1
+    assert P.D == 1 or any(c > 1 for row in P.rows for c in row.values())
 
 
 def test_chain_matrix_refuses_unequal_move_counts():
     targets = {0: [1], 1: [0, 1], 2: [0]}.__getitem__
     with pytest.raises(ValueError, match="^state 1 has 2 moves, another has 1$"):
-        chain_matrix([0, 1, 2], targets)
-    assert chain_matrix([0, 1], {0: [1, 1], 1: [0, 1]}.__getitem__) == CountMatrix(({1: 2}, {0: 1, 1: 1}), 2)
+        chain_matrix(_moves([0, 1, 2], targets))
+    assert chain_matrix(_moves([0, 1], {0: [1, 1], 1: [0, 1]}.__getitem__)) == CountMatrix(({1: 2}, {0: 1, 1: 1}), 2)
 
 
 def test_stationary_exact_refuses_a_wrong_kernel_vector(monkeypatch):
@@ -186,11 +188,14 @@ def test_certified_stationary_takes_any_sequence_of_states():
         return (s + 2) % 300, s ^ 1
 
     def turn(s):
-        return s ^ 1
+        return (s ^ 1,)
 
-    dist = _certified_stationary(list(range(300)), step, turn)
-    assert list(dist) == list(range(300)) and set(dist.values()) == {Fraction(1, 300)}
-    assert list(_certified_stationary(range(300), step, turn).items()) == list(dist.items())
+    states = list(range(300))
+    succ = _moves(states, step)
+    [rot] = zip(*_moves(states, turn))
+    dist = _certified_stationary(states, succ, rot)
+    assert list(dist) == states and set(dist.values()) == {Fraction(1, 300)}
+    assert list(_certified_stationary(range(300), succ, rot).items()) == list(dist.items())
 
 
 def _weights(dist):
@@ -225,7 +230,7 @@ def test_verify_stationary_refuses_unequal_move_counts():
     with pytest.raises(ValueError, match="3 moves, another has 2"):
         _moves(states, targets)
     with pytest.raises(ValueError, match="3 moves, another has 2"):
-        _certified_stationary(states, targets)
+        _certified_stationary(states, _moves(states, targets))
 
 
 def test_verify_stationary_refuses_disconnected_chain():
@@ -261,11 +266,12 @@ def test_a_move_out_of_the_states_is_refused_not_a_key_error(rotate):
     def targets(s):
         return 1 - s, 5
 
+    rot = None if rotate is None else [j for [j] in _moves([0, 1], lambda s: [rotate(s)])]
     message = r"^a move from 0 leaves the states, to 5$"
     with pytest.raises(RuntimeError, match=message):
-        chain_matrix([0, 1], targets)
+        chain_matrix(_moves([0, 1], targets))
     with pytest.raises(RuntimeError, match=message):
-        _certified_stationary([0, 1], targets, rotate)
+        _certified_stationary([0, 1], _moves([0, 1], targets), rot)
 
 
 @pytest.mark.parametrize("rotate", [None, _rotate])
@@ -278,13 +284,15 @@ def test_certified_stationary_reads_each_state_once(rotate):
         calls[w] += 1
         return _particle_steps(w)
 
-    assert _certified_stationary(states, targets, rotate) == tasep_stationary(t)
+    rot = None if rotate is None else [j for [j] in _moves(states, lambda w: [rotate(w)])]
+    assert _certified_stationary(states, _moves(states, targets), rot) == tasep_stationary(t)
     assert len(states) == 60 and calls == Counter(states)
 
 
 def test_certified_stationary_refuses_a_rotation_out_of_its_states():
-    with pytest.raises(RuntimeError, match=r"the rotation takes 0 out of the states, to 5"):
-        _certified_stationary([0, 1], lambda s: (1 - s,), lambda s: s + 5)
+    # the rotation table is read through _moves, which refuses it as it is built
+    with pytest.raises(RuntimeError, match=r"^a move from 0 leaves the states, to 5$"):
+        _moves([0, 1], lambda s: (s + 5,))
 
 
 def _compositions(total):
@@ -394,7 +402,7 @@ def _kernel_dimension(P):
 
 def _full_ring_chain(n, N):
     states = enumerate_states(TypeVector((1,) * n, N))
-    return chain_matrix(range(len(states)), _subset_steps(states, _bell_table(states), N))
+    return chain_matrix(_subset_moves(_bell_table(states), N))
 
 
 @pytest.mark.parametrize(
@@ -473,7 +481,7 @@ def test_stationary_exact_rejects_non_stochastic(rows):
 
 
 def test_stationary_exact_rejects_a_chain_without_moves():
-    P = chain_matrix([0], lambda s: [])
+    P = chain_matrix(_moves([0], lambda s: []))
     assert P == CountMatrix(({},), 0)
     with pytest.raises(ValueError, match="not row-stochastic"):
         stationary_exact(P)
@@ -536,30 +544,22 @@ def test_bell_table_moves_are_the_fired_words(N):
         table = _bell_table(states)
         assert all(None not in row for row in table)
         for k in range(1, N + 1):
-            steps, fired = _subset_steps(states, table, k), _fired(states, k)
+            succ, fired = _subset_moves(table, k), _fired(states, k)
             for i, w in enumerate(states):
-                assert [states[j] for j in steps(i)] == fired(w)
+                assert [states[j] for j in succ[i]] == fired(w)
 
 
 @pytest.mark.parametrize("m, N", [((1, 1), 3), ((2, 1), 4), ((1, 1, 1), 4)])
 def test_bell_table_on_states_that_moves_leave(m, N):
-    # with one word left out, every k-chain gives the word chain's moves,
-    # through a bell that leaves the states and comes back too, or refuses
-    # the first move out of them with the word chain's exact message
+    # with one word left out, some bell rings a word to it, and the table
+    # refuses the first such bell, in word then site order, with the exact
+    # message of the word chain's moves
     full = enumerate_states(TypeVector(m, N))
     for gone in range(len(full)):
         states = full[:gone] + full[gone + 1 :]
-        table = _bell_table(states)
-        assert sum(row.count(None) for row in table) > 0
-        for k in range(1, N + 1):
-            try:
-                want = [[states[j] for j in out] for out in _moves(states, _fired(states, k))]
-            except RuntimeError as e:
-                with pytest.raises(RuntimeError, match=f"^{re.escape(str(e))}$"):
-                    _moves(range(len(states)), _subset_steps(states, table, k))
-                continue
-            got = _moves(range(len(states)), _subset_steps(states, table, k))
-            assert [[states[j] for j in out] for out in got] == want
+        w, v = next((w, v) for w in states for v in _tasep_moves(w) if v not in states)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(f'a move from {w} leaves the states, to {v}')}$"):
+            _bell_table(states)
 
 
 def test_full_ring_sweep_has_no_unique_stationary():

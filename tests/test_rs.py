@@ -15,7 +15,7 @@ from ringtasep.markov import (
     _certify_weights,
     _moves,
     _rotate,
-    _subset_steps,
+    _subset_moves,
     enumerate_states,
     stationary_exact,
 )
@@ -199,8 +199,8 @@ def test_rotation_classes(monkeypatch):
     solved = []
     real_classes, real_solve = markov._classes, markov.stationary_exact
 
-    def spy_classes(states, rotate):
-        classes.append(real_classes(states, rotate))
+    def spy_classes(rot):
+        classes.append(real_classes(rot))
         return classes[-1]
 
     def spy_solve(P):
@@ -244,16 +244,16 @@ def test_rotation_classes(monkeypatch):
 def test_lift_with_wrong_orbit_share_is_refused():
     # orbits of 2 and 3 patterns at n = 3: giving every member its class's
     # whole probability, renormalised, breaks the flow equations
-    patterns, targets, rot = _rs_chain(3, 1)
+    patterns, succ, rot = _rs_chain(3, 1)
     states = list(range(len(patterns)))
-    lift = _certified_stationary(states, targets, rot.__getitem__)
+    lift = _certified_stationary(states, succ, rot)
     size = {s: len({rotate(patterns[s], r) for r in range(6)}) for s in states}
     assert sorted(size.values()) == [2, 2, 3, 3, 3]
     whole = [p * size[s] for s, p in lift.items()]
     den = lcm(*(p.denominator for p in whole))
     weights = [p.numerator * (den // p.denominator) for p in whole]
     with pytest.raises(RuntimeError, match="full chain"):
-        _certify_weights(_moves(states, targets), weights)
+        _certify_weights(succ, weights)
 
 
 def _pair_generator(L, i):
@@ -282,10 +282,10 @@ def test_tables_match_the_pair_based_generators():
     # generator subset {s} per move, in order
     for n in range(1, 7):
         m = 2 * n
-        patterns, targets, rot = _rs_chain(n, 1)
+        patterns, succ, rot = _rs_chain(n, 1)
         assert patterns == enumerate_patterns(n)
         for s, L in enumerate(patterns):
-            assert [patterns[t] for t in targets(s)] == [_pair_generator(L, i) for i in range(1, m + 1)]
+            assert [patterns[t] for t in succ[s]] == [_pair_generator(L, i) for i in range(1, m + 1)]
             assert patterns[rot[s]] == _pair_rotate(L)
             for i in range(1, m + 1):
                 assert apply_generator(L, i) == _pair_generator(L, i)
@@ -327,10 +327,9 @@ def test_rotation_the_chain_does_not_commute_with_is_refused():
     cases.append(((1, 1), 4, ValueError, r"^kernel dimension is 3, expected 1 \(chain reducible\?\)$"))
     for m, N, error, text in cases:
         states = enumerate_states(TypeVector(m, N))
-        index = {w: i for i, w in enumerate(states)}
-        steps = _subset_steps(states, _bell_table(states), N)
+        [rot] = zip(*_moves(states, lambda w: [_rotate(w)]))
         with pytest.raises(error, match=text):
-            _certified_stationary(range(len(states)), steps, lambda i: index[_rotate(states[i])])
+            _certified_stationary(states, _subset_moves(_bell_table(states), N), rot)
 
 
 def test_stationary_caps():
@@ -341,3 +340,12 @@ def test_stationary_caps():
         rs_stationary(9, 1)
     with pytest.raises(ValueError, match="cap 8"):
         rs_stationary(9, 18)
+
+
+@pytest.mark.parametrize("k", [0, 17])
+def test_k_is_refused_before_any_table_is_built(monkeypatch, k):
+    built = []
+    monkeypatch.setattr(rs, "_tables", lambda n: built.append(n))
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= 16$"):
+        rs_stationary(8, k)
+    assert built == []

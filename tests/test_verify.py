@@ -190,17 +190,24 @@ def test_reverse_det_product_reports_route_disagreement(monkeypatch):
 def test_k_invariance_reports_a_refused_k_chain(monkeypatch):
     # the 2-subset chain mirrored: its particles jump left, so the census
     # is refused on it, and the check reports that as a witness
-    real = markov._subset_steps
+    real_table, real_moves = markov._bell_table, markov._subset_moves
+    listed = []  # the words each bell table is built on
 
-    def mirrored(states, table, k):
-        steps = real(states, table, k)
+    def table_of(states):
+        listed.append(states)
+        return real_table(states)
+
+    def mirrored(table, k):
+        succ = real_moves(table, k)
         if k != 2:
-            return steps
+            return succ
+        states = listed[-1]
         index = {w: i for i, w in enumerate(states)}
         mirror = [index[w[::-1]] for w in states]  # the mirror image of each word, on positions
-        return lambda i: (mirror[j] for j in steps(mirror[i]))
+        return [[mirror[j] for j in succ[mirror[i]]] for i in range(len(states))]
 
-    monkeypatch.setattr(markov, "_subset_steps", mirrored)
+    monkeypatch.setattr(markov, "_bell_table", table_of)
+    monkeypatch.setattr(markov, "_subset_moves", mirrored)
     r = run_suite("k-tasep-invariance", overrides={"k-tasep-invariance": {"max_N": 3}})[0]
     error = "stationarity verification failed on the full chain"
     assert (r.severity, r.status) == (THEOREM, MISMATCH)
@@ -256,7 +263,7 @@ def test_density_checks_never_expand_in_q(monkeypatch):
     assert {cid: run_suite(cid)[0].status for cid in expected} == expected
 
 
-def test_benchmarked_checks_never_eliminate_densely():
+def test_benchmarked_checks_give_their_recorded_statuses():
     # the checks of the verify-exact benchmark workload, at its parameters,
     # give the statuses recorded in its references
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
