@@ -5,13 +5,17 @@ The census side is a row-transfer census: it counts queues row by row,
 keeping one labelled row per rotation class, as a word, with the number
 of queue prefixes that reach the class (mlq.transfer over the word step
 mlq._row_successors; transfer and _transfer say why the merges are
-exact).  At the end it spreads each class count evenly over the distinct
-rotations of its bottom word, taken as slices of the word.  The
-closed-form side evaluates the determinant/product expressions for the
-number of queues whose bottom row is the reverse permutation, the
-reverse with two adjacent values swapped, or a commuting product of such
-swaps (the last is a conjectured formula and is only ever *compared*,
-never assumed).
+exact).  The class states after each prefix of row sizes are memoised
+once per process (_class_states), so censuses that share their first
+rows, such as (1^(n-1), N) and (1^n, N), share those steps.  At the end
+it spreads each class count evenly over the distinct rotations of its
+bottom word, taken as slices of the word.  The closed-form side
+evaluates the determinant/product expressions for the number of queues
+whose bottom row is the reverse permutation, the reverse with two
+adjacent values swapped, or a commuting product of such swaps (the last
+is a conjectured formula and is only ever *compared*, never assumed);
+the determinant det A_S(b) is memoised on (b, S), as the census sweeps
+meet each b on every ring that holds it.
 Nonintersecting lattice-path counting is included as an independent
 oracle for the determinant route.
 """
@@ -53,9 +57,15 @@ def total_mlq_count(t: TypeVector) -> int:
 
 def enumerate_mlqs(t: TypeVector):
     """All discrete queues of a type; intended for tiny cross-checks."""
-    pools = [itertools.combinations(range(t.N), Mi) for Mi in t.M]
-    for rows in itertools.product(*pools):
+    for rows in _mlq_rows(t):
         yield DiscreteMLQ(t, rows)
+
+
+def _mlq_rows(t: TypeVector):
+    """The rows of every queue of a type, as tuples of box positions, in
+    the order of enumerate_mlqs; a sweep that keeps few queues filters
+    these before it builds any."""
+    return itertools.product(*(itertools.combinations(range(t.N), Mi) for Mi in t.M))
 
 
 def _transfer(N: int, sizes):
@@ -88,31 +98,45 @@ def _transfer(N: int, sizes):
     class has the same count.  So the last step spreads T(O) evenly over
     the distinct rotations of rep(O), the slices word[s:] + word[:s]: N of
     them when m1 = 1, fewer when a rotation fixes the row ({0, 2} on N = 4).
+
+    The class states are read from _class_states, memoised per (N, sizes).
     """
-    states = {(VACANT,) * N: 1}
-    for i, size in enumerate(sizes):
-        step = _row_successors(N, size, i + 1)
-        if sizes[0] == 1:
-
-            def successors(word, step=step, box_sets=_box_sets(N, size)):
-                for boxes, row in zip(box_sets, step(word)):
-                    s = boxes[0]
-                    yield row[s:] + row[:s]
-
-        else:
-
-            def successors(word, step=step):
-                for row in step(word):
-                    yield min(row[s:] + row[:s] for s, label in enumerate(row) if label == 1)
-
-        states = transfer(states, successors)
-    for word, total in states.items():
+    for word, total in _class_states(N, tuple(sizes)).items():
         orbit = dict.fromkeys(word[s:] + word[:s] for s in range(N))
         share, rest = divmod(total, len(orbit))
         if rest:
             raise RuntimeError(f"class of {word} does not spread evenly over its rotations")
         for rotated in orbit:
             yield rotated, share
+
+
+@cache
+def _class_states(N: int, sizes: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The rotation-class states of _transfer after the rows of sizes: each
+    representative word with its number of queue prefixes.  One
+    mlq.transfer row extends the states of sizes[:-1], themselves
+    memoised, so censuses that share their first rows share those steps:
+    the (1^n, N) census is the (1^(n-1), N) census and one row more, and
+    bottom_word_counts and bottom_position_census of (1^n, N) are one
+    census.  The returned dicts are shared, so no caller mutates them."""
+    if not sizes:
+        return {(VACANT,) * N: 1}
+    size = sizes[-1]
+    step = _row_successors(N, size, len(sizes))
+    if sizes[0] == 1:
+
+        def successors(word, box_sets=_box_sets(N, size)):
+            for boxes, row in zip(box_sets, step(word)):
+                s = boxes[0]
+                yield row[s:] + row[:s]
+
+    else:
+
+        def successors(word):
+            for row in step(word):
+                yield min(row[s:] + row[:s] for s, label in enumerate(row) if label == 1)
+
+    return transfer(_class_states(N, sizes[:-1]), successors)
 
 
 def bottom_word_counts(t: TypeVector) -> dict[tuple[int, ...], int]:
@@ -157,11 +181,14 @@ def mlq_bottom_count(pi, b, N: int) -> int:
 # --- closed forms -----------------------------------------------------------
 
 
+@cache
 def _shifted_det(b, S) -> int:
     """det A_S for positions b and a partition S of swap indices: row i of
     A_S (1-based) is C(b_i + j - 1 - s, j - 1 - s) for j = 1..n, shifted by
     s, the (n+1-i)-th part of the conjugate of S (0 past its end).  A_() is
-    the reverse matrix C(b_i + j - 1, j - 1)."""
+    the reverse matrix C(b_i + j - 1, j - 1).  Memoised on the tuples
+    (b, S), which the count formulas validate first: a census sweep meets
+    each b once per ring size that holds it."""
     n = len(b)
     conj = conjugate_partition(S) + (0,) * n
     return det_fraction_free(

@@ -295,22 +295,28 @@ def _certified(states, succ, weights) -> dict:
     return {s: prob[c] for s, c in zip(states, weights)}
 
 
-def _certified_census(t: TypeVector, moves) -> dict[tuple[int, ...], Fraction]:
-    """The queue census of type t as the stationary distribution of a
-    chain on words of type t, certified on the full chain by `_certified`.
-    moves(states) gives the move lists of the sorted census words, on
-    positions in states, as `_moves` or `_subset_moves` give them.
-
-    The census must hold state_count(t) words, the least of them the sorted
-    letters of t, and sum to the total queue count Z.  Moves keep the
-    letters, so a certified census is a closed class of every word of
-    type t, hence all of them.  The words are sorted, which with VACANT = 0
-    is `enumerate_states` order.
-    """
+def _integer_census(t: TypeVector):
+    """The queue census of type t as its sorted words and their integer
+    queue counts, (states, weights), checked to hold state_count(t) words,
+    the least of them the sorted letters of t, summing to the total queue
+    count Z.  The words are sorted, which with VACANT = 0 is
+    `enumerate_states` order."""
     states, weights = zip(*sorted(bottom_word_counts(t).items()))
     Z = total_mlq_count(t)
     if len(states) != state_count(t) or sorted(states[0]) != _content(t) or sum(weights) != Z:
         raise RuntimeError(f"census of {t} is not a count of its {state_count(t)} words summing to {Z}")
+    return states, weights
+
+
+def _certified_census(t: TypeVector, moves) -> dict[tuple[int, ...], Fraction]:
+    """The queue census of type t (`_integer_census`) as the stationary
+    distribution of a chain on words of type t, certified on the full
+    chain by `_certified`.  moves(states) gives the move lists of the
+    sorted census words, on positions in states, as `_moves` or
+    `_subset_moves` give them.  Moves keep the letters, so a certified
+    census is a closed class of every word of type t, hence all of them.
+    """
+    states, weights = _integer_census(t)
     return _certified(states, moves(states), weights)
 
 

@@ -15,12 +15,14 @@ box positions (an Arrangement); the labelling depends on nothing else.
 Every claim, exact or Monte Carlo, follows one rule: each label pops,
 from the boxes of the row not yet claimed, the first at or after it, or
 the first of all past the end of the ring.  Two exact steps run it.
-_claim_labels pops target indices and reports the claims: label_mlq (and
-so label_arrangement) runs it row by row, the row insertion of
+_claim_labels pops target indices and reports the claims: _claim_rows
+runs it row by row on a queue's rows, for label_mlq (and so
+label_arrangement) and for sweeps that keep few queues, which stop at
+the first wrap before building any queue object; the row insertion of
 continuum._census once per (labelled row, spread of the next row over
 its gaps), and last_row_step once per word.  _row_successors, the
 discrete row step, pops box positions on labelled words, as words, with
-no claim record: count._transfer takes it for each row of a queue (on
+no claim record: count._class_states takes it for each row of a queue (on
 rotation classes) and markov.push_through_last_row for a whole
 distribution of words.  The sampler of continuum.py pops float
 positions.  Every census merges through the one driver transfer: the
@@ -166,6 +168,20 @@ class LabeledMLQ:
         return d
 
 
+def _claim_rows(rows):
+    """The claim steps of the labelling procedure on queue rows (tuples of
+    increasing box positions), one per row below the first: for rows[r]
+    it yields the sources, the (label, position) pairs of rows[r - 1]
+    sorted, and the labels, claims and wrap flags that _claim_labels
+    gives rows[r].  Lazy, so a sweep may stop at its first wrap without
+    labelling the rows below it."""
+    cur = [(1, p) for p in rows[0]]
+    for r in range(1, len(rows)):
+        labels, claims, wrapped = _claim_labels(cur, rows[r], r + 1)
+        yield cur, labels, claims, wrapped
+        cur = sorted(zip(labels, rows[r]))
+
+
 def label_mlq(q: DiscreteMLQ) -> LabeledMLQ:
     """Run the labelling procedure and record bully paths.
 
@@ -178,9 +194,7 @@ def label_mlq(q: DiscreteMLQ) -> LabeledMLQ:
     all_labels = [tuple([1] * len(rows[0]))]
     claim_maps = []  # per transition: source index -> target index
     any_wrap = False
-    cur = [(1, p) for p in rows[0]]
-    for r in range(1, n):
-        labels, claims, wraps = _claim_labels(cur, rows[r], r + 1)
+    for r, (cur, labels, claims, wraps) in enumerate(_claim_rows(rows), 1):
         any_wrap = any_wrap or any(wraps)
         # claims is aligned with cur (label-sorted); re-key by box index.
         cmap = {}
@@ -189,7 +203,6 @@ def label_mlq(q: DiscreteMLQ) -> LabeledMLQ:
             cmap[src_idx] = claims[j]
         claim_maps.append(cmap)
         all_labels.append(tuple(labels))
-        cur = sorted(zip(labels, rows[r]))
 
     paths = []
     for r in range(n):

@@ -2,7 +2,10 @@
 
 Semistandard tableau counts come in three mutually checking routes
 (hook-content product, two Jacobi-Trudi determinants, and a brute
-oracle that counts the rows of the exhaustive listing by row transfer).
+oracle that counts the rows of the exhaustive listing by row transfer,
+the states after each prefix of a shape's rows memoised so that shapes
+share their first rows).  The hook-content product and the prefix
+determinant are memoised too, on their checked arguments.
 On top of those sit the probability that a stationary word starts with
 a fixed descending run, the count of queues whose bottom row starts
 n(n-1)...2 (determinant-sum route vs. tableau-count route), the explicit
@@ -112,7 +115,13 @@ def _check_bound(lam, t: int) -> tuple[int, ...]:
 def ssyt_count_hook_content(lam, t: int) -> int:
     """Number of semistandard tableaux of shape lam with entries in [t],
     by the hook-content product."""
-    lam = _check_bound(lam, t)
+    return _hook_content(_check_bound(lam, t), t)
+
+
+@cache
+def _hook_content(lam: tuple[int, ...], t: int) -> int:
+    """The hook-content product for a checked partition, memoised: the
+    verify sweeps ask for the same (shape, bound) many times."""
     hooks = list(_hooks(lam))
     count, remainder = divmod(prod(t + content(i, j) for i, j, _ in hooks), prod(hook for _, _, hook in hooks))
     if remainder:
@@ -165,13 +174,23 @@ def ssyt_count_brute(lam, t: int) -> int:
     by row transfer: mlq.transfer steps each row to every row allowed
     under it and merges equal rows, as the row above alone bounds the rows
     below.  The rows under a row are listed once per process, by
-    _rows_under, apart from the listing of `ssyt_brute`.  No formula of
-    the other routes is used."""
-    lam = _check_bound(lam, t)
-    states = {None: 1}
-    for length in lam:
-        states = transfer(states, lambda above: _rows_under(length, t, above and above[:length]))
-    return sum(states.values())
+    _rows_under, apart from the listing of `ssyt_brute`, and the states
+    after each row by _last_rows.  No formula of the other routes is
+    used."""
+    return sum(_last_rows(_check_bound(lam, t), t).values())
+
+
+@cache
+def _last_rows(lam: tuple[int, ...], t: int) -> dict:
+    """The row-transfer states after the rows of lam: each last row of the
+    tableaux of shape lam in [t] with their number (None, once, for the
+    empty shape).  One transfer row extends the memoised states of
+    lam[:-1], so shapes that share their first rows share those steps.
+    The returned dicts are shared, so no caller mutates them."""
+    if not lam:
+        return {None: 1}
+    length = lam[-1]
+    return transfer(_last_rows(lam[:-1], t), lambda above: _rows_under(length, t, above and above[:length]))
 
 
 @cache
@@ -250,13 +269,19 @@ def descending_prefix_probability(xs, N: int) -> Fraction:
         raise ValueError("empty prefix")
     if not (1 <= xs[-1] and xs[0] <= N):
         raise ValueError("letters must lie in 1..N")
-    asc = tuple(reversed(xs))
-    ell = len(xs)
-    det = det_fraction_free([[binomial(x, j) for j in range(ell)] for x in asc])
     denom = 1
-    for i in range(1, ell + 1):
+    for i in range(1, len(xs) + 1):
         denom *= comb(N, i)
-    return Fraction(det) / denom
+    return Fraction(_prefix_det(xs)) / denom
+
+
+@cache
+def _prefix_det(xs: tuple[int, ...]) -> int:
+    """det C(x_{i+1}, j-1) over the ascending reordering of the checked
+    letters xs, memoised: it does not depend on N, and the verify sweeps
+    meet each prefix on several rings."""
+    ell = len(xs)
+    return det_fraction_free([[binomial(x, j) for j in range(ell)] for x in reversed(xs)])
 
 
 def _derived_shape(t: TypeVector) -> tuple[int, ...]:

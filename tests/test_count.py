@@ -152,9 +152,10 @@ def test_position_census_shares_one_positions_tuple_per_box_set(n, N):
     assert len({id(positions) for _, positions in census}) == comb(N, n)
 
 
-def test_transfer_refuses_a_class_that_does_not_spread_evenly(monkeypatch):
+def test_transfer_refuses_a_class_that_does_not_spread_evenly(monkeypatch, cold_memos):
     # with m1 = 1 every class has N distinct rotations, so one more queue
-    # in the last row's first class leaves a remainder
+    # in the last row's first class leaves a remainder; the census memo
+    # starts cold, so every row runs through the patched transfer
     t = TypeVector((1, 1), 4)
     rows = []
 
@@ -168,6 +169,44 @@ def test_transfer_refuses_a_class_that_does_not_spread_evenly(monkeypatch):
     monkeypatch.setattr(count, "transfer", miscount)
     with pytest.raises(RuntimeError, match="does not spread evenly"):
         bottom_word_counts(t)
+
+
+def _types(max_N):
+    """Every type on N <= max_N sites, its classes a composition of at
+    most N particles."""
+    for N in range(1, max_N + 1):
+        for particles in range(1, N + 1):
+            for cuts in itertools.chain.from_iterable(
+                itertools.combinations(range(1, particles), k) for k in range(particles)
+            ):
+                yield TypeVector(tuple(b - a for a, b in zip((0,) + cuts, cuts + (particles,))), N)
+
+
+def test_census_memo_matches_the_labelled_queues_cold_and_warm(cold_memos):
+    # censuses share their first rows through the memo, so it must give
+    # the same counts whichever sizes it meets first: longest first builds
+    # every prefix on the way down, shortest first extends the ones built
+    types = list(_types(6))
+    assert len(types) == 120
+    oracle = {t: _oracle_word_counts(t) for t in types}
+    for longest_first in (True, False):
+        count._class_states.cache_clear()
+        order = sorted(types, key=lambda t: (t.N, len(t.M)), reverse=longest_first)
+        for warm in (False, True):
+            for t in order:
+                assert bottom_word_counts(t) == oracle[t], (t, longest_first, warm)
+
+
+def test_word_and_position_censuses_share_their_rows(cold_memos):
+    # (1^4, 6) by positions builds the rows that (1^n, 6) for n <= 4 need
+    bottom_position_census(4, 6)
+    built = count._class_states.cache_info().misses
+    for n in range(1, 5):
+        counts = bottom_word_counts(TypeVector((1,) * n, 6))
+        assert sum(counts.values()) == total_mlq_count(TypeVector((1,) * n, 6))
+        counts.clear()  # the caller's dict is its own
+    assert count._class_states.cache_info().misses == built
+    assert bottom_word_counts(TypeVector((1,) * 4, 6)) == _oracle_word_counts(TypeVector((1,) * 4, 6))
 
 
 def test_brute_counts_examples():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ringtasep import tableaux
 from ringtasep.core import TypeVector
 from ringtasep.count import bottom_word_counts
 from ringtasep.markov import tasep_stationary
@@ -110,6 +111,20 @@ def test_counted_oracle_matches_the_listing():
         for t in range(4):
             assert ssyt_count_brute(lam, t) == len(ssyt_brute(lam, t)), (lam, t)
     assert ssyt_count_brute((3, 2, 2), 5) == ssyt_count_hook_content((3, 2, 2), 5)
+
+
+def test_tableau_memo_matches_the_listing_in_either_order(cold_memos):
+    # shapes share their first rows through the memo, so the counts must
+    # not depend on which shapes it meets first
+    shapes = [()] + [
+        lam for k in range(1, 5) for lam in itertools.combinations_with_replacement(range(4, 0, -1), k)
+    ]
+    listing = {(lam, t): len(ssyt_brute(lam, t)) for lam in shapes for t in range(6)}
+    for longest_first in (True, False):
+        tableaux._last_rows.cache_clear()
+        for lam in sorted(shapes, key=len, reverse=longest_first):
+            for t in range(6):
+                assert ssyt_count_brute(lam, t) == listing[lam, t], (lam, t, longest_first)
 
 
 def test_syt_counts():

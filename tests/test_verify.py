@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from ringtasep import continuum, markov, verify
+from ringtasep import continuum, markov, tableaux, verify
+from ringtasep.core import TypeVector
+from ringtasep.count import enumerate_mlqs
+from ringtasep.mlq import label_mlq
 from ringtasep.verify import (
     CHECKS,
     CONJECTURE,
@@ -185,6 +188,43 @@ def test_reverse_det_product_reports_route_disagreement(monkeypatch):
     assert (r.severity, r.status) == (THEOREM, MISMATCH)
     assert r.witnesses == [{"n": 2, "N": 3, "b": [0, 2], "error": "determinant/product routes disagree: 1 vs 2"}]
     assert suite_exit_code([r]) == 2
+
+
+def test_tableau_checks_report_route_disagreement(monkeypatch, cold_memos):
+    # a Jacobi-Trudi determinant off by one makes the routes refuse; each
+    # case is a witness and the run goes on
+    det = tableaux.det_fraction_free
+    monkeypatch.setattr(tableaux, "det_fraction_free", lambda rows: det(rows) + 1)
+    r = run_suite("hook-jt-brute", overrides={"hook-jt-brute": {"max_t": 1}})[0]
+    assert (r.severity, r.status) == (THEOREM, MISMATCH)
+    assert r.witnesses[0] == {"shape": [1], "t": 0, "error": "tableau-count routes disagree: det 1, det 1, hook-content 0"}
+    assert len(r.witnesses) == 5
+    assert suite_exit_code([r]) == 2
+
+
+@pytest.mark.parametrize("cid", ["fw-routes", "ssyt-bijection"])
+def test_descending_start_checks_report_route_disagreement(monkeypatch, cold_memos, cid):
+    # the tableau route of descending_start_count off by one
+    real = tableaux._hook_content
+    monkeypatch.setattr(tableaux, "_hook_content", lambda lam, t: real(lam, t) + 1)
+    r = run_suite(cid, overrides={cid: {"max_N": 3}})[0]
+    assert (r.severity, r.status) == (THEOREM, MISMATCH)
+    assert r.witnesses[0] == {"m": [1, 1], "N": 2, "error": "count routes disagree: 1 vs 2"}
+    assert suite_exit_code([r]) == 2
+
+
+def test_bijection_sweep_keeps_the_rows_of_the_labelling_filter():
+    # the claim-step filter keeps exactly the queues that labelling each
+    # one keeps: no wrap, bottom word starting n, n-1, ..., 2
+    kept = 0
+    for N, m in verify._compositions(6, (2, 3)):
+        t = TypeVector(m, N)
+        prefix = tuple(range(t.n, 1, -1))
+        labelled = [label_mlq(q) for q in enumerate_mlqs(t)]
+        expected = [l.base.rows for l in labelled if tuple(l.labels[-1][: t.n - 1]) == prefix and not l.wrapped]
+        assert list(verify._descending_rows(t)) == expected, (m, N)
+        kept += len(expected)
+    assert kept == 201
 
 
 def test_k_invariance_reports_a_refused_k_chain(monkeypatch):
