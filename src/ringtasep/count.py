@@ -6,16 +6,16 @@ keeping one labelled row per rotation class, as a word, with the number
 of queue prefixes that reach the class (mlq.transfer over the word step
 mlq._row_successors; transfer and _transfer say why the merges are
 exact).  The class states after each prefix of row sizes are memoised
-once per process (_class_states), so censuses that share their first
-rows, such as (1^(n-1), N) and (1^n, N), share those steps.  At the end
-it spreads each class count evenly over the distinct rotations of its
-bottom word, taken as slices of the word.  The closed-form side
-evaluates the determinant/product expressions for the number of queues
-whose bottom row is the reverse permutation, the reverse with two
-adjacent values swapped, or a commuting product of such swaps (the last
-is a conjectured formula and is only ever *compared*, never assumed);
-the determinant det A_S(b) is memoised on (b, S), as the census sweeps
-meet each b on every ring that holds it.
+once per process, packed into bytes (_class_states), so censuses that
+share their first rows, such as (1^(n-1), N) and (1^n, N), share those
+steps.  At the end it spreads each class count evenly over the distinct
+rotations of its bottom word, taken as slices of the word.  The
+closed-form side evaluates the determinant/product expressions for the
+number of queues whose bottom row is the reverse permutation, the
+reverse with two adjacent values swapped, or a commuting product of such
+swaps (the last is a conjectured formula and is only ever *compared*,
+never assumed); the determinant det A_S(b) is memoised on (b, S), as the
+census sweeps meet each b on every ring that holds it.
 Nonintersecting lattice-path counting is included as an independent
 oracle for the determinant route.
 """
@@ -101,26 +101,33 @@ def _transfer(N: int, sizes):
 
     The class states are read from _class_states, memoised per (N, sizes).
     """
-    for word, total in _class_states(N, tuple(sizes)).items():
+    for word, total in _words(N, *_class_states(N, tuple(sizes))):
         orbit = dict.fromkeys(word[s:] + word[:s] for s in range(N))
         share, rest = divmod(total, len(orbit))
         if rest:
-            raise RuntimeError(f"class of {word} does not spread evenly over its rotations")
+            raise RuntimeError(f"class of {tuple(word)} does not spread evenly over its rotations")
         for rotated in orbit:
-            yield rotated, share
+            yield tuple(rotated), share
 
 
 @cache
-def _class_states(N: int, sizes: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The rotation-class states of _transfer after the rows of sizes: each
-    representative word with its number of queue prefixes.  One
-    mlq.transfer row extends the states of sizes[:-1], themselves
+def _class_states(N: int, sizes: tuple[int, ...]) -> tuple[bytes, tuple[int, ...]]:
+    """The rotation-class states of _transfer after the rows of sizes,
+    packed: the representative words end to end in one bytes object, a
+    byte per site, and their numbers of queue prefixes in the same order.
+    One mlq.transfer row extends the states of sizes[:-1], themselves
     memoised, so censuses that share their first rows share those steps:
     the (1^n, N) census is the (1^(n-1), N) census and one row more, and
     bottom_word_counts and bottom_position_census of (1^n, N) are one
-    census.  The returned dicts are shared, so no caller mutates them."""
+    census.
+
+    The memo holds the states of every prefix for the life of the
+    process, so they are packed, and immutable: as a tuple and a dict
+    entry per word, the prefixes of (1^8, 8) took 2.1 MB, packed 0.6 MB.
+    A label is at most the number of rows, below 256 on any ring a census
+    can run on; the row step reads a bytes word as it reads a tuple."""
     if not sizes:
-        return {(VACANT,) * N: 1}
+        return bytes((VACANT,) * N), (1,)
     size = sizes[-1]
     step = _row_successors(N, size, len(sizes))
     if sizes[0] == 1:
@@ -128,15 +135,21 @@ def _class_states(N: int, sizes: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         def successors(word, box_sets=_box_sets(N, size)):
             for boxes, row in zip(box_sets, step(word)):
                 s = boxes[0]
-                yield row[s:] + row[:s]
+                yield bytes(row[s:] + row[:s])
 
     else:
 
         def successors(word):
             for row in step(word):
-                yield min(row[s:] + row[:s] for s, label in enumerate(row) if label == 1)
+                yield bytes(min(row[s:] + row[:s] for s, label in enumerate(row) if label == 1))
 
-    return transfer(_class_states(N, sizes[:-1]), successors)
+    states = transfer(dict(_words(N, *_class_states(N, sizes[:-1]))), successors)
+    return b"".join(states), tuple(states.values())
+
+
+def _words(N: int, packed: bytes, counts: tuple[int, ...]):
+    """The (word, count) pairs of packed class states, each word as bytes."""
+    return zip((packed[i : i + N] for i in range(0, len(packed), N)), counts)
 
 
 def bottom_word_counts(t: TypeVector) -> dict[tuple[int, ...], int]:
