@@ -208,6 +208,22 @@ def count_lgv_cmd(ctx, starts, ends, brute):
 # --- continuum -------------------------------------------------------------------
 
 
+def _sample_count(text: str) -> int:
+    """--samples as a whole number, written as digits or as a float with
+    an integral value, such as 1e6; 2.5 and 1e9999 are refused."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value.is_integer():  # nor are nan and inf
+        raise ValueError(f"need a whole number of samples, got {text!r}")
+    return int(value)
+
+
 @main.group()
 def continuum():
     """The continuous ring limit."""
@@ -221,7 +237,7 @@ def continuum():
 def continuum_pdist_cmd(ctx, n, mc, samples):
     """Probability of each bottom permutation, exact or sampled."""
     if mc:
-        res = permutation_distribution_mc(n, int(float(samples)), ctx.obj["seed"] or 0, jobs=ctx.obj["jobs"])
+        res = permutation_distribution_mc(n, _sample_count(samples), ctx.obj["seed"] or 0, jobs=ctx.obj["jobs"])
         data = {word_string(w): e for w, e in res["words"].items()}
         _emit(
             {"n": n, "samples": res["samples"], "words": data},
@@ -255,7 +271,7 @@ def continuum_corr_cmd(ctx, n, mc, samples):
         rows = [(i, j, rat_str(v)) for (i, j), v in sorted(table.entries.items())]
         _emit(table.to_json_dict(), ctx.obj["fmt"], csv_rows=rows, csv_header=("i", "j", "value"))
         return
-    res = adjacency_mc(n, int(float(samples)), ctx.obj["seed"] or 0, jobs=ctx.obj["jobs"])
+    res = adjacency_mc(n, _sample_count(samples), ctx.obj["seed"] or 0, jobs=ctx.obj["jobs"])
     rows = []
     entries = {}
     for (i, j), e in sorted(res["entries"].items()):

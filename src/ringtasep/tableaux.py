@@ -37,7 +37,11 @@ def check_partition(lam) -> tuple[int, ...]:
 
 
 def conjugate_partition(lam) -> tuple[int, ...]:
-    lam = check_partition(lam)
+    return _conjugate(check_partition(lam))
+
+
+def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate of a checked partition."""
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
@@ -56,8 +60,9 @@ def hook_length(lam, i: int, j: int) -> int:
 
 
 def _hooks(lam):
-    """(row, col, hook length) of every cell, the conjugate formed once."""
-    lamc = conjugate_partition(lam)
+    """(row, col, hook length) of every cell of a checked partition, the
+    conjugate formed once."""
+    lamc = _conjugate(lam)
     for i, j in cells(lam):
         yield i, j, lam[i] + lamc[j] - i - j - 1
 
@@ -135,7 +140,7 @@ def ssyt_count_jacobi_trudi(lam, t: int) -> int:
     lam = _check_bound(lam, t)
     if not lam:
         return 1
-    lamc = conjugate_partition(lam)
+    lamc = _conjugate(lam)
     size = lam[0]
     d1 = det_fraction_free(
         [[binomial(t, lamc[i] - (i + 1) + (j + 1)) for j in range(size)] for i in range(size)]
@@ -143,7 +148,7 @@ def ssyt_count_jacobi_trudi(lam, t: int) -> int:
     d2 = det_fraction_free(
         [[binomial(t + j, lamc[i] - (i + 1) + (j + 1)) for j in range(size)] for i in range(size)]
     )
-    hc = ssyt_count_hook_content(lam, t)
+    hc = _hook_content(lam, t)
     if not (d1 == d2 == hc):
         raise RuntimeError(f"tableau-count routes disagree: det {d1}, det {d2}, hook-content {hc}")
     return hc

@@ -96,6 +96,22 @@ def test_continuum_corr_mc():
     assert "estimate" in data["entries"]["1,2"]
 
 
+def test_continuum_mc_takes_whole_sample_counts_only():
+    for command in ("pdist", "corr"):
+        for text, samples in (("300", 300), ("1e3", 1000), ("2.5e2", 250)):
+            r = run("continuum", command, "--n", "3", "--mc", "--samples", text)
+            assert r.exit_code == 0, (command, text)
+            assert json.loads(r.output)["samples"] == samples
+        for text in ("2.5", "1e9999", "-inf", "nan", "many"):
+            r = run("continuum", command, "--n", "3", "--mc", "--samples", text)
+            assert r.exit_code == 1, (command, text)
+            assert f"Error: need a whole number of samples, got '{text}'" in r.output
+            assert isinstance(r.exception, SystemExit)  # a usage error, not a traceback
+        r = run("continuum", command, "--n", "3", "--mc", "--samples", "0")
+        assert r.exit_code == 1
+        assert "Error: need samples >= 1" in r.output
+
+
 def test_verify_conj_corr_check():
     r = run("verify", "conj-corr-n2")
     assert r.exit_code == 0

@@ -254,6 +254,43 @@ def test_sampler_labelling_agrees_with_kernel():
             assert _mc_word_chunk((n, 300, seed)) == words
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_mc_kernel_counts_words_in_order_of_first_sight(n):
+    from ringtasep.continuum import _mc_word_chunk
+
+    seed = f"kernel:{n}"
+    rnd = random.Random(seed).random
+    words = Counter()
+    for _ in range(200):
+        rows = [sorted(rnd() for _ in range(r)) for r in range(1, n + 1)]
+        words[tuple(_label_mlq_bottom(*_ranked(rows)))] += 1
+    counts = _mc_word_chunk((n, 200, seed))
+    assert counts == words
+    assert list(counts) == list(words)
+
+
+def test_mc_kernel_adds_the_two_codes_of_a_wrapped_claim():
+    # at n = 2 label 1 takes the first last-row box both when its box above
+    # lies left of the row (index -2) and when it lies right of it, past the
+    # end of the ring (index 0): two codes of one word
+    from ringtasep.continuum import _mc_kernel, _mc_word_chunk
+
+    codes = _mc_kernel(2)(random.Random("wrap").random, 30)
+    assert set(codes) == {(-2,), (-1,), (0,)}
+    assert _mc_word_chunk((2, 30, "wrap")) == {(1, 2): codes[(-2,)] + codes[(0,)], (2, 1): codes[(-1,)]}
+
+
+def test_mc_kernel_is_compiled_once_per_n():
+    from ringtasep.continuum import _mc_kernel, _mc_word_chunk
+
+    _mc_kernel.cache_clear()
+    for n, seed in ((3, 0), (4, 0), (3, 1), (4, 1), (3, 2)):
+        _mc_word_chunk((n, 10, seed))
+    info = _mc_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+    assert _mc_kernel(3).__code__.co_filename == "<mc kernel n=3>"  # so tracebacks name it
+
+
 def test_json_roundtrip():
     d = FIG_QUEUE.to_json_dict()
     assert d == {"N": 8, "m": [2, 1, 1], "rows": [[3, 4], [0, 2, 4], [1, 5, 6, 7]]}

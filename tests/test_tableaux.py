@@ -78,6 +78,19 @@ def test_jacobi_trudi_examples():
     assert ssyt_count_jacobi_trudi((2, 1), 3) == 8
 
 
+def test_jacobi_trudi_checks_its_partition_once(monkeypatch):
+    expected = ssyt_count_hook_content((3, 2, 2), 4)
+    seen = []
+    check = tableaux.check_partition
+    monkeypatch.setattr(tableaux, "check_partition", lambda lam: seen.append(lam) or check(lam))
+    assert ssyt_count_jacobi_trudi((3, 2, 2), 4) == expected
+    assert seen == [(3, 2, 2)]
+    refusals = {(1, 2): r"^\(1, 2\) is not weakly decreasing$", (2, 0): "^partition parts must be positive$"}
+    for lam, message in refusals.items():
+        with pytest.raises(ValueError, match=message):
+            ssyt_count_jacobi_trudi(lam, 3)
+
+
 def test_ssyt_brute_examples():
     assert [t.rows for t in ssyt_brute((1, 1), 2)] == [((1,), (2,))]
     assert len(ssyt_brute((2,), 2)) == 3
