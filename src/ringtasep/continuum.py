@@ -31,7 +31,7 @@ Beyond the exact caps, one Monte Carlo sampler of bottom words, drawn
 and labelled row by row, serves both permutations and adjacencies.  Its
 loop is generated as Python source for each n and compiled once
 (_mc_kernel): with the rows unrolled and every box in a local variable it
-takes about 40% less time per sample than a loop over rows and labels,
+takes 35-45% less time per sample than a loop over rows and labels,
 and it reads the random stream in the same order, so the seeded counts
 are unchanged.
 """
@@ -167,7 +167,7 @@ def _mc_kernel(n: int):
 
     The source is generated, and compiled once per n, as dataclasses and
     namedtuple do, because the unrolled loop with every box in a local
-    variable takes about 40% less time per sample than a loop over rows
+    variable takes 35-45% less time per sample than a loop over rows
     and labels (BENCH_mc_kernel.json).  Tracebacks name it
     "<mc kernel n=...>".
     """
