@@ -4,13 +4,10 @@ multiline queues, and the associated counting formulas and chains."""
 __version__ = "0.1.0"
 
 from .core import (
-    Rational,
     RingWord,
     TypeVector,
     VACANT,
     binomial,
-    cyclic_canonical,
-    parse_rat,
     rat_str,
     reverse_permutation,
 )
@@ -20,15 +17,12 @@ __all__ = [
     "Arrangement",
     "DiscreteMLQ",
     "LabeledMLQ",
-    "Rational",
     "RingWord",
     "TypeVector",
     "VACANT",
     "binomial",
     "bottom_word",
-    "cyclic_canonical",
     "label_mlq",
-    "parse_rat",
     "rat_str",
     "reverse_permutation",
     "__version__",

@@ -78,6 +78,22 @@ def _emit(data, fmt: str, csv_rows=None, csv_header=None):
         click.echo(json.dumps(data, sort_keys=True, indent=2, default=str))
 
 
+def _sample_count(text: str) -> int:
+    """--samples as a whole number, written as digits or as a float with
+    an integral value, such as 1e6; 2.5 and 1e9999 are refused."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value.is_integer():  # nor are nan and inf
+        raise ValueError(f"need a whole number of samples, got {text!r}")
+    return int(value)
+
+
 @click.group(cls=_Group)
 @click.version_option(__version__)
 @click.option("--seed", type=int, default=None, envvar="RINGTASEP_SEED", help="master RNG seed [default: 0]")
@@ -103,7 +119,7 @@ def tasep():
 @click.option("--m", "m_text", required=True, help="class sizes, e.g. 1,1,1")
 @click.option("--N", "N", type=int, required=True)
 @click.option("--exact/--mc", default=True)
-@click.option("--samples", type=int, default=100000, show_default=True)
+@click.option("--samples", default="100000", show_default=True)
 @click.option("--burn-in", type=int, default=1000, show_default=True)
 @click.pass_context
 def tasep_stationary_cmd(ctx, m_text, N, exact, samples, burn_in):
@@ -114,7 +130,7 @@ def tasep_stationary_cmd(ctx, m_text, N, exact, samples, burn_in):
         data = {word_string(w): rat_str(p) for w, p in sorted(dist.items())}
         _emit(data, ctx.obj["fmt"], csv_rows=sorted(data.items()), csv_header=("state", "probability"))
     else:
-        est = mc_stationary(t, burn_in, samples, seed=ctx.obj["seed"] or 0)
+        est = mc_stationary(t, burn_in, _sample_count(samples), seed=ctx.obj["seed"] or 0)
         rows = [(word_string(w), e["freq"], e["stderr"], e["count"]) for w, e in est.items()]
         data = {word_string(w): e for w, e in est.items()}
         _emit(data, ctx.obj["fmt"], csv_rows=rows, csv_header=("state", "freq", "stderr", "count"))
@@ -206,22 +222,6 @@ def count_lgv_cmd(ctx, starts, ends, brute):
 
 
 # --- continuum -------------------------------------------------------------------
-
-
-def _sample_count(text: str) -> int:
-    """--samples as a whole number, written as digits or as a float with
-    an integral value, such as 1e6; 2.5 and 1e9999 are refused."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not value.is_integer():  # nor are nan and inf
-        raise ValueError(f"need a whole number of samples, got {text!r}")
-    return int(value)
 
 
 @main.group()
@@ -372,7 +372,7 @@ def rs_stationary_cmd(ctx, n, k):
 @main.command("verify")
 @click.argument("pattern", default="*")
 @click.option("--list", "list_only", is_flag=True, default=False, help="list check ids and exit")
-@click.option("--samples", type=int, default=None, help="override sample counts for Monte Carlo checks")
+@click.option("--samples", default=None, help="override sample counts for Monte Carlo checks")
 @click.option("--enable-slow", is_flag=True, default=False, help="run gated long jobs (n=5 harmonicity census)")
 @click.pass_context
 def verify_cmd(ctx, pattern, list_only, samples, enable_slow):
@@ -383,7 +383,7 @@ def verify_cmd(ctx, pattern, list_only, samples, enable_slow):
         return
     overrides: dict = {"corr-mc-n6": {"jobs": ctx.obj["jobs"]}}
     if samples is not None:
-        overrides["corr-mc-n6"]["samples"] = samples
+        overrides["corr-mc-n6"]["samples"] = _sample_count(samples)
     if ctx.obj["seed"] is not None:
         overrides["corr-mc-n6"]["seed"] = ctx.obj["seed"]
     if enable_slow:

@@ -10,15 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-Rational = Fraction
-
 # Sentinel for an empty ring site.  Vacancies are deliberately not stored
-# as an extra particle class; use RingWord.with_vacancy_class where a
-# formula wants the "largest label" view.
+# as an extra particle class.
 VACANT = 0
-
-# Sort key for a site: vacancies compare larger than any particle label.
-_VACANT_KEY = 1 << 30
 
 
 def binomial(a: int, b: int) -> int:
@@ -41,11 +35,6 @@ def rat_str(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(s: str) -> Fraction:
-    """Inverse of rat_str."""
-    return Fraction(s)
 
 
 def _estimates(counts: dict, samples: int, name: str) -> dict:
@@ -118,12 +107,6 @@ class RingWord:
     def __iter__(self):
         return iter(self.sites)
 
-    def rotate(self, k: int) -> "RingWord":
-        """Rotation: site i of the result is site i+k of self (cyclically)."""
-        N = len(self.sites)
-        k %= N
-        return RingWord(self.sites[k:] + self.sites[:k])
-
     def particles(self) -> list[tuple[int, int]]:
         """Occupied sites as (position, label) pairs, by position."""
         return [(i, s) for i, s in enumerate(self.sites) if s != VACANT]
@@ -140,10 +123,6 @@ class RingWord:
             raise ValueError(f"classes 1..{n} must all be present, got counts {counts}")
         return TypeVector(tuple(counts), len(self.sites))
 
-    def with_vacancy_class(self, n: int) -> tuple[int, ...]:
-        """The word with vacancies rewritten as the honorary class n+1."""
-        return tuple(s if s != VACANT else n + 1 for s in self.sites)
-
     @classmethod
     def from_dict(cls, N: int, at: dict[int, int]) -> "RingWord":
         sites = [VACANT] * N
@@ -158,18 +137,6 @@ def word_string(w) -> str:
     if any(s > 9 for s in sites):
         return ",".join("." if s == VACANT else str(s) for s in sites)
     return "".join("." if s == VACANT else str(s) for s in sites)
-
-
-def cyclic_canonical(w: RingWord) -> tuple[RingWord, int]:
-    """Lexicographically smallest rotation of w and the offset achieving it.
-
-    Particle labels order naturally; vacancies sort after every label.  On
-    ties the smallest offset wins, so the result is deterministic and the
-    map is idempotent.
-    """
-    key = tuple(s if s != VACANT else _VACANT_KEY for s in w.sites)
-    off = min(range(len(key)), key=lambda k: key[k:] + key[:k])
-    return w.rotate(off), off
 
 
 # --- permutations -----------------------------------------------------------

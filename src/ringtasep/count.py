@@ -292,8 +292,11 @@ class PathFamilySpec:
     ends: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "starts", tuple(tuple(p) for p in self.starts))
-        object.__setattr__(self, "ends", tuple(tuple(p) for p in self.ends))
+        for name in ("starts", "ends"):
+            points = tuple(tuple(p) for p in getattr(self, name))
+            if not all(len(p) == 2 and all(isinstance(x, int) for x in p) for p in points):
+                raise ValueError(f"{name} must be (row, column) pairs of ints, got {points}")
+            object.__setattr__(self, name, points)
         if len(self.starts) != len(self.ends):
             raise ValueError("starts and ends must pair up")
 

@@ -21,10 +21,10 @@ from the step functions to the certificate.  A stationary vector y comes
 from the sparse integer elimination of `linalg.kernel_vector` and is
 certified by the integer flow equations y C = D y; Fractions are formed
 only for the returned distribution.  A chain that is not irreducible is
-answered from its graph before any elimination: the kernel dimension is
-the number of its closed communicating classes, found by one strongly
-connected component pass, and with one closed class any further
-component is transient.
+refused by that elimination: its number of free columns is the kernel
+dimension, which is the number of closed communicating classes (Norris,
+Markov Chains, 1997, section 1.7), and with one closed class the kernel
+vector is zero on every transient state.
 
 The TASEP needs no solve.  Ferrari and Martin, "Stationary distributions
 of multi-type totally asymmetric exclusion processes" (Ann. Probab. 35,
@@ -59,6 +59,8 @@ from .core import VACANT, RingWord, TypeVector, _estimates, _multiset_perms
 from .count import bottom_word_counts, total_mlq_count
 from .linalg import kernel_vector
 from .mlq import _row_successors, transfer
+
+STATE_CAP = 2000  # the most states `transition_matrix` enumerates
 
 
 @dataclass(frozen=True)
@@ -151,16 +153,16 @@ def tasep_step(w: RingWord, site: int) -> RingWord:
     return RingWord(_step_tuple(w.sites, site))
 
 
-def transition_matrix(t: TypeVector, cap: int = 2000):
+def transition_matrix(t: TypeVector):
     """Sparse move counts of the chain, with its state list.
 
     Each of the K particles is chosen with probability 1/K: the matrix
     holds the move counts with D = K (a `CountMatrix`).  Raises when the
-    state space exceeds the cap.
+    state space exceeds `STATE_CAP`, before any state is enumerated.
     """
     size = state_count(t)
-    if size > cap:
-        raise ValueError(f"state space has {size} states, above cap {cap}")
+    if size > STATE_CAP:
+        raise ValueError(f"state space has {size} states, above cap {STATE_CAP}")
     states = enumerate_states(t)
     return states, chain_matrix(_moves(states, _particle_steps))
 
@@ -169,26 +171,21 @@ def stationary_exact(P: CountMatrix) -> tuple[Fraction, ...]:
     """Exact stationary distribution of a chain given by its move counts.
 
     P holds the integer counts C of every state's D equally likely moves,
-    so the transition matrix is C / D.  Its stationary distributions are
-    spanned by one per closed communicating class (Norris, Markov Chains,
-    1997, section 1.7), so a chain with other than one closed class is
-    refused with that count as the kernel dimension, read off the chain
-    graph, and a chain whose one closed class leaves transient states, as
-    not strictly positive.  Otherwise y solves y C = D y through the
+    so the transition matrix is C / D.  y solves y C = D y through the
     kernel of C^T - D I, found by exact sparse elimination
-    (`linalg.kernel_vector`).  Before the Fractions y_i / sum(y) are
-    formed, y must be strictly positive and y C = D y must hold in
-    integers: that check is the solve's certificate.
+    (`linalg.kernel_vector`).  Its stationary distributions are spanned by
+    one per closed communicating class (Norris, Markov Chains, 1997,
+    section 1.7), so a chain with other than one closed class is refused
+    by the elimination, with that count of free columns as the kernel
+    dimension, and a chain whose one closed class leaves transient states
+    has a kernel vector that is zero there, refused as not strictly
+    positive.  Before the Fractions y_i / sum(y) are formed, y must be
+    strictly positive and y C = D y must hold in integers: that check is
+    the solve's certificate.
     """
     C, D = P.rows, P.D
     if not _is_stochastic(C, D):
         raise ValueError("matrix is not row-stochastic")
-    comp = _components(C)
-    d = _closed_classes(C, comp)
-    if d != 1:  # dim ker(C^T - D I) is the number of closed classes
-        raise ValueError(f"kernel dimension is {d}, expected 1 (chain reducible?)")
-    if any(comp):  # the closed class is component 0, the others are transient
-        raise ValueError("stationary vector not strictly positive (chain not irreducible)")
     n = len(C)
     rows = [{} for _ in range(n)]  # row j of C^T - D I
     for i, row in enumerate(C):
@@ -320,56 +317,6 @@ def _certified_census(t: TypeVector, moves) -> dict[tuple[int, ...], Fraction]:
     return _certified(states, moves(states), weights)
 
 
-def _components(succ) -> list[int]:
-    """The strongly connected component of every node of the graph with
-    edges i -> j for j in succ[i], by Tarjan's algorithm (1972) with an
-    explicit stack.  Components are numbered 0, 1, ... in the order they
-    close, and a component closes only after every component it reaches,
-    so each edge between components goes to a lower number."""
-    n = len(succ)
-    order, low, comp = [-1] * n, [0] * n, [-1] * n
-    seen, closed = 0, 0
-    path = []  # visited nodes whose component is still open
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = seen
-        seen += 1
-        path.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if order[w] < 0:
-                    order[w] = low[w] = seen
-                    seen += 1
-                    path.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if comp[w] < 0 and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == order[v]:
-                    while True:
-                        w = path.pop()
-                        comp[w] = closed
-                        if w == v:
-                            break
-                    closed += 1
-    return comp
-
-
-def _closed_classes(succ, comp: list[int]) -> int:
-    """The number of closed communicating classes of the graph with edges
-    i -> j for j in succ[i], given comp = _components(succ): its strongly
-    connected components that no edge leaves."""
-    leaving = {comp[i] for i, out in enumerate(succ) for j in out if comp[j] != comp[i]}
-    return len(set(comp)) - len(leaving)
-
-
 def _particle_steps(w: tuple[int, ...]):
     """Targets of the K equally likely moves from a word with K particles:
     each particle in turn tries its jump."""
@@ -480,7 +427,8 @@ def k_tasep_stationary(t: TypeVector, k: int) -> dict[tuple[int, ...], Fraction]
     distribution, the Ferrari-Martin queue census (see `tasep_stationary`),
     so that census is certified on the k-subset chain, with no solve.
     k = N breaks rotation covariance (the forced cut), so that case is
-    solved on the full state space, and refused from its closed classes.
+    solved on the full state space, where the elimination of
+    `stationary_exact` refuses it unless it is irreducible.
     Both walk the `_bell_table` of the states through `_subset_moves`.
     """
     if not 1 <= k <= t.N:

@@ -148,10 +148,6 @@ class DiscreteMLQ:
     def to_json_dict(self) -> dict:
         return {"N": self.t.N, "m": list(self.t.m), "rows": [list(r) for r in self.rows]}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DiscreteMLQ":
-        return cls(TypeVector(tuple(d["m"]), d["N"]), tuple(tuple(r) for r in d["rows"]))
-
 
 @dataclass(frozen=True)
 class LabeledMLQ:
@@ -291,15 +287,6 @@ def label_arrangement(a: Arrangement) -> tuple[int, ...]:
     Ties among positions have measure zero and never occur here.
     """
     return tuple(label_mlq(materialize(a)).labels[-1])
-
-
-def sample_arrangement(n: int, rng) -> Arrangement:
-    """Uniform arrangement of the standard content {1x1, 2x2, ..., nxn}."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    content = [i for i in range(1, n + 1) for _ in range(i)]
-    rng.shuffle(content)
-    return Arrangement(tuple(content))
 
 
 def last_row_step(u: RingWord, boxes) -> RingWord:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .core import rat_str, parse_rat
+from .core import rat_str
 
 
 def _coef(c):
@@ -249,14 +249,6 @@ class MultiPoly:
                 {"coef": rat_str(c), "exps": list(e)} for e, c in self._sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MultiPoly":
-        nvars = len(d["vars"])
-        return cls(
-            nvars,
-            {tuple(t["exps"]): parse_rat(t["coef"]) for t in d["terms"]},
-        )
 
 
 def laplacian(p: MultiPoly) -> MultiPoly:

@@ -31,8 +31,10 @@ stationary distribution.  k = 2n cuts the full cycle at index 1, which
 breaks rotation covariance, so that chain is solved whole.  It is not
 ergodic at any n >= 2 tried: n = 2 leaves a transient pattern, and from
 n = 3 on it has several closed classes.  `markov.stationary_exact`
-reads both off the strongly connected components of the chain graph and
-refuses the chain before any elimination.
+refuses both through its sparse elimination: the number of free columns
+is the number of closed classes (Norris, Markov Chains, 1997, section
+1.7), and with one closed class the kernel vector is zero on the
+transient pattern.
 """
 
 import itertools
@@ -218,9 +220,9 @@ def rs_stationary(n: int, k: int) -> dict[LinkingPattern, Fraction]:
 
     The solver takes the patterns, their move lists on positions and, for
     k < 2n, the chain's rotation table, so it solves on rotation classes
-    and lifts; k = 2n is solved whole, and refused from its closed classes
-    when it is not ergodic.  The result is keyed by the
-    `enumerate_patterns` objects.
+    and lifts; k = 2n is solved whole, and refused by the elimination of
+    `markov.stationary_exact` when it is not ergodic.  The result is keyed
+    by the `enumerate_patterns` objects.
     """
     patterns, succ, rot = _rs_chain(n, k)
     return _certified_stationary(patterns, succ, rot if k < 2 * n else None)

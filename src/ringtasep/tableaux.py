@@ -54,11 +54,6 @@ def cells(lam):
             yield i, j
 
 
-def hook_length(lam, i: int, j: int) -> int:
-    lamc = conjugate_partition(lam)
-    return lam[i] + lamc[j] - i - j - 1
-
-
 def _hooks(lam):
     """(row, col, hook length) of every cell of a checked partition, the
     conjugate formed once."""

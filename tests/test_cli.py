@@ -63,6 +63,15 @@ def test_count_lgv():
     assert data == {"det": 3, "brute": 3}
 
 
+def test_count_lgv_refuses_points_that_are_not_pairs():
+    for starts, ends in (("1", "2"), ("0,0,5", "1,2,9")):
+        for brute in ((), ("--brute",)):
+            r = run("count", "lgv", "--starts", starts, "--ends", ends, *brute)
+            assert r.exit_code == 1, (starts, brute)
+            assert "Error: starts must be (row, column) pairs of ints" in r.output
+            assert isinstance(r.exception, SystemExit)  # a usage error, not a traceback
+
+
 def test_continuum_pdist():
     data = json.loads(run("continuum", "pdist", "--n", "2").output)
     assert data == {"12": "2/3", "21": "1/3"}
@@ -110,6 +119,20 @@ def test_continuum_mc_takes_whole_sample_counts_only():
         r = run("continuum", command, "--n", "3", "--mc", "--samples", "0")
         assert r.exit_code == 1
         assert "Error: need samples >= 1" in r.output
+
+
+def test_tasep_and_verify_take_whole_sample_counts_only():
+    r = run("tasep", "stationary", "--m", "1,1", "--N", "3", "--mc", "--samples", "1e3")
+    assert r.exit_code == 0
+    assert sum(e["count"] for e in json.loads(r.output).values()) == 1000
+    r = run("verify", "corr-mc-n6", "--samples", "1e3")
+    assert r.exit_code in (0, 2)  # a finding or a match, not a usage error
+    assert json.loads(r.output)[0]["params"]["samples"] == 1000
+    for args in (("tasep", "stationary", "--m", "1,1", "--N", "3", "--mc"), ("verify", "corr-mc-n6")):
+        r = run(*args, "--samples", "2.5")
+        assert r.exit_code == 1, args
+        assert "Error: need a whole number of samples, got '2.5'" in r.output
+        assert isinstance(r.exception, SystemExit)
 
 
 def test_verify_conj_corr_check():

@@ -17,8 +17,6 @@ from ringtasep.markov import (
     _bell_table,
     _certified_stationary,
     _certify_weights,
-    _closed_classes,
-    _components,
     _fire,
     _is_stochastic,
     _moves,
@@ -99,9 +97,11 @@ def test_transition_matrix_rows_stochastic():
         assert _is_stochastic(P.rows, P.D)
 
 
-def test_transition_matrix_cap():
-    with pytest.raises(ValueError):
-        transition_matrix(TypeVector((1, 1, 1), 9), cap=10)
+def test_transition_matrix_cap(monkeypatch):
+    # 9! / 5! = 3024 words, refused before any is enumerated
+    monkeypatch.setattr(markov, "enumerate_states", None)
+    with pytest.raises(ValueError, match=r"^state space has 3024 states, above cap 2000$"):
+        transition_matrix(TypeVector((1, 1, 1, 1), 9))
 
 
 def test_stationary_exact_uniform():
@@ -412,37 +412,55 @@ def _full_ring_chain(n, N):
     + [lambda: transition_matrix(TypeVector((2, 1), 5))[1], lambda: rs_transition_matrix(3, 1)[1]],
 )
 def test_closed_classes_are_the_kernel_dimension(chain):
+    # the elimination's free columns count the closed classes (Norris 1.7):
+    # it refuses with the dense rank's kernel dimension, else solves an
+    # irreducible chain and leaves zeros on the transient states of another
     P = chain()
-    assert _closed(P.rows) == _kernel_dimension(P)
+    d = _kernel_dimension(P)
+    if d != 1:
+        with pytest.raises(ValueError, match=rf"^kernel dimension is {d}, expected 1 \(chain reducible\?\)$"):
+            stationary_exact(P)
+    elif _irreducible(P.rows):
+        pi = stationary_exact(P)
+        assert min(pi) > 0 and sum(pi) == 1
+    else:
+        with pytest.raises(ValueError, match=r"^stationary vector not strictly positive \(chain not irreducible\)$"):
+            stationary_exact(P)
 
 
-def _closed(succ):
-    return _closed_classes(succ, _components(succ))
+def _irreducible(succ):
+    """Every state reaches every state: one search from each."""
+    for start in range(len(succ)):
+        seen, todo = {start}, [start]
+        while todo:
+            for j in succ[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        if len(seen) < len(succ):
+            return False
+    return True
 
 
 def test_closed_classes_of_small_graphs():
-    # components close sinks first: 1, then 2 (its edge to 1 is to a closed one), then 0
-    assert _components([[1, 2], [], [1]]) == [2, 0, 1]
-    assert _closed([]) == 0
-    assert _closed([[0]]) == 1
     # 0 -> {1, 2} -> 3 <-> 4, with 5 on a loop of its own: two closed classes
-    assert _closed([[1], [2], [1, 3], [4], [3], [5]]) == 2
-    # a long path into a cycle is one deep search, not one stack frame per node
-    assert _closed([[i + 1] for i in range(5000)] + [[4990]]) == 1
+    P = chain_matrix([[1, 1], [2, 2], [1, 3], [4, 4], [3, 3], [5, 5]])
+    assert _kernel_dimension(P) == 2
+    with pytest.raises(ValueError, match=r"^kernel dimension is 2, expected 1 \(chain reducible\?\)$"):
+        stationary_exact(P)
+    # a long path into a cycle: one closed class, and 4990 transient states
+    P = chain_matrix([[i + 1] for i in range(5000)] + [[4990]])
+    with pytest.raises(ValueError, match=r"^stationary vector not strictly positive \(chain not irreducible\)$"):
+        stationary_exact(P)
 
 
-def test_reducible_chain_is_refused_before_the_kernel_solve(monkeypatch):
+def test_reducible_chain_is_refused_before_the_kernel_solve():
     P = CountMatrix(({1: 2}, {0: 2}, {2: 1, 3: 1}, {2: 2}), 2)
     # the message the kernel solve itself gives
     with pytest.raises(ValueError) as e:
         kernel_vector([dict(enumerate(row)) for row in _generator_rows(P)], len(P.rows))
     expected = str(e.value)
     assert expected == "kernel dimension is 2, expected 1 (chain reducible?)"
-
-    def refuse(rows, n):
-        raise AssertionError("kernel solve of a reducible chain")
-
-    monkeypatch.setattr(markov, "kernel_vector", refuse)
     with pytest.raises(ValueError) as e:
         stationary_exact(P)
     assert str(e.value) == expected
@@ -450,15 +468,10 @@ def test_reducible_chain_is_refused_before_the_kernel_solve(monkeypatch):
         stationary_exact(rs_transition_matrix(5, 10)[1])
 
 
-def test_one_closed_class_with_a_transient_state_is_not_positive(monkeypatch):
+def test_one_closed_class_with_a_transient_state_is_not_positive():
     # 0 leaves for the closed class {1, 2} and never returns
     P = CountMatrix(({0: 1, 1: 1}, {2: 2}, {1: 2}), 2)
-    assert _closed(P.rows) == 1
-
-    def refuse(rows, n):
-        raise AssertionError("kernel solve of a chain with a transient state")
-
-    monkeypatch.setattr(markov, "kernel_vector", refuse)
+    assert _kernel_dimension(P) == 1
     with pytest.raises(ValueError, match=r"^stationary vector not strictly positive \(chain not irreducible\)$"):
         stationary_exact(P)
 

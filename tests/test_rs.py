@@ -322,7 +322,7 @@ def test_n_below_one_is_refused(n):
 def test_rotation_the_chain_does_not_commute_with_is_refused():
     # the k = N forced cut breaks rotation covariance; handed the rotation
     # anyway, the solver refuses the chain, from the certificate on the
-    # lift or from the quotient's closed classes, and returns nothing
+    # lift or from the quotient's kernel dimension, and returns nothing
     cases = [((1,), 3, RuntimeError, r"^stationarity verification failed on the full chain$")]
     cases.append(((1, 1), 4, ValueError, r"^kernel dimension is 3, expected 1 \(chain reducible\?\)$"))
     for m, N, error, text in cases:
@@ -333,7 +333,8 @@ def test_rotation_the_chain_does_not_commute_with_is_refused():
 
 
 def test_stationary_caps():
-    # one cap for every k; k = 2n at n = 7 is refused from its closed classes
+    # one cap for every k; k = 2n at n = 7 is refused by the elimination,
+    # whose free columns are its closed classes
     with pytest.raises(ValueError, match=r"^kernel dimension is 28, expected 1 \(chain reducible\?\)$"):
         rs_stationary(7, 14)
     with pytest.raises(ValueError, match="cap 8"):

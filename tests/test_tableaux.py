@@ -16,7 +16,6 @@ from ringtasep.tableaux import (
     descending_prefix_probability,
     descending_start_count,
     hook_content_row_addition_check,
-    hook_length,
     interlacing_pattern_count,
     is_ssyt,
     mlq_to_ssyt,
@@ -58,12 +57,6 @@ def test_conjugate_involution(lam):
 @given(partitions())
 def test_conjugate_preserves_size(lam):
     assert sum(conjugate_partition(lam)) == sum(lam)
-
-
-def test_hook_lengths():
-    assert hook_length((2, 1), 0, 0) == 3
-    assert hook_length((2, 1), 0, 1) == 1
-    assert hook_length((2, 1), 1, 0) == 1
 
 
 def test_hook_content_examples():
