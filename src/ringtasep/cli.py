@@ -6,15 +6,17 @@ verification check mismatches.  Output is deterministic for a fixed
 command line and seed.
 """
 
+import functools
 import json
 import sys
 
 import click
 
 from . import __version__
-from .core import TypeVector, parse_perm, rat_str, word_string
+from .core import TypeVector, parse_perm, rat_str, reverse_permutation, swap_values, word_string
 from .count import (
     PathFamilySpec,
+    PositionVector,
     count_bottom_reverse,
     count_bottom_reverse_multi_swap,
     count_bottom_reverse_swap,
@@ -96,8 +98,8 @@ def _sample_count(text: str) -> int:
 
 @click.group(cls=_Group)
 @click.version_option(__version__)
-@click.option("--seed", type=int, default=None, envvar="RINGTASEP_SEED", help="master RNG seed [default: 0]")
-@click.option("--jobs", type=int, default=1, envvar="RINGTASEP_JOBS", show_default=True)
+@click.option("--seed", type=int, envvar="RINGTASEP_SEED", help="master RNG seed [default: 0; corr-mc-n6: 7]")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="RINGTASEP_JOBS", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", envvar="RINGTASEP_FORMAT")
 @click.option("--cache-dir", type=click.Path(), default=None, envvar="RINGTASEP_CACHE_DIR")
 @click.pass_context
@@ -153,7 +155,8 @@ def mlq_group():
 def mlq_count_cmd(ctx, pi_text, b_text, N, formula):
     """Count queues with the given bottom row, by row-transfer census or formula."""
     pi = parse_perm(pi_text)
-    b = tuple(int(x) for x in b_text.split(","))
+    b = PositionVector(tuple(int(x) for x in b_text.split(",")), N).b
+    swaps = ()
     if formula is None:
         value = mlq_bottom_count(pi, b, N)
         route = "row-transfer"
@@ -161,14 +164,18 @@ def mlq_count_cmd(ctx, pi_text, b_text, N, formula):
         value = count_bottom_reverse(b)
         route = "reverse-formula"
     elif formula.startswith("skw0:"):
-        value = count_bottom_reverse_swap(int(formula.split(":")[1]), b, N)
+        swaps = (int(formula.split(":")[1]),)
+        value = count_bottom_reverse_swap(swaps[0], b, N)
         route = "swap-formula"
     elif formula.startswith("sw0:"):
-        kvec = tuple(int(x) for x in formula.split(":")[1].split(","))
-        value = count_bottom_reverse_multi_swap(kvec, b, N)
+        swaps = tuple(int(x) for x in formula.split(":")[1].split(","))
+        value = count_bottom_reverse_multi_swap(swaps, b, N)
         route = "multi-swap-formula (printed sign)"
     else:
         raise click.UsageError(f"unknown formula {formula!r}")
+    counted = functools.reduce(swap_values, swaps, reverse_permutation(len(b)))
+    if formula is not None and pi != counted:
+        raise ValueError(f"formula {formula} counts the permutation {','.join(map(str, counted))}, not {pi_text}")
     _emit({"pi": list(pi), "b": list(b), "N": N, "route": route, "count": value}, ctx.obj["fmt"])
 
 

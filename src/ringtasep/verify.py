@@ -1,7 +1,8 @@
 """Verification suite: one registered check per identity, theorem, or
 conjecture, with machine-readable reports.
 
-A check maps its parameters to `(witnesses, detail)`: its counterexamples
+A check takes keyword parameters, whose registry defaults are written
+only in `CHECKS`, and returns `(witnesses, detail)`: its counterexamples
 (empty on a match, `None` if it did not run) and a one-line description.
 Severity lives only in `CHECKS`, and `run_suite` alone turns witnesses
 into a status.  A theorem-severity mismatch is an error (exit code 2 in
@@ -13,6 +14,7 @@ are audited by recomputation on a seeded 5% sample.
 import fnmatch
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -151,10 +153,9 @@ def _rs(n: int, k: int):
 # --- check implementations -----------------------------------------------------
 
 
-def _check_ferrari_martin(params):
-    m = tuple(params["m"])
+def _check_ferrari_martin(*, m, max_N):
     bad = []
-    for N in range(sum(m), params.get("max_N", 6) + 1):
+    for N in range(sum(m), max_N + 1):
         t = TypeVector(m, N)
         dist = _tasep(t)
         counts = bottom_word_counts(t)
@@ -179,19 +180,18 @@ def _census_mismatches(swaps, ns, max_N, formula):
                     yield n, N, b, value
 
 
-def _check_reverse_count(params):
-    ns = range(2, params.get("max_n", 4) + 1)
-    mismatches = _census_mismatches((), ns, params.get("max_N", 8), lambda b, N: count_bottom_reverse(b))
+def _check_reverse_count(*, max_n, max_N):
+    mismatches = _census_mismatches((), range(2, max_n + 1), max_N, lambda b, N: count_bottom_reverse(b))
     bad = [{"n": n, "N": N, "b": list(b)} for n, N, b, _ in mismatches]
     return bad[:5], "determinant/product formula == brute count"
 
 
-def _check_reverse_det_vs_product(params):
+def _check_reverse_det_vs_product(*, max_n, max_N):
     # count_bottom_reverse raises RuntimeError when its two routes disagree;
     # each b is evaluated once and reported on the smallest ring holding it
     bad = []
-    for n in range(2, params.get("max_n", 4) + 1):
-        for b in itertools.combinations(range(params.get("max_N", 10)), n):
+    for n in range(2, max_n + 1):
+        for b in itertools.combinations(range(max_N), n):
             try:
                 count_bottom_reverse(b)
             except RuntimeError as e:
@@ -199,28 +199,21 @@ def _check_reverse_det_vs_product(params):
     return bad[:5], "determinant route equals product route on the full sweep"
 
 
-def _check_swap_count(params):
-    k = params["k"]
-    ns = range(k + 1, params.get("max_n", 4) + 1)
-    mismatches = _census_mismatches(
-        (k,), ns, params.get("max_N", 7), functools.partial(count_bottom_reverse_swap, k)
-    )
+def _check_swap_count(*, k, max_n, max_N):
+    formula = functools.partial(count_bottom_reverse_swap, k)
+    mismatches = _census_mismatches((k,), range(k + 1, max_n + 1), max_N, formula)
     bad = [{"n": n, "N": N, "b": list(b)} for n, N, b, _ in mismatches]
     return bad[:5], f"adjacent-swap count formula, k={k}"
 
 
-def _check_multi_swap(params):
-    kvec = tuple(params.get("kvec", (3, 1)))
+def _check_multi_swap(*, kvec, n, max_N):
     sign = (-1) ** len(kvec)
-    mismatches = _census_mismatches(
-        kvec, (params.get("n", 4),), params.get("max_N", 7),
-        lambda b, N: sign * count_bottom_reverse_multi_swap(kvec, b, N),
-    )
+    mismatches = _census_mismatches(kvec, (n,), max_N, lambda b, N: sign * count_bottom_reverse_multi_swap(kvec, b, N))
     bad = [{"N": N, "b": list(b), "formula": sign * value} for _, N, b, value in mismatches]
     return bad[:5], f"inclusion-exclusion count for swaps {list(kvec)} (sign (-1)^r restored)"
 
 
-def _check_lgv(params):
+def _check_lgv():
     bad = []
     # reverse-count families
     for n in range(2, 4):
@@ -239,9 +232,9 @@ def _check_lgv(params):
     return bad[:5], "path determinant equals disjoint-family enumeration"
 
 
-def _check_reverse_probability(params):
+def _check_reverse_probability(*, max_n):
     bad = []
-    for n in range(2, params.get("max_n", 4) + 1):
+    for n in range(2, max_n + 1):
         dist = permutation_distribution(n)
         if dist[reverse_permutation(n)] != reverse_probability_formula(n):
             bad.append({"n": n})
@@ -250,9 +243,9 @@ def _check_reverse_probability(params):
     return bad, "reverse-permutation probability closed form"
 
 
-def _check_interlacing(params):
+def _check_interlacing(*, max_n):
     bad = []
-    for n in range(1, params.get("max_n", 4) + 1):
+    for n in range(1, max_n + 1):
         rep = interlacing_pattern_count(n)
         if not rep["match"]:
             bad.append(rep)
@@ -262,9 +255,9 @@ def _check_interlacing(params):
     return bad, "linear extensions vs corrected closed form; n=3 gives 2"
 
 
-def _check_reverse_density(params):
+def _check_reverse_density(*, min_n=2, max_n):
     bad = []
-    for n in range(params.get("min_n", 2), params.get("max_n", 4) + 1):
+    for n in range(min_n, max_n + 1):
         if density_gap_forms(n)[reverse_permutation(n)] != gap_vandermonde(n) * math.factorial(n):
             bad.append({"n": n})
     return bad, "reverse-permutation density is n! times the Vandermonde"
@@ -292,7 +285,7 @@ def _printed_operator_identities():
     }
 
 
-def _check_operator_identities(params):
+def _check_operator_identities():
     bad = []
     for (target, base), op in _printed_operator_identities().items():
         if not check_operator_identity(target, op, base)["match"]:
@@ -306,8 +299,7 @@ def _swap_operator(n: int, k: int) -> OperatorExpr:
     return OperatorExpr.partial(n, orders, Fraction(1, math.factorial(k))) - OperatorExpr.identity(n)
 
 
-def _check_operator_family(params):
-    n = params.get("n", 4)
+def _check_operator_family(*, n):
     w0 = reverse_permutation(n)
     bad = []
     for k in range(1, n):
@@ -323,10 +315,8 @@ def _check_operator_family(params):
     return bad, "swap densities are derivative images of the reverse density"
 
 
-def _check_laplace(params):
-    n = params.get("n", 4)
-    expected_harmonic = params.get("expected_harmonic")
-    if n >= 5 and not params.get("enable_slow", False):
+def _check_laplace(*, n, expected_harmonic=None, enable_slow=False):
+    if n >= 5 and not enable_slow:
         return None, "long-running; pass enable_slow to run"
     g = density_gap_forms(n)
     classes: dict = {}  # rotation class (keyed by its least rotation) -> members
@@ -350,8 +340,7 @@ def _check_laplace(params):
     return [{"harmonic": len(harmonic), "classes": len(classes)}], detail
 
 
-def _check_leading_part(params):
-    n = params.get("n", 4)
+def _check_leading_part(*, n):
     g = density_gap_forms(n)
     w0 = reverse_permutation(n)
     bad = []
@@ -362,9 +351,9 @@ def _check_leading_part(params):
     return bad, "maximal-degree part of each density is +-(reverse density)"
 
 
-def _check_density_consistency(params):
+def _check_density_consistency(*, min_n=1, max_n):
     bad = []
-    for n in range(params.get("min_n", 1), params.get("max_n", 4) + 1):
+    for n in range(min_n, max_n + 1):
         g = density_gap_forms(n)
         dist = permutation_distribution(n)
         total = Fraction(0)
@@ -378,9 +367,9 @@ def _check_density_consistency(params):
     return bad[:5], "densities integrate to the permutation probabilities"
 
 
-def _check_prop43(params):
+def _check_prop43(*, max_exact_n, max_formula_n):
     bad = []
-    for n in range(3, params.get("max_exact_n", 5) + 1):
+    for n in range(3, max_exact_n + 1):
         table = adjacency_exact(n)
         if table.value(2, 1) != Fraction(4, (n + 1) * (n + 2)):
             bad.append({"n": n, "entry": "2,1"})
@@ -388,7 +377,7 @@ def _check_prop43(params):
             bad.append({"n": n, "entry": "1,2"})
         if table.value(n, n - 1) != Fraction(3, (2 * n - 1) * (2 * n - 3)):
             bad.append({"n": n, "entry": "n,n-1"})
-    for n in range(3, params.get("max_formula_n", 10) + 1):
+    for n in range(3, max_formula_n + 1):
         if top_pair_adjacency_syt(n) != Fraction(3, (2 * n - 1) * (2 * n - 3)):
             bad.append({"n": n, "entry": "syt-sum"})
         # the last-row integral: int_0^1 2n (1-y)^2 y^(n-1) dy
@@ -405,8 +394,7 @@ def _check_prop43(params):
     return bad[:5], "the three proved adjacency entries, all routes"
 
 
-def _check_adjacency_conjecture(params):
-    n = params["n"]
+def _check_adjacency_conjecture(*, n):
     table = adjacency_exact(n)
     bad = []
     for i in range(1, n + 1):
@@ -418,7 +406,7 @@ def _check_adjacency_conjecture(params):
     return bad[:5], f"conjectured adjacency table vs exact census, n={n}"
 
 
-def _check_table6(params):
+def _check_table6():
     bad = []
     for (i, j), val in TABLE_N6.items():
         if adjacency_conjecture(i, j, 6) != Fraction(val):
@@ -426,11 +414,7 @@ def _check_table6(params):
     return bad, "closed form reproduces every published n=6 table entry"
 
 
-def _check_adjacency_mc(params):
-    n = params.get("n", 6)
-    samples = int(params.get("samples", 10**7))
-    seed = params.get("seed", 7)
-    jobs = params.get("jobs", os.cpu_count() or 1)
+def _check_adjacency_mc(*, n, samples, seed, jobs=os.cpu_count() or 1):
     res = adjacency_mc(n, samples, seed, jobs=jobs)
     bad = []
     for (i, j), e in res["entries"].items():
@@ -440,11 +424,11 @@ def _check_adjacency_mc(params):
     return bad, f"{samples} samples, every entry within 3 standard errors of the table"
 
 
-def _check_initial_prefix(params):
+def _check_initial_prefix(*, max_N, max_len):
     bad = []
-    for N in range(2, params.get("max_N", 6) + 1):
+    for N in range(2, max_N + 1):
         dist = _tasep(TypeVector((1,) * N, N))
-        for ell in range(1, min(params.get("max_len", 3), N - 1) + 1):
+        for ell in range(1, min(max_len, N - 1) + 1):
             mass = {}  # prefix letters at sites 0..ell-1 -> their stationary mass
             for w, p in dist.items():
                 mass[w[:ell]] = mass.get(w[:ell], 0) + p
@@ -454,9 +438,9 @@ def _check_initial_prefix(params):
     return bad[:5], "prefix determinant equals exact stationary prefix mass"
 
 
-def _check_prefix_reverse_duality(params):
+def _check_prefix_reverse_duality(*, max_N):
     bad = []
-    for N in range(2, params.get("max_N", 6) + 1):
+    for N in range(2, max_N + 1):
         for ell in range(1, min(3, N - 1) + 1):
             z = Fraction(1)
             for i in range(1, ell + 1):
@@ -477,9 +461,9 @@ def _compositions(max_N, parts):
                 yield N, tuple(b - a for a, b in zip((0,) + cuts, cuts + (N,)))
 
 
-def _check_fw_routes(params):
+def _check_fw_routes(*, max_N):
     bad = []
-    for N, m in _compositions(params.get("max_N", 7), (2, 3)):
+    for N, m in _compositions(max_N, (2, 3)):
         try:
             expected = descending_start_count(m, N)
         except RuntimeError as e:  # its two routes disagree
@@ -492,7 +476,7 @@ def _check_fw_routes(params):
     return bad[:5], "determinant-sum route == tableau route == brute count"
 
 
-def _check_bijection(params):
+def _check_bijection(*, max_N):
     bad = []
     # the worked 13-column example
     t13 = TypeVector((2, 2, 2, 3, 4), 13)
@@ -506,7 +490,7 @@ def _check_bijection(params):
     if ssyt_to_mlq(tab, (2, 2, 2, 3), 13) != q13:
         bad.append({"example": "roundtrip"})
     # exhaustive bijectivity on small rings
-    for N, m in _compositions(params.get("max_N", 6), (2, 3)):
+    for N, m in _compositions(max_N, (2, 3)):
         t = TypeVector(m, N)
         images = set()
         count = 0
@@ -540,7 +524,7 @@ def _descending_rows(t: TypeVector):
                 yield rows
 
 
-def _check_hook_jt_brute(params):
+def _check_hook_jt_brute(*, max_t):
     bad = []
     shapes = [()] + [
         lam
@@ -548,7 +532,7 @@ def _check_hook_jt_brute(params):
         for lam in itertools.combinations_with_replacement(range(4, 0, -1), k)
     ]
     for lam in sorted(set(shapes)):
-        for t in range(0, params.get("max_t", 5) + 1):
+        for t in range(0, max_t + 1):
             try:
                 hc = ssyt_count_hook_content(lam, t)
                 jt = ssyt_count_jacobi_trudi(lam, t)
@@ -561,26 +545,26 @@ def _check_hook_jt_brute(params):
     return bad[:5], "hook-content == both determinants == enumeration"
 
 
-def _check_row_addition(params):
-    compositions = _compositions(params.get("max_N", 8), (2, 3, 4))
+def _check_row_addition(*, max_N):
+    compositions = _compositions(max_N, (2, 3, 4))
     bad = [{"m": list(m), "N": N} for N, m in compositions if not hook_content_row_addition_check(m, N)["match"]]
     return bad[:5], "row-addition hook-content identity over the sweep"
 
 
-def _check_last_row_invariance(params):
+def _check_last_row_invariance(*, cases=(((1, 1), 4), ((1, 1), 5), ((1, 1, 1), 5))):
     bad = []
-    for m, N in params.get("cases", [((1, 1), 4), ((1, 1), 5), ((1, 1, 1), 5)]):
+    for m, N in cases:
         dist = _tasep(TypeVector(tuple(m), N))
         if push_through_last_row(dist) != dist:
             bad.append({"m": list(m), "N": N})
     return bad, "the last-row update fixes the stationary distribution"
 
 
-def _check_k_invariance(params):
+def _check_k_invariance(*, max_N):
     # one census per (n, N), certified on the TASEP, compared once with the
     # solve and then certified on each k-chain in integers; a refusal is a witness
     bad = []
-    for N in range(2, params.get("max_N", 5) + 1):
+    for N in range(2, max_N + 1):
         for n in range(1, N + 1):
             t = TypeVector((1,) * n, N)
             try:
@@ -614,9 +598,9 @@ def _full_ring_findings(keys, base, full):
     return [] if all(f.get("equals_base") for f in findings) else findings
 
 
-def _check_k_full_ring(params):
+def _check_k_full_ring(*, max_N):
     findings = _full_ring_findings(
-        [{"n": n, "N": N} for N in range(2, params.get("max_N", 5) + 1) for n in range(1, N + 1)],
+        [{"n": n, "N": N} for N in range(2, max_N + 1) for n in range(1, N + 1)],
         lambda n, N: _tasep(TypeVector((1,) * n, N)),
         lambda n, N: k_tasep_stationary(TypeVector((1,) * n, N), N),
     )
@@ -626,9 +610,9 @@ def _check_k_full_ring(params):
     )
 
 
-def _check_rs_relations(params):
+def _check_rs_relations(*, max_n):
     bad = []
-    for n in range(1, params.get("max_n", 4) + 1):
+    for n in range(1, max_n + 1):
         m = 2 * n
         _, gen, _ = _tables(n)  # gen[i - 1][s]: the position of e_i applied to pattern s
         for s in range(len(gen[0])):
@@ -651,15 +635,15 @@ def _check_rs_relations(params):
     return bad[:5], "generator relations hold exhaustively"
 
 
-def _check_rs_figure(params):
+def _check_rs_figure():
     got = apply_generator(LinkingPattern(((1, 4), (2, 3), (5, 6))), 4)
     bad = [] if got == LinkingPattern(((1, 6), (2, 3), (4, 5))) else [{"got": got.pairs}]
     return bad, "worked generator action reproduced"
 
 
-def _check_rs_k_independence(params):
+def _check_rs_k_independence(*, max_n):
     bad = []
-    for n in range(2, params.get("max_n", 4) + 1):
+    for n in range(2, max_n + 1):
         base = _rs(n, 1)
         for k in range(2, 2 * n):
             if rs_stationary(n, k) != base:
@@ -667,9 +651,9 @@ def _check_rs_k_independence(params):
     return bad, "pattern-chain stationary distribution is k-independent, k < 2n"
 
 
-def _check_rs_full_ring(params):
+def _check_rs_full_ring(*, max_n):
     findings = _full_ring_findings(
-        [{"n": n} for n in range(2, params.get("max_n", 4) + 1)],
+        [{"n": n} for n in range(2, max_n + 1)],
         lambda n: _rs(n, 1),
         lambda n: rs_stationary(n, 2 * n),
     )
@@ -684,9 +668,9 @@ def _least_nested(n):
     return LinkingPattern(tuple((2 * i - 1, 2 * i) for i in range(1, n + 1)))
 
 
-def _check_extremes(params):
+def _check_extremes(*, max_n):
     bad = []
-    for n in range(2, params.get("max_n", 4) + 1):
+    for n in range(2, max_n + 1):
         rsd = _rs(n, 1)
         dist = permutation_distribution(n)
         # the pattern chain is rotation invariant, so extremes are attained
@@ -708,9 +692,9 @@ def _asm_count(n: int) -> int:
     return math.prod(f(3 * k + 1) for k in range(n)) // math.prod(f(n + k) for k in range(n))
 
 
-def _check_rs_sum_rule(params):
+def _check_rs_sum_rule(*, max_n):
     bad = []
-    for n in range(1, params.get("max_n", 7) + 1):
+    for n in range(1, max_n + 1):
         dist = _rs(n, 1)
         low = min(dist.values())
         scaled = {L: p / low for L, p in dist.items()}
@@ -729,7 +713,7 @@ def _check_rs_sum_rule(params):
     return bad, "smallest entry scaled to 1: integer entries summing to A_n, 1 most nested, A_(n-1) least nested"
 
 
-def _check_figures(params):
+def _check_figures():
     l = label_mlq(DiscreteMLQ(TypeVector((2, 1, 1), 8), ((3, 4), (0, 2, 4), (1, 5, 6, 7))))
     u = RingWord.from_dict(9, {0: 4, 2: 2, 7: 3, 8: 1})
     figures = {
@@ -815,21 +799,18 @@ def _cache_key(check_id: str, params: dict) -> str:
 
 
 def run_suite(
-    pattern: str = "*",
-    overrides: dict | None = None,
-    cache_dir: str | None = None,
-    audit_seed: int = 0,
+    pattern: str = "*", overrides: dict | None = None, cache_dir: str | None = None
 ) -> list[VerificationReport]:
     """Run every check whose id matches the glob pattern.
 
-    `overrides` maps check ids to parameter updates.  With a
-    cache directory, previously computed reports are reused when the
-    check, its parameters and the package sources are unchanged; a seeded
-    5% sample of cache hits is recomputed and compared.
+    `overrides` maps check ids to parameter updates; an unknown id or
+    parameter raises ValueError before any check runs.  With a cache
+    directory, a report is reused while its check, its parameters and the
+    sources are unchanged; a 5% sample of hits, seeded 0, is recomputed.
     """
     def outcome(severity, fn, params):
         """(status, witnesses, detail) of one run of a check."""
-        witnesses, detail = fn(params)
+        witnesses, detail = fn(**params)
         if witnesses is None:
             return SKIPPED, [], detail
         if witnesses:
@@ -839,13 +820,24 @@ def run_suite(
     selected = [cid for cid in CHECKS if fnmatch.fnmatch(cid, pattern)]
     if not selected:
         raise ValueError(f"no checks match {pattern!r}")
+    overrides = overrides or {}
+    bound = {}  # the parameters of each selected or overridden check
+    for cid in dict.fromkeys([*selected, *overrides]):
+        if cid not in CHECKS:
+            raise ValueError(f"no check {cid!r} to override")
+        _, fn, defaults = CHECKS[cid]
+        bound[cid] = {**defaults, **overrides.get(cid, {})}
+        try:
+            inspect.signature(fn).bind(**bound[cid])
+        except TypeError as e:
+            raise ValueError(f"check {cid!r}: {e}") from None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-    audit_rng = random.Random(audit_seed)
+    audit_rng = random.Random(0)
     reports = []
     for cid in selected:
-        severity, fn, defaults = CHECKS[cid]
-        params = {**defaults, **(overrides or {}).get(cid, {})}
+        severity, fn, _ = CHECKS[cid]
+        params = bound[cid]
         cache_path = os.path.join(cache_dir, _cache_key(cid, params) + ".json") if cache_dir else None
         cached = cache_path is not None and os.path.exists(cache_path)
         if cached:

@@ -40,6 +40,38 @@ def test_mlq_count_routes_agree():
     assert formula["route"] == "reverse-formula"
 
 
+def test_mlq_count_formulas_refuse_other_permutations_and_positions_off_the_ring():
+    refused = [
+        (("--pi", "1,2", "--b", "0,1", "--N", "4", "--formula", "w0"), "formula w0 counts the permutation 2,1, not 1,2"),
+        (
+            ("--pi", "3,2,1", "--b", "0,1,3", "--N", "4", "--formula", "skw0:1"),
+            "formula skw0:1 counts the permutation 3,1,2, not 3,2,1",
+        ),
+        (("--pi", "2,1", "--b", "0,5", "--N", "4", "--formula", "w0"), "positions must lie in 0..3"),
+    ]
+    for args, message in refused:
+        r = run("mlq", "count", *args)
+        assert r.exit_code == 1, args
+        assert f"Error: {message}" in r.output
+        assert isinstance(r.exception, SystemExit)
+    # the permutation a formula counts is counted as the census counts it
+    for formula, pi, b, N in (("skw0:1", "3,1,2", "0,1,3", 4), ("sw0:3,1", "3,4,1,2", "0,1,3,4", 6)):
+        census = json.loads(run("mlq", "count", "--pi", pi, "--b", b, "--N", str(N)).output)
+        counted = json.loads(run("mlq", "count", "--pi", pi, "--b", b, "--N", str(N), "--formula", formula).output)
+        assert counted["count"] == census["count"] > 0
+
+
+def test_jobs_must_be_positive(monkeypatch):
+    for jobs in ("0", "-3"):
+        r = run("--jobs", jobs, "continuum", "corr", "--n", "3", "--mc", "--samples", "10")
+        assert r.exit_code == 1, jobs
+        assert f"Invalid value for '--jobs': {jobs} is not in the range x>=1" in r.output
+    monkeypatch.setenv("RINGTASEP_JOBS", "0")
+    r = run("verify", "corr-mc-n6", "--samples", "10")
+    assert r.exit_code == 1
+    assert "Invalid value for '--jobs'" in r.output
+
+
 def test_mlq_count_bad_formula():
     r = run("mlq", "count", "--pi", "2,1", "--b", "0,1", "--N", "4", "--formula", "nope")
     assert r.exit_code == 1

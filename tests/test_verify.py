@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import importlib.util
+import inspect
 import json
-import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +34,42 @@ def test_registry_shape():
         assert isinstance(params, dict)
 
 
+def test_checks_take_keyword_parameters_the_registry_binds():
+    # a typo in a registry entry fails here, not in a user's run
+    entries = {}  # check -> the parameter names of each of its entries
+    for cid, (_, fn, defaults) in CHECKS.items():
+        sig = inspect.signature(fn)
+        assert all(p.kind is p.KEYWORD_ONLY for p in sig.parameters.values()), cid
+        assert "params" not in sig.parameters, cid
+        sig.bind(**defaults)
+        entries.setdefault(fn, []).append(set(defaults))
+    # a default every entry of a check supplies is written only in CHECKS
+    for fn, keys in entries.items():
+        for name, p in inspect.signature(fn).parameters.items():
+            if p.default is not p.empty:
+                assert any(name not in k for k in keys), (fn.__name__, name)
+
+
+def test_unknown_overrides_are_refused_before_any_check_runs(monkeypatch, tmp_path):
+    ran = []
+    for cid, (severity, fn, defaults) in CHECKS.items():
+        spy = functools.wraps(fn)(lambda *args, _cid=cid, **kwargs: ran.append(_cid) or ([], ""))
+        monkeypatch.setitem(CHECKS, cid, (severity, spy, defaults))
+    refused = [
+        ("*", {"conj-swap-k3": {"maxN": 9}}, "'conj-swap-k3': got an unexpected keyword argument 'maxN'"),
+        ("fm-m11", {"fm-m11": {"max_n": 9}}, "'fm-m11': got an unexpected keyword argument 'max_n'"),
+        ("rs-figure", {"corr-mc-n6": {"sample": 10}}, "'corr-mc-n6': got an unexpected keyword argument 'sample'"),
+        ("*", {"no-such-check": {}}, "no check 'no-such-check' to override"),
+    ]
+    for pattern, overrides, message in refused:
+        with pytest.raises(ValueError, match=message):
+            run_suite(pattern, overrides=overrides, cache_dir=str(tmp_path / "cache"))
+    assert ran == [] and not (tmp_path / "cache").exists()
+    # the spies take what their checks take
+    run_suite("fm-m11", overrides={"fm-m11": {"max_N": 3}})
+    assert ran == ["fm-m11"]
+
+
 def test_exit_codes():
     theorem_bad = VerificationReport("x", THEOREM, MISMATCH)
     conj_bad = VerificationReport("y", CONJECTURE, MISMATCH)
@@ -54,16 +92,21 @@ def test_full_ring_reports_carry_witnesses():
     assert r.status == MISMATCH and r.witnesses
 
 
-def test_cache_hit_and_audit(tmp_path):
+def test_cache_hit_and_audit(tmp_path, monkeypatch):
     fresh = run_suite("rs-figure", cache_dir=str(tmp_path))[0]
     assert not fresh.cached
     hit = run_suite("rs-figure", cache_dir=str(tmp_path))[0]
     assert hit.cached and hit.status == fresh.status
-    # an audit seed whose first draw falls in the 5% window forces a
-    # recomputation of the cached check; results must agree
-    audit_seed = next(s for s in range(1000) if random.Random(s).random() < 0.05)
-    audited = run_suite("rs-figure", cache_dir=str(tmp_path), audit_seed=audit_seed)[0]
+    # an audit draw in the 5% window forces a recomputation of the cached
+    # check; results must agree
+    monkeypatch.setattr(verify.random, "Random", lambda seed: types.SimpleNamespace(random=lambda: 0.0))
+    audited = run_suite("rs-figure", cache_dir=str(tmp_path))[0]
     assert audited.cached and audited.status == fresh.status
+    # a cached status that the recomputation contradicts is refused
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(entry.read_text().replace(PROVED_MATCH, MISMATCH))
+    with pytest.raises(RuntimeError, match="cache audit failed for rs-figure: proved-match != mismatch"):
+        run_suite("rs-figure", cache_dir=str(tmp_path))
 
 
 def test_cache_is_keyed_on_the_sources(tmp_path, monkeypatch):
