@@ -31,9 +31,10 @@ Beyond the exact caps, one Monte Carlo sampler of bottom words, drawn
 and labelled row by row, serves both permutations and adjacencies.  Its
 loop is generated as Python source for each n and compiled once
 (_mc_kernel): with the rows unrolled and every box in a local variable it
-takes 35-45% less time per sample than a loop over rows and labels,
-and it reads the random stream in the same order, so the seeded counts
-are unchanged.
+took 35-45% less time per sample than a loop over rows and labels, and
+claiming each row's last three boxes by a comparison tree on locals, in
+place of list pops, takes about a fifth less again.  It reads the random
+stream in the same order, so the seeded counts are unchanged.
 """
 
 import itertools
@@ -150,37 +151,70 @@ def permutation_distribution(n: int) -> dict[Perm, Fraction]:
     return {pi: Fraction(c, total) for pi, c in sorted(word_counts.items())}
 
 
+def _claim_tree(l: int, boxes: list[str], r: int, last: bool) -> list[str]:
+    """Source lines by which labels l..r-1 of row r claim from the row's
+    last boxes, the sorted locals named in boxes, as a comparison tree:
+    label l takes boxes[0] if p<l> is at most it or past the last box (the
+    wrap), else the first box at or after p<l>.  In the last row label l
+    records the claimed index, -len(boxes)..-1, in i<l>; elsewhere its
+    box goes to p<l>, and the box left over starts label r."""
+    if len(boxes) == 1:
+        return [] if last else [f"p{r} = {boxes[0]}"]
+    p, k = f"p{l}", len(boxes)
+    tests = [f"if {p} <= {boxes[0]} or {p} > {boxes[-1]}:"] + [f"elif {p} <= {b}:" for b in boxes[1:-1]] + ["else:"]
+    lines = []
+    for j, (test, b) in enumerate(zip(tests, boxes)):
+        claim = f"i{l} = {j - k}" if last else f"{p} = {b}"
+        lines += [test, f"    {claim}"]
+        lines += ["    " + line for line in _claim_tree(l + 1, boxes[:j] + boxes[j + 1 :], r, last)]
+    return lines
+
+
 @cache
 def _mc_kernel(n: int):
     """The sampling loop of _mc_word_chunk for one n, as straight-line code.
 
     kernel(rnd, samples) returns the code counts of `samples` queues drawn
     from rnd, in the order of first sight.  A sample draws row r as the
-    next r calls of rnd, for r = 1..n, as one list display, and sorts it;
-    that is the order in which the pinned seeded outputs were drawn, so
-    unrolling the loop changes no count.  Label l, kept in the local p<l>,
-    claims with f.pop(bisect_left(f, p<l>) - len), where len, the number
-    of boxes left, is a constant of the code: the index lies in -len..0,
-    and 0 is the wrap past the end of the ring to the first box.  The one
-    box left starts the row's new label.  In the last row the claim
-    indices are the code, so there -len and 0 name the same box.
+    next r calls of rnd, for r = 1..n, in order, and sorts it; that is the
+    order in which the pinned seeded outputs were drawn, so no count
+    changes.  Row 2 is two locals and one compare-swap; a longer row is a
+    sorted list f.  Label l, kept in the local p<l>, claims from f while
+    more than three boxes are left, with f.pop(bisect_left(f, p<l>) - len),
+    where len, the number of boxes left, is a constant of the code: the
+    index lies in -len..0, and 0 is the wrap past the end of the ring to
+    the first box.  The last three boxes (two in row 2) are locals b0 <=
+    b1 <= b2, and the labels left claim them by a comparison tree
+    (_claim_tree), the wrap taking b0.  The one box left starts the row's
+    new label.  In the last row the claim indices are the code; a label
+    claimed by bisect can write the first box as -len or 0, one claimed
+    by the tree writes it as -len only.
 
     The source is generated, and compiled once per n, as dataclasses and
     namedtuple do, because the unrolled loop with every box in a local
-    variable takes 35-45% less time per sample than a loop over rows
-    and labels (BENCH_mc_kernel.json).  Tracebacks name it
+    variable takes 35-45% less time per sample than a loop over rows and
+    labels (BENCH_mc_kernel.json), and the trees 18-23% less again at
+    n = 5 and 6 (BENCH_claim_trees.json).  Trees on four boxes were about
+    9% faster still, but their larger source raised the peak memory of a
+    sampling run by about 0.5 MB.  Tracebacks name the code
     "<mc kernel n=...>".
     """
     body = ["p1 = rnd()"]  # at n = 1 row 1 is also the last row, and leaves the empty code
     for r in range(2, n + 1):
-        body += [f"f = [{', '.join(['rnd()'] * r)}]", "f.sort()"]
-        # label l claims from the r - l + 1 boxes that labels 1..l-1 left
-        if r < n:
-            body += [f"p{l} = f.pop(bisect_left(f, p{l}) - {r - l + 1})" for l in range(1, r)]
-            body.append(f"p{r} = f[0]")
+        last, tree = r == n, min(r, 3)
+        if r == 2:
+            body += ["b0 = rnd()", "b1 = rnd()", "if b0 > b1: b0, b1 = b1, b0"]
         else:
-            for l in range(1, r):
+            body += [f"f = [{', '.join(['rnd()'] * r)}]", "f.sort()"]
+        # label l claims from the r - l + 1 boxes that labels 1..l-1 left
+        for l in range(1, r - tree + 1):
+            if last:
                 body += [f"i{l} = bisect_left(f, p{l}) - {r - l + 1}", f"del f[i{l}]"]
+            else:
+                body.append(f"p{l} = f.pop(bisect_left(f, p{l}) - {r - l + 1})")
+        if r > 2:
+            body.append("b0, b1, b2 = f")
+        body += _claim_tree(r - tree + 1, [f"b{j}" for j in range(tree)], r, last)
     code = "".join(f"i{l}, " for l in range(1, n))
     body += [f"code = ({code})", "codes[code] = get(code, 0) + 1"]
     src = "\n".join(
@@ -211,10 +245,12 @@ def _mc_word_chunk(args):
     In the last row, label t pops index i_t of the n - t + 1 boxes left,
     written in -(n - t + 1)..0, so the claim indices are the sample's
     code, and a code is turned into its word once, by replaying the pops
-    on range(n).  Index -len and the wrap to index 0 pop the same box, so
-    two codes can name one word, and their counts are added.  A word's
-    first code is met when the word is, so the counts come out in the
-    order of first sight.
+    on range(n).  A label that claims by bisect, with four or more boxes
+    left, can write the first box as -len or as the wrap to index 0, so
+    two codes can name one word, and their counts are added; the
+    comparison tree of the last three boxes writes it as -len only.  A
+    word's first code is met when the word is, so the counts come out in
+    the order of first sight.
     """
     n, samples, seed = args
     counts: dict[Perm, int] = {}
@@ -236,9 +272,11 @@ def _mc_counts(n: int, samples: int, seed: int, jobs: int) -> dict[Perm, int]:
         raise ValueError("need n >= 1")
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
     starts = range(0, samples, MC_CHUNK)
     tasks = [(n, min(MC_CHUNK, samples - start), f"{seed}:{c}") for c, start in enumerate(starts)]
-    workers = min(max(1, jobs), len(tasks))
+    workers = min(jobs, len(tasks))
     if workers == 1:
         results = map(_mc_word_chunk, tasks)
     else:

@@ -60,7 +60,7 @@ from .count import bottom_word_counts, total_mlq_count
 from .linalg import kernel_vector
 from .mlq import _row_successors, transfer
 
-STATE_CAP = 2000  # the most states `transition_matrix` enumerates
+STATE_CAP = 2000  # the most states `transition_matrix` enumerates, and `mc_stationary` walks as move lists
 
 
 @dataclass(frozen=True)
@@ -472,26 +472,52 @@ def push_through_last_row(dist: dict[tuple[int, ...], Fraction]) -> dict[tuple[i
 def mc_stationary(t: TypeVector, burn_in: int, samples: int, seed: int, thin: int = 1):
     """Monte Carlo estimate of the stationary distribution.
 
-    Runs a single chain, records every `thin`-th state after burn-in, and
-    reports per-state frequencies with naive binomial standard errors.
-    Reproducible for a fixed (seed, thin).  The word and its sorted
-    occupied sites are updated in place; a step moves occupied[k] for a
-    k drawn as random.Random.randrange(K) draws it: getrandbits of K's bit
-    length, drawn again until below K.  Burn-in and sampling run as one
-    loop, with a countdown to the next recorded state; with thin = 0 every
-    record is the state after burn-in.
+    Runs a single chain from the first word of `enumerate_states(t)`,
+    records every `thin`-th state after burn-in, and reports per-state
+    frequencies with naive binomial standard errors.  Reproducible for a
+    fixed (seed, thin).  A step fires the k-th occupied site in ascending
+    order, for a k drawn as random.Random.randrange(K) draws it:
+    getrandbits of K's bit length, drawn again until below K.  Burn-in and
+    sampling run as one loop, with a countdown to the next recorded state;
+    with thin = 0 every record is the state after burn-in.
+
+    Up to `STATE_CAP` states the chain walks the move lists of
+    `_moves(enumerate_states(t), _particle_steps)`, the lists the exact
+    certificate reads, whose move k fires the k-th occupied site: a step
+    is one list lookup.  Above the cap, where the lists would take every
+    state, the word and its sorted occupied sites are updated in place.
+    Both paths take the same steps, so the estimates do not depend on the
+    cap.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
     if burn_in < 0 or thin < 0:
         raise ValueError("need burn_in >= 0 and thin >= 0")
     getrandbits = random.Random(seed).getrandbits
-    sites = _content(t)  # the first word of enumerate_states(t)
-    occupied = [i for i, x in enumerate(sites) if x != VACANT]
-    K, last = t.particles, t.N - 1
+    K = t.particles
     bits = K.bit_length()
-    counts: dict[tuple, int] = {}
     wait = burn_in + thin  # steps to the next recorded state
+    if state_count(t) <= STATE_CAP:
+        states = enumerate_states(t)
+        succ = _moves(states, _particle_steps)
+        hits = [0] * len(states)
+        s = 0
+        for _ in range(burn_in + samples * thin):
+            k = getrandbits(bits)
+            while k >= K:
+                k = getrandbits(bits)
+            s = succ[s][k]
+            wait -= 1
+            if not wait:
+                hits[s] += 1
+                wait = thin
+        if not thin:
+            hits[s] = samples
+        return _estimates({w: c for w, c in zip(states, hits) if c}, samples, "freq")
+    sites = _content(t)
+    occupied = [i for i, x in enumerate(sites) if x != VACANT]
+    last = t.N - 1
+    counts: dict[tuple, int] = {}
     for _ in range(burn_in + samples * thin):
         k = getrandbits(bits)
         while k >= K:

@@ -847,9 +847,9 @@ def run_suite(
             if audit_rng.random() < 0.05 and (fresh := outcome(severity, fn, params)[0]) != status:
                 raise RuntimeError(f"cache audit failed for {cid}: {fresh} != {status}")
         else:
-            t0 = time.time()
+            t0 = time.perf_counter()
             status, witnesses, detail = outcome(severity, fn, params)
-            runtime = time.time() - t0
+            runtime = time.perf_counter() - t0
         report = VerificationReport(cid, severity, status, params, witnesses, detail, runtime, cached)
         if cache_path and not cached:
             with open(cache_path, "w") as fh:

@@ -243,6 +243,18 @@ def test_mc_counts_do_not_depend_on_jobs(monkeypatch):
     assert _mc_counts(4, 2_500, 9, 3) != runs[0]
 
 
+def test_mc_refuses_jobs_below_one():
+    from ringtasep.verify import run_suite
+
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="need jobs >= 1"):
+            adjacency_mc(3, 10, 0, jobs=jobs)
+        with pytest.raises(ValueError, match="need jobs >= 1"):
+            permutation_distribution_mc(3, 10, 0, jobs=jobs)
+        with pytest.raises(ValueError, match="need jobs >= 1"):
+            run_suite("corr-mc-n6", overrides={"corr-mc-n6": {"samples": 1000, "jobs": jobs}})
+
+
 def test_permutation_distribution_mc():
     from ringtasep.continuum import permutation_distribution_mc
 

@@ -645,32 +645,61 @@ def test_mc_stationary_stream_is_pinned():
     assert digest == "c9052c09bc5a05d3f620d25593b87795e4b68f881330ee99818ae8184b829bcc"
 
 
-@pytest.mark.parametrize("m, N", [((1,), 4), ((2,), 2), ((2, 1), 5), ((1, 2, 1), 4), ((1, 1, 1), 6), ((3, 1, 2), 8)])
+START_TYPES = [((1,), 4), ((2,), 2), ((2, 1), 5), ((1, 2, 1), 4), ((1, 1, 1), 6), ((3, 1, 2), 8)]
+
+
+@pytest.mark.parametrize("m, N", START_TYPES)
 def test_mc_stationary_starts_at_the_first_state(m, N):
     t = TypeVector(m, N)
     [w] = mc_stationary(t, burn_in=0, samples=1, seed=0, thin=0)  # thin=0 records the start word
     assert w == enumerate_states(t)[0]
 
 
-def test_mc_stationary_wraps_at_site_zero():
+def _both_paths(monkeypatch, run):
+    """run() on the move lists, then with STATE_CAP at 0 on the word
+    stepper, which must not build the move lists."""
+    calls = []
+    moves = markov._moves
+    with monkeypatch.context() as mp:
+        mp.setattr(markov, "_moves", lambda *args: calls.append(args) or moves(*args))
+        lists = run()
+        assert len(calls) == 1
+        mp.setattr(markov, "STATE_CAP", 0)
+        stepper = run()
+        assert len(calls) == 1
+    return lists, stepper
+
+
+@pytest.mark.parametrize("m, N", START_TYPES)
+@pytest.mark.parametrize("thin", [0, 1, 3])
+def test_mc_stationary_paths_agree(monkeypatch, m, N, thin):
+    t = TypeVector(m, N)
+    lists, stepper = _both_paths(monkeypatch, lambda: mc_stationary(t, 11, 400, 6, thin=thin))
+    assert lists == stepper
+
+
+def test_mc_stationary_stream_is_pinned_on_both_paths(monkeypatch):
+    t = TypeVector((1, 1, 1), 5)
+    for est in _both_paths(monkeypatch, lambda: mc_stationary(t, burn_in=200, samples=20_000, seed=3, thin=8)):
+        digest = hashlib.sha256(repr(sorted(est.items())).encode()).hexdigest()
+        assert digest == "c9052c09bc5a05d3f620d25593b87795e4b68f881330ee99818ae8184b829bcc"
+
+
+def test_mc_stationary_wraps_at_site_zero(monkeypatch):
     # a lone particle starts at site 3 and steps left every time, through
-    # site 0 to site 3 again
+    # site 0 to site 3 again, on the move lists and on the word stepper
     t = TypeVector((1,), 4)
     for burn_in in range(9):
-        [w] = mc_stationary(t, burn_in=burn_in, samples=1, seed=0)
-        assert w.index(1) == (2 - burn_in) % 4
+        for est in _both_paths(monkeypatch, lambda: mc_stationary(t, burn_in=burn_in, samples=1, seed=0)):
+            [w] = est
+            assert w.index(1) == (2 - burn_in) % 4
 
 
-@pytest.mark.parametrize(
-    "m, N", [((1,), 3), ((1, 1), 4), ((2, 1), 4), ((1, 1, 2), 6), ((2, 1, 1, 1), 7)]
-)  # K = 1, 2, 3, 4 and 5 particles
-@pytest.mark.parametrize("thin", [0, 1, 3])
-def test_mc_stationary_replays_randrange(m, N, thin):
-    # the chain draws its particle as randrange(K) does, so replaying
-    # randrange through tasep_step gives the same tallies
-    t, burn_in, samples, seed = TypeVector(m, N), 7, 60, 5
+def _randrange_tally(t, start, burn_in, samples, seed, thin):
+    """The states a chain from start records when it draws its particle
+    with randrange(K) and steps through tasep_step."""
     randrange = random.Random(seed).randrange
-    w, tally = RingWord(enumerate_states(t)[0]), Counter()
+    w, tally = RingWord(start), Counter()
 
     def advance(steps):
         nonlocal w
@@ -681,6 +710,30 @@ def test_mc_stationary_replays_randrange(m, N, thin):
     for _ in range(samples):
         advance(thin)
         tally[w.sites] += 1
+    return tally
+
+
+@pytest.mark.parametrize(
+    "m, N", [((1,), 3), ((1, 1), 4), ((2, 1), 4), ((1, 1, 2), 6), ((2, 1, 1, 1), 7)]
+)  # K = 1, 2, 3, 4 and 5 particles
+@pytest.mark.parametrize("thin", [0, 1, 3])
+def test_mc_stationary_replays_randrange(m, N, thin):
+    # the chain draws its particle as randrange(K) does, so replaying
+    # randrange through tasep_step gives the same tallies
+    t, burn_in, samples, seed = TypeVector(m, N), 7, 60, 5
+    tally = _randrange_tally(t, enumerate_states(t)[0], burn_in, samples, seed, thin)
+    est = mc_stationary(t, burn_in, samples, seed, thin=thin)
+    assert {word: e["count"] for word, e in est.items()} == tally
+
+
+@pytest.mark.parametrize("thin", [0, 1, 3])
+def test_mc_stationary_steps_words_above_the_cap(monkeypatch, thin):
+    # 3,024 states: the chain steps words and enumerates none
+    t, burn_in, samples, seed = TypeVector((1, 1, 1, 1), 9), 7, 60, 5
+    assert state_count(t) > markov.STATE_CAP
+    monkeypatch.setattr(markov, "enumerate_states", None)
+    monkeypatch.setattr(markov, "_moves", None)
+    tally = _randrange_tally(t, (VACANT,) * 5 + (1, 2, 3, 4), burn_in, samples, seed, thin)
     est = mc_stationary(t, burn_in, samples, seed, thin=thin)
     assert {word: e["count"] for word, e in est.items()} == tally
 

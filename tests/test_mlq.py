@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 from bisect import bisect_left
 from collections import Counter
 
@@ -252,15 +253,18 @@ def test_mc_kernel_counts_words_in_order_of_first_sight(n):
     assert list(counts) == list(words)
 
 
-def test_mc_kernel_adds_the_two_codes_of_a_wrapped_claim():
+def test_mc_kernel_adds_the_two_codes_of_a_wrapped_claim(monkeypatch):
     # at n = 2 label 1 takes the first last-row box both when its box above
-    # lies left of the row (index -2) and when it lies right of it, past the
-    # end of the ring (index 0): two codes of one word
-    from ringtasep.continuum import _mc_kernel, _mc_word_chunk
+    # lies right of the row, past the end of the ring, and when it lies
+    # left of it; the comparison tree writes both claims as index -2, so
+    # the wrap is one code of the word (1, 2), whichever order row 2 is drawn in
+    from ringtasep import continuum
 
-    codes = _mc_kernel(2)(random.Random("wrap").random, 30)
-    assert set(codes) == {(-2,), (-1,), (0,)}
-    assert _mc_word_chunk((2, 30, "wrap")) == {(1, 2): codes[(-2,)] + codes[(0,)], (2, 1): codes[(-1,)]}
+    for draws in ((0.9, 0.2, 0.5), (0.9, 0.5, 0.2), (0.1, 0.2, 0.5), (0.1, 0.5, 0.2)):
+        assert continuum._mc_kernel(2)(iter(draws).__next__, 1) == {(-2,): 1}
+        rng = types.SimpleNamespace(Random=lambda seed: types.SimpleNamespace(random=iter(draws).__next__))
+        monkeypatch.setattr(continuum, "random", rng)
+        assert continuum._mc_word_chunk((2, 1, "fixed")) == {(1, 2): 1}
 
 
 def test_mc_kernel_is_compiled_once_per_n():

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import importlib.util
 import inspect
+import itertools
 import json
 import types
 from fractions import Fraction
@@ -127,6 +128,13 @@ def test_cache_is_not_keyed_on_jobs(tmp_path):
     assert not run(1).cached
     hit = run(3)
     assert hit.cached and hit.params["jobs"] == 3
+
+
+def test_runtime_does_not_read_the_wall_clock(monkeypatch):
+    # a wall clock can step backwards; the report's runtime must not
+    clock = itertools.count(1e9, -60.0)
+    monkeypatch.setattr(verify.time, "time", lambda: next(clock))
+    assert run_suite("queue-figures")[0].runtime >= 0
 
 
 def test_report_json_shape():
